@@ -7,8 +7,8 @@ works over Z[zeta16, 1/2].  No floats touch any decision.
 
 from .canonical import (CanonicalForm, TLayer, TLayerCircuit, WidthMismatchError,
                         canonicalize_depth_d, canonicalize_depth_one,
-                        channel_of_circuit, equals, parse_circuit, parse_form)
-from .census import (CensusRow, DEFAULT_SEED, FeasibilityRefusalError,
+                        channel_of_circuit, parse_circuit, parse_form)
+from .census import (DEFAULT_SEED, FeasibilityRefusalError,
                      VerificationReport, count_sets, count_tdepth_one,
                      count_tuples, emit_table, enumerate_sets, growth_check,
                      random_pauli_set, verify_distinctness,

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from . import channel as channel_mod
-from .channel import ChannelRep, _apply_clifford_left, _apply_exponential_left
+from .channel import ChannelRep, _rotate_columns, channel_of_clifford
 from .clifford import CliffordTableau
 from .pauli import PauliOperator, PauliSet, validate_set
 
@@ -33,11 +32,17 @@ class ParseError(ValueError):
 
 
 class TLayer:
-    """One parallel layer of T and Tdg gates; at least one qubit is marked."""
+    """One parallel layer of T and Tdg gates; at least one qubit is marked,
+    and none twice."""
 
     __slots__ = ("n", "t_qubits", "tdg_qubits")
 
     def __init__(self, n: int, t: Iterable[int] = (), tdg: Iterable[int] = ()):
+        t = list(t)
+        tdg = list(tdg)
+        for marks in (t, tdg):
+            if len(set(marks)) != len(marks):
+                raise ValueError(f"qubit marked twice in one layer: {sorted(marks)}")
         t_set = frozenset(t)
         tdg_set = frozenset(tdg)
         for q in t_set | tdg_set:
@@ -145,13 +150,6 @@ class CanonicalForm:
         return f"<CanonicalForm {self.render()}>"
 
 
-def equals(a: CanonicalForm, b: CanonicalForm) -> bool:
-    """Exact equality of forms; the widths must agree."""
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    return a == b
-
-
 def quarter_exponential_tableau(p: PauliOperator, sign: int = -1) -> CliffordTableau:
     """Tableau of the Clifford exp(sign * i*pi*P/4) for positive P.
 
@@ -222,24 +220,22 @@ def channel_of_decomposition(sets: Sequence[PauliSet],
                              tail: CliffordTableau) -> ChannelRep:
     """Channel of (exp factors of set 1) ... (exp factors of set d) * tail,
     the product canonicalize_depth_d decomposes a circuit into."""
-    rows = channel_mod.channel_of_clifford(tail).rows
+    rep = channel_of_clifford(tail)
     for s in reversed(list(sets)):
-        for p in reversed(list(s)):
-            _apply_exponential_left(rows, p, inverse=False)
-    return ChannelRep(tail.n, rows)
+        rep = _rotate_columns(rep, s)
+    return rep
 
 
 def channel_of_circuit(circ: TLayerCircuit) -> ChannelRep:
     """Exact channel of the alternating word, built right to left."""
     n = circ.n
-    rows = channel_mod.channel_of_clifford(circ.cliffords[-1]).rows
+    rep = channel_of_clifford(circ.cliffords[-1])
     for k in range(circ.depth - 1, -1, -1):
-        layer = circ.layers[k]
-        for qubit, is_tdg in layer.marked:
+        for qubit, is_tdg in circ.layers[k].marked:
             z = PauliOperator.single(n, qubit, "Z")
-            _apply_exponential_left(rows, z, inverse=not is_tdg)
-        rows = _apply_clifford_left(rows, circ.cliffords[k])
-    return ChannelRep(n, rows)
+            rep = _rotate_columns(rep, [z], inverse=not is_tdg)
+        rep = channel_of_clifford(circ.cliffords[k]).multiply(rep)
+    return rep
 
 
 def _split_top(text: str):

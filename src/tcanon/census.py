@@ -18,7 +18,6 @@ the structured channels with the dense-trace oracle.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,7 +32,8 @@ from .clifford import (CliffordTableau, from_gate_word, group_order,
                        random_clifford)
 from .oracle import (DenseUnitary, channel_bruteforce, dense_of_exponential,
                      dense_of_gate_word, dense_of_pauli, pauli_expand)
-from .pauli import PauliOperator, PauliSet, commutant
+from .pauli import (PauliOperator, PauliSet, _swap_halves, commutant,
+                    label_commutes)
 
 DEFAULT_SEED = 1729
 
@@ -42,9 +42,16 @@ class FeasibilityRefusalError(ValueError):
     pass
 
 
-def _check_nm(n: int, m: int) -> None:
+def _check_run(n: int, trials: int = 0) -> None:
+    """Reject a width below 1 or a negative trial count before any work."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
+
+
+def _check_nm(n: int, m: int) -> None:
+    _check_run(n)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
 
@@ -72,23 +79,6 @@ def count_tdepth_one(n: int) -> tuple[int, int]:
         raise ValueError(f"need n >= 1, got {n}")
     g = sum(count_sets(n, m) for m in range(1, n + 1))
     return g, g * group_order(n)
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    n: int
-    m: int
-    tuple_count: int
-    set_count: int
-    clifford_order: int
-    unitary_count: int
-
-
-def census_rows(n: int) -> list[CensusRow]:
-    order = group_order(n)
-    return [CensusRow(n, m, count_tuples(n, m), count_sets(n, m), order,
-                      count_sets(n, m) * order)
-            for m in range(1, n + 1)]
 
 
 def emit_table(n_max: int) -> str:
@@ -119,22 +109,28 @@ _ENUM_CAP = 4
 def _commute_masks(n: int) -> tuple:
     """mask[a] has bit b set iff unsigned labels a, b commute."""
     dim = 1 << (2 * n)
-    low = (1 << n) - 1
-    xs = [l >> n for l in range(dim)]
-    zs = [l & low for l in range(dim)]
     masks = []
     for a in range(dim):
-        xa, za = xs[a], zs[a]
         m = 0
         for b in range(dim):
-            anti = (bin(xa & zs[b]).count("1") + bin(za & xs[b]).count("1")) & 1
-            if not anti:
+            if label_commutes(a, b, n):
                 m |= 1 << b
         masks.append(m)
     return tuple(masks)
 
 
-def _iter_label_tuples(n: int, m: int, first: int | None = None) -> Iterator[tuple]:
+def _span_with(span: int, v: int) -> int:
+    """Span bitmask over labels, closed under XOR with v as well."""
+    out = span
+    s = span
+    while s:
+        low = s & -s
+        s ^= low
+        out |= 1 << ((low.bit_length() - 1) ^ v)
+    return out
+
+
+def _iter_label_tuples(n: int, m: int) -> Iterator[tuple]:
     """Strictly ascending label tuples, pairwise commuting, independent.
 
     Independence is tracked as a span bitmask over labels (the subgroup
@@ -161,12 +157,7 @@ def _iter_label_tuples(n: int, m: int, first: int | None = None) -> Iterator[tup
             low = a & -a
             a ^= low
             b = low.bit_length() - 1
-            new_span = span
-            s = span
-            while s:
-                sl = s & -s
-                s ^= sl
-                new_span |= 1 << ((sl.bit_length() - 1) ^ b)
+            new_span = _span_with(span, b)
             child = allowed & cmask[b] & ~new_span & above(b)
             # a quick capacity cut: not enough labels left to finish
             if bin(child).count("1") >= want - 1:
@@ -174,47 +165,21 @@ def _iter_label_tuples(n: int, m: int, first: int | None = None) -> Iterator[tup
                 yield from extend(chosen, child, new_span)
                 chosen.pop()
 
-    if first is None:
-        start = full & ~1  # skip the identity label
-        yield from extend([], start, 1)
-    else:
-        new_span = 1 | (1 << first)
-        child = cmask[first] & ~new_span & above(first)
-        if m == 1:
-            yield (first,)
-        else:
-            yield from extend([first], child, new_span)
+    yield from extend([], full & ~1, 1)  # skip the identity label
 
 
-def _enum_chunk(args: tuple) -> list:
-    n, m, first = args
-    return list(_iter_label_tuples(n, m, first))
-
-
-def enumerate_sets(n: int, m: int, allow_large: bool = False,
-                   workers: int = 1) -> Iterator[PauliSet]:
+def enumerate_sets(n: int, m: int,
+                   allow_large: bool = False) -> Iterator[PauliSet]:
     """Every commuting independent positive m-set exactly once, in
-    lexicographic label order; stream length equals count_sets(n, m).
-
-    workers > 1 partitions on the first element's label; the merged
-    stream order is identical to the single-worker order.
-    """
+    lexicographic label order; stream length equals count_sets(n, m)."""
     _check_nm(n, m)
     if n > _ENUM_CAP and not allow_large:
         raise FeasibilityRefusalError(
             f"enumeration capped at {_ENUM_CAP} qubits "
             f"({count_sets(n, m)} sets at n={n}, m={m}); "
             "pass allow_large=True to force")
-    if workers <= 1:
-        for labels in _iter_label_tuples(n, m):
-            yield PauliSet.from_labels(n, labels)
-        return
-    dim = 1 << (2 * n)
-    firsts = [(n, m, f) for f in range(1, dim)]
-    with multiprocessing.Pool(workers) as pool:
-        for chunk in pool.imap(_enum_chunk, firsts, chunksize=8):
-            for labels in chunk:
-                yield PauliSet.from_labels(n, labels)
+    for labels in _iter_label_tuples(n, m):
+        yield PauliSet.from_labels(n, labels)
 
 
 # ------------------------------------------------------------------ sampling
@@ -239,18 +204,9 @@ def random_pauli_set(n: int, m: int, rng) -> PauliSet:
                     v ^= b
             if not (span >> v) & 1:
                 break
-        s = span
-        while s:
-            sl = s & -s
-            s ^= sl
-            span |= 1 << ((sl.bit_length() - 1) ^ v)
+        span = _span_with(span, v)
         chosen.append(v)
     return PauliSet.from_labels(n, sorted(chosen))
-
-
-def _swap_halves(label: int, n: int) -> int:
-    low = (1 << n) - 1
-    return ((label & low) << n) | (label >> n)
 
 
 _GATE_POOL = ("H", "S", "X", "Z", "CX", "CZ", "SWAP")
@@ -323,6 +279,7 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
     Clifford group.  Exhaustive mode also runs every self-pair, which
     must reconcile (by the identity), as a sanity arm on the tester.
     """
+    _check_run(n, trials)
     t0 = time.perf_counter()
     report = VerificationReport("distinctness", mode=mode)
     if mode == "exhaustive":
@@ -369,6 +326,7 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
 def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Rows of a form's channel holding a +-1 entry = commutant of the set."""
+    _check_run(n, trials)
     import random as _random
     t0 = time.perf_counter()
     rng = _random.Random(seed)
@@ -404,14 +362,8 @@ def _independent_families(n: int, k_max: int) -> Iterator[tuple]:
         for v in range(start, top):
             if (span >> v) & 1:
                 continue
-            new_span = span
-            s = span
-            while s:
-                sl = s & -s
-                s ^= sl
-                new_span |= 1 << ((sl.bit_length() - 1) ^ v)
             chosen.append(v)
-            yield from extend(chosen, new_span, v + 1)
+            yield from extend(chosen, _span_with(span, v), v + 1)
             chosen.pop()
 
     yield from extend([], 1, 1)
@@ -425,6 +377,7 @@ def verify_hamming_weight(n: int, k_max: int = 3,
     bit-strings and w counts the family members with bit j set.  Runs the
     dense oracle exhaustively over every family of size <= k_max.
     """
+    _check_run(n)
     if n > 3 and not allow_large:
         raise FeasibilityRefusalError(
             f"dense Hamming-weight sweep capped at 3 qubits, got {n}")
@@ -459,6 +412,7 @@ def verify_hamming_weight(n: int, k_max: int = 3,
 def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
                     seed: int = DEFAULT_SEED) -> VerificationReport:
     """infer_t_count reads m back off the channel of every form."""
+    _check_run(n, trials)
     t0 = time.perf_counter()
     report = VerificationReport("spectrum", mode=mode)
     checked = 0
@@ -517,6 +471,7 @@ def verify_oracle(n: int, trials: int = 100,
     random forms whose Clifford part is built twice from one gate word
     (tableau path vs dense path).
     """
+    _check_run(n, trials)
     if n > 3:
         raise FeasibilityRefusalError(
             f"oracle agreement capped at 3 qubits, got {n}")

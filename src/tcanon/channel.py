@@ -7,11 +7,13 @@ the equality arbiter for canonical forms.  Channels are orthogonal, the
 channel of a product is the product of the channels, and a channel is a
 signed permutation exactly when the unitary is Clifford.
 
-Exponentials exp(i*pi*P/8) act on a channel as plane rotations: a column
-labeled Q commuting with P is fixed; an anticommuting column picks up
-1/sqrt2 at row Q and +-1/sqrt2 at the row of i*P*Q.  Building a canonical
-form's channel therefore costs a signed permutation plus m sparse row
-updates, never a dense product.
+Channels are stored as sparse columns.  Exponentials exp(i*pi*P/8) act on
+a column as plane rotations: an entry at a row R commuting with P is
+fixed; an anticommuting row splits into 1/sqrt2 at R and +-1/sqrt2 at the
+row of i*P*R.  Building a canonical form's channel therefore costs a
+signed permutation plus m sparse column updates, never a dense product;
+a column of a form's channel holds 2^w nonzero entries, w the number of
+set elements anticommuting with the column's image under the Clifford.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from .clifford import CliffordTableau
 from .exactnum import (DYADIC_MINUS_ONE, DYADIC_ONE, DYADIC_ZERO,
                        DyadicSqrt2Scalar)
-from .pauli import PauliOperator, PauliSet
+from .pauli import PauliOperator, PauliSet, label_commutes
 
 
 class IdentityPauliError(ValueError):
@@ -38,127 +40,99 @@ class SpectrumMismatchError(ValueError):
 
 
 class ChannelRep:
-    """Dense 4^n x 4^n matrix of DyadicSqrt2Scalar, row-major.
+    """Column-sparse 4^n x 4^n matrix of DyadicSqrt2Scalar.
 
-    Completed instances are treated as immutable; construction helpers
-    build the row lists in place before wrapping.
+    cols[q] maps each row label r to the entry U_hat[r, q] when that entry
+    is nonzero; zeros are never stored, so equality is dict equality.
+    Completed instances are treated as immutable.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "cols")
 
-    def __init__(self, n: int, rows: list):
+    def __init__(self, n: int, cols: list):
         self.n = n
-        self.rows = rows
+        self.cols = cols
 
     @classmethod
     def identity(cls, n: int) -> "ChannelRep":
-        dim = 1 << (2 * n)
-        rows = [[DYADIC_ZERO] * dim for _ in range(dim)]
-        for i in range(dim):
-            rows[i][i] = DYADIC_ONE
-        return cls(n, rows)
+        return cls(n, [{q: DYADIC_ONE} for q in range(1 << (2 * n))])
 
     @property
     def dim(self) -> int:
         return 1 << (2 * self.n)
 
     def entry(self, p_label: int, q_label: int) -> DyadicSqrt2Scalar:
-        return self.rows[p_label][q_label]
+        return self.cols[q_label].get(p_label, DYADIC_ZERO)
 
     def transpose(self) -> "ChannelRep":
-        dim = self.dim
-        rows = self.rows
-        return ChannelRep(self.n, [[rows[j][i] for j in range(dim)] for i in range(dim)])
+        cols: list = [{} for _ in range(self.dim)]
+        for q, col in enumerate(self.cols):
+            for r, v in col.items():
+                cols[r][q] = v
+        return ChannelRep(self.n, cols)
 
     def multiply(self, other: "ChannelRep") -> "ChannelRep":
-        """Matrix product, skipping zero entries on both sides."""
+        """Matrix product over the stored entries of both sides."""
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        dim = self.dim
-        b_nz = [[(j, v) for j, v in enumerate(row) if not v.is_zero()]
-                for row in other.rows]
         out = []
-        for i in range(dim):
-            arow = self.rows[i]
+        for bcol in other.cols:
             acc: dict[int, DyadicSqrt2Scalar] = {}
-            for k in range(dim):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                for j, v in b_nz[k]:
-                    prod = a * v
-                    cur = acc.get(j)
-                    acc[j] = prod if cur is None else cur + prod
-            row = [DYADIC_ZERO] * dim
-            for j, v in acc.items():
-                row[j] = v
-            out.append(row)
+            for k, b in bcol.items():
+                for r, a in self.cols[k].items():
+                    prod = a * b
+                    cur = acc.get(r)
+                    acc[r] = prod if cur is None else cur + prod
+            out.append({r: v for r, v in acc.items() if not v.is_zero()})
         return ChannelRep(self.n, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChannelRep):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.cols == other.cols
 
     def is_identity(self) -> bool:
-        dim = self.dim
-        for i in range(dim):
-            row = self.rows[i]
-            for j in range(dim):
-                v = row[j]
-                if i == j:
-                    if v != DYADIC_ONE:
-                        return False
-                elif not v.is_zero():
-                    return False
-        return True
+        return all(col == {q: DYADIC_ONE} for q, col in enumerate(self.cols))
 
     def is_orthogonal(self) -> bool:
         """Exact check of U_hat * U_hat^T = I."""
         return self.multiply(self.transpose()).is_identity()
 
     def is_signed_permutation(self) -> bool:
-        dim = self.dim
-        cols_seen = 0
-        for row in self.rows:
-            hit = -1
-            for j, v in enumerate(row):
-                if v.is_zero():
-                    continue
-                if hit >= 0 or (v != DYADIC_ONE and v != DYADIC_MINUS_ONE):
-                    return False
-                hit = j
-            if hit < 0 or (cols_seen >> hit) & 1:
+        rows_seen = set()
+        for col in self.cols:
+            if len(col) != 1:
                 return False
-            cols_seen |= 1 << hit
-        return cols_seen == (1 << dim) - 1
+            (r, v), = col.items()
+            if v != DYADIC_ONE and v != DYADIC_MINUS_ONE:
+                return False
+            rows_seen.add(r)
+        return len(rows_seen) == self.dim
 
     def unit_rows(self) -> list[int]:
         """Row labels holding a +-1 entry, ascending."""
-        out = []
-        for i, row in enumerate(self.rows):
-            for v in row:
-                if v == DYADIC_ONE or v == DYADIC_MINUS_ONE:
-                    out.append(i)
-                    break
-        return out
+        return sorted({r for col in self.cols for r, v in col.items()
+                       if v == DYADIC_ONE or v == DYADIC_MINUS_ONE})
 
     def pauli_spectrum(self) -> Counter:
-        """Multiset of entry magnitudes over the whole matrix."""
-        spec: Counter = Counter()
-        for row in self.rows:
-            for v in row:
-                spec[abs(v)] += 1
+        """Multiset of entry magnitudes over the whole matrix; the zero
+        count is dim^2 minus the number of stored entries."""
+        spec = Counter(abs(v) for col in self.cols for v in col.values())
+        zeros = self.dim * self.dim - sum(spec.values())
+        if zeros:
+            spec[DYADIC_ZERO] = zeros
         return spec
 
     def to_tsv(self) -> str:
         """Exact text dump with Pauli-string row and column headers."""
         n = self.n
+        dim = self.dim
         labels = [PauliOperator.from_label(n, l).to_string().lstrip("+")
-                  for l in range(self.dim)]
+                  for l in range(dim)]
         lines = ["\t".join([""] + labels)]
-        for i, row in enumerate(self.rows):
-            lines.append("\t".join([labels[i]] + [v.render() for v in row]))
+        for i in range(dim):
+            cells = [self.entry(i, j).render() for j in range(dim)]
+            lines.append("\t".join([labels[i]] + cells))
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -168,91 +142,57 @@ class ChannelRep:
 def channel_of_clifford(c: CliffordTableau) -> ChannelRep:
     """Signed permutation matrix: column Q carries +-1 at row label(CQC')."""
     n = c.n
-    dim = 1 << (2 * n)
-    rows = [[DYADIC_ZERO] * dim for _ in range(dim)]
-    for q in range(dim):
+    cols = []
+    for q in range(1 << (2 * n)):
         img = c.conjugate_pauli(PauliOperator.from_label(n, q))
-        rows[img.label][q] = DYADIC_ONE if img.phase == 0 else DYADIC_MINUS_ONE
-    return ChannelRep(n, rows)
+        cols.append({img.label: DYADIC_ONE if img.phase == 0
+                     else DYADIC_MINUS_ONE})
+    return ChannelRep(n, cols)
 
 
-def _exp_pairs(p: PauliOperator):
-    """Anticommuting label pairs (q, r, sigma) with q < r and i*P*Q = sigma*R."""
+def _rotate(col: dict, p: PauliOperator, inverse: bool) -> dict:
+    """Left-multiply a sparse column by channel(exp(+-i*pi*P/8)); entries
+    that cancel to zero are dropped."""
     n = p.n
-    dim = 1 << (2 * n)
-    for q in range(dim):
-        qp = PauliOperator.from_label(n, q)
-        if qp.commutes_with(p):
+    pl = p.label
+    out: dict[int, DyadicSqrt2Scalar] = {}
+    for r, val in col.items():
+        if label_commutes(r, pl, n):
+            cur = out.get(r)
+            out[r] = val if cur is None else cur + val
             continue
-        prod = (p * qp).mul_i()
-        r = prod.label
-        if r < q:
-            continue
-        yield q, r, (1 if prod.phase == 0 else -1)
+        # i*P*R = +-S; the inverse rotation flips the sign
+        prod = (p * PauliOperator.from_label(n, r)).mul_i()
+        s = prod.label
+        half = val.times_inv_sqrt2()
+        cur = out.get(r)
+        out[r] = half if cur is None else cur + half
+        shalf = half if (prod.phase == 0) != inverse else -half
+        cur = out.get(s)
+        out[s] = shalf if cur is None else cur + shalf
+    return {r: v for r, v in out.items() if not v.is_zero()}
 
 
-def _apply_exponential_left(rows: list, p: PauliOperator, inverse: bool) -> None:
-    """rows <- channel(exp(+-i*pi*P/8)) * rows, as in-place plane rotations."""
-    sgn = -1 if inverse else 1
-    for q, r, sigma in _exp_pairs(p):
-        sigma *= sgn
-        rq = rows[q]
-        rr = rows[r]
-        for c in range(len(rq)):
-            a = rq[c]
-            b = rr[c]
-            az = a.is_zero()
-            bz = b.is_zero()
-            if az and bz:
-                continue
-            if az:
-                new_q = -b if sigma > 0 else b
-                new_r = b
-            elif bz:
-                new_q = a
-                new_r = a if sigma > 0 else -a
-            else:
-                new_q = a - b if sigma > 0 else a + b
-                new_r = a + b if sigma > 0 else b - a
-            rq[c] = new_q.times_inv_sqrt2()
-            rr[c] = new_r.times_inv_sqrt2()
-
-
-def channel_of_exponential(p: PauliOperator, inverse: bool = False) -> ChannelRep:
-    """Channel of exp(i*pi*P/8) for positive non-identity P (or its inverse)."""
-    if p.x == 0 and p.z == 0:
-        raise IdentityPauliError("exponential of the identity label")
-    if not p.is_positive():
-        raise NonPositivePauliError(f"need a positive Pauli, got {p!r}")
-    rep = ChannelRep.identity(p.n)
-    _apply_exponential_left(rep.rows, p, inverse)
-    return rep
-
-
-def _apply_clifford_left(rows: list, c: CliffordTableau) -> list:
-    """channel(C) * rows: permute and sign rows by the conjugation action."""
-    n = c.n
-    dim = 1 << (2 * n)
-    out: list = [None] * dim
-    for r in range(dim):
-        img = c.conjugate_pauli(PauliOperator.from_label(n, r))
-        if img.phase == 0:
-            out[img.label] = rows[r]
-        else:
-            out[img.label] = [-v for v in rows[r]]
-    return out
-
-
-def _canonical_rows(paulis, tableau: CliffordTableau) -> list:
-    rows = channel_of_clifford(tableau).rows
-    elems = list(paulis)
-    for p in reversed(elems):
+def _rotate_columns(rep: ChannelRep, paulis, inverse: bool = False) -> ChannelRep:
+    """channel(exp(+-i*pi*P_1/8) ... exp(+-i*pi*P_k/8)) * rep for positive
+    non-identity P_j, one column at a time."""
+    paulis = list(paulis)
+    for p in paulis:
         if p.x == 0 and p.z == 0:
             raise IdentityPauliError("exponential of the identity label")
         if not p.is_positive():
             raise NonPositivePauliError(f"need a positive Pauli, got {p!r}")
-        _apply_exponential_left(rows, p, inverse=False)
-    return rows
+    cols = []
+    for col in rep.cols:
+        for p in reversed(paulis):
+            col = _rotate(col, p, inverse)
+        cols.append(col)
+    return ChannelRep(rep.n, cols)
+
+
+def channel_of_exponential(p: PauliOperator, inverse: bool = False) -> ChannelRep:
+    """Channel of exp(i*pi*P/8) for positive non-identity P (or its inverse)."""
+    return _rotate_columns(ChannelRep.identity(p.n), [p], inverse)
 
 
 def channel_of_canonical(form) -> ChannelRep:
@@ -261,7 +201,7 @@ def channel_of_canonical(form) -> ChannelRep:
     form needs .paulis (a PauliSet) and .clifford (a CliffordTableau); the
     exponential factors commute, so their order never changes the result.
     """
-    return ChannelRep(form.clifford.n, _canonical_rows(form.paulis, form.clifford))
+    return _rotate_columns(channel_of_clifford(form.clifford), form.paulis)
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +209,7 @@ def reference_spectrum(n: int, m: int) -> Counter:
     """Spectrum of the form ({Z on the first m qubits}, identity)."""
     assert 0 <= m <= n
     zs = [PauliOperator.single(n, j, "Z") for j in range(m)]
-    rows = _canonical_rows(zs, CliffordTableau.identity(n))
-    return ChannelRep(n, rows).pauli_spectrum()
+    return _rotate_columns(ChannelRep.identity(n), zs).pauli_spectrum()
 
 
 def infer_t_count(rep: ChannelRep) -> int:
@@ -299,55 +238,29 @@ def infer_t_count(rep: ChannelRep) -> int:
     return m
 
 
-def _sparse_apply_exponential(vec: dict, p: PauliOperator, inverse: bool) -> dict:
-    """Left-multiply a sparse column by channel(exp(+-i*pi*P/8))."""
-    n = p.n
-    sgn = -1 if inverse else 1
-    out: dict[int, DyadicSqrt2Scalar] = {}
-    for r, val in vec.items():
-        rp = PauliOperator.from_label(n, r)
-        if rp.commutes_with(p):
-            cur = out.get(r)
-            out[r] = val if cur is None else cur + val
-            continue
-        prod = (p * rp).mul_i()
-        s = prod.label
-        sigma = (1 if prod.phase == 0 else -1) * sgn
-        half = val.times_inv_sqrt2()
-        cur = out.get(r)
-        out[r] = half if cur is None else cur + half
-        shalf = half if sigma > 0 else -half
-        cur = out.get(s)
-        out[s] = shalf if cur is None else cur + shalf
-    return out
-
-
 def exponential_transfer_is_signed_permutation(set_a: PauliSet,
                                                set_b: PauliSet) -> bool:
     """Whether channel(A)^T channel(B) is a signed permutation, for the
     exponential products A and B of two Pauli sets (identity Cliffords).
 
-    Columns are evaluated lazily with an early exit, so no dense matrix is
+    Columns are evaluated lazily with an early exit, so no full matrix is
     ever built; the product is orthogonal, so checking that every column
     is a signed unit vector is a complete test.
     """
     if set_a.n != set_b.n:
         raise ValueError(f"qubit counts differ: {set_a.n} vs {set_b.n}")
-    n = set_a.n
-    dim = 1 << (2 * n)
-    for q in range(dim):
+    for q in range(1 << (2 * set_a.n)):
         col = {q: DYADIC_ONE}
         for p in reversed(set_b.elements):
-            col = _sparse_apply_exponential(col, p, inverse=False)
+            col = _rotate(col, p, inverse=False)
         # channel(A)^T = transpose of exp factors applied in reverse order:
         # (E1...Em)^T = Em^T ... E1^T, and each transpose is the inverse
         # rotation
         for p in set_a.elements:
-            col = _sparse_apply_exponential(col, p, inverse=True)
-        support = [(r, v) for r, v in col.items() if not v.is_zero()]
-        if len(support) != 1:
+            col = _rotate(col, p, inverse=True)
+        if len(col) != 1:
             return False
-        v = support[0][1]
+        (v,) = col.values()
         if v != DYADIC_ONE and v != DYADIC_MINUS_ONE:
             return False
     return True

@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--tcount", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("verify", help="machine-check one of the lemmas")
@@ -118,8 +117,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     stream = enumerate_sets(args.qubits, args.tcount,
-                            allow_large=args.allow_large,
-                            workers=args.workers)
+                            allow_large=args.allow_large)
 
     def lines():
         for s in stream:

@@ -12,7 +12,8 @@ import random
 from typing import Iterable, Sequence
 
 from . import gf2
-from .pauli import PauliOperator, PauliSet, parse_pauli
+from .pauli import (PauliOperator, PauliSet, _swap_halves, label_commutes,
+                    parse_pauli)
 
 
 class GateWordError(ValueError):
@@ -270,9 +271,9 @@ def synthesize_mapping(s: PauliSet) -> CliffordTableau:
         # lowest label anticommuting with anti_with (0 means no such
         # constraint) and commuting with everything in commute_with
         for v in range(1, dim):
-            if anti_with and not pauli_label_anticommutes(v, anti_with, n):
+            if anti_with and label_commutes(v, anti_with, n):
                 continue
-            if any(pauli_label_anticommutes(v, w, n) for w in commute_with):
+            if not all(label_commutes(v, w, n) for w in commute_with):
                 continue
             if exclude_span is not None and gf2.in_span(exclude_span, v):
                 continue
@@ -304,12 +305,6 @@ def synthesize_mapping(s: PauliSet) -> CliffordTableau:
     return c
 
 
-def pauli_label_anticommutes(a: int, b: int, n: int) -> bool:
-    mask = (1 << n) - 1
-    return bool((((a >> n) & (b & mask)).bit_count()
-                 ^ ((a & mask) & (b >> n)).bit_count()) & 1)
-
-
 def random_clifford(n: int, seed=None) -> CliffordTableau:
     """Uniformly random tableau.
 
@@ -327,9 +322,9 @@ def random_clifford(n: int, seed=None) -> CliffordTableau:
     def sample_solution(target: int | None) -> int:
         # constraints: commute with every chosen label, and if target is
         # given, anticommute with it
-        eqs = [(_swap(lab), 0) for lab in chosen]
+        eqs = [(_swap_halves(lab, n), 0) for lab in chosen]
         if target is not None:
-            eqs.append((_swap(target), 1))
+            eqs.append((_swap_halves(target, n), 1))
         solved = gf2.solve_affine(eqs, dim)
         assert solved is not None
         part, basis = solved
@@ -344,9 +339,6 @@ def random_clifford(n: int, seed=None) -> CliffordTableau:
                 i += 1
             if target is not None or v:
                 return v
-
-    def _swap(label: int) -> int:
-        return ((label & mask) << n) | (label >> n)
 
     pairs = []
     for _ in range(n):

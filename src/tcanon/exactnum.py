@@ -151,11 +151,6 @@ DYADIC_SQRT2 = DyadicSqrt2Scalar(0, 1)
 DYADIC_INV_SQRT2 = DyadicSqrt2Scalar(0, 1, 1)
 
 
-def compare_real(x: DyadicSqrt2Scalar, y: DyadicSqrt2Scalar) -> int:
-    """Total order on the ring: -1, 0 or +1 as x <, ==, > y."""
-    return (x - y).sign()
-
-
 class Cyclotomic16Scalar:
     """sum_j c_j * zeta^j / 2^k with zeta = exp(i*pi/8), zeta^8 = -1.
 

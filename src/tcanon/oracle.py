@@ -293,7 +293,7 @@ def channel_bruteforce(u: DenseUnitary, allow_large: bool = False) -> ChannelRep
     ud = u.dagger()
     paulis = [PauliOperator.from_label(n, l) for l in range(labels)]
     dense = [dense_of_pauli(p, allow_large=True) for p in paulis]
-    rows: list = [[None] * labels for _ in range(labels)]
+    cols: list = [{} for _ in range(labels)]
     for q in range(labels):
         m = u.multiply(dense[q]).multiply(ud)
         for p in range(labels):
@@ -307,11 +307,13 @@ def channel_bruteforce(u: DenseUnitary, allow_large: bool = False) -> ChannelRep
                     acc = acc + a * b
             scaled = Cyclotomic16Scalar(acc.c, acc.k + n)
             try:
-                rows[p][q] = scaled.to_dyadic()
+                value = scaled.to_dyadic()
             except ValueError:
                 raise NonRealEntryError(
                     f"entry ({p}, {q}) is not real dyadic: {scaled!r}") from None
-    return ChannelRep(n, rows)
+            if not value.is_zero():
+                cols[q][p] = value
+    return ChannelRep(n, cols)
 
 
 def equal_up_to_phase(u: DenseUnitary, v: DenseUnitary) -> bool:

@@ -149,14 +149,6 @@ def parse_pauli(text: str) -> PauliOperator:
     return PauliOperator(n, x, z, phase)
 
 
-def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    return p * q
-
-
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    return p.commutes_with(q)
-
-
 def z_power(bits) -> PauliOperator:
     """Diagonal Pauli Z^a from a bit string "101" or a 0/1 sequence."""
     if isinstance(bits, str):

@@ -99,14 +99,14 @@ def test_c02_enumeration_agrees_with_the_formula():
     start = time.perf_counter()
     for n in (1, 2, 3):
         for m in range(1, n + 1):
-            got = sum(1 for _ in enumerate_sets(n, m, workers=1))
+            got = sum(1 for _ in enumerate_sets(n, m))
             assert got == count_sets(n, m), (n, m, got)
     small_elapsed = time.perf_counter() - start
     assert small_elapsed < 10.0, f"n <= 3 took {small_elapsed:.1f}s"
 
     start = time.perf_counter()
     for m in range(1, 5):
-        got = sum(1 for _ in enumerate_sets(4, m, workers=1))
+        got = sum(1 for _ in enumerate_sets(4, m))
         assert got == count_sets(4, m), (4, m, got)
     large_elapsed = time.perf_counter() - start
     assert large_elapsed < 300.0, f"n = 4 took {large_elapsed:.1f}s"

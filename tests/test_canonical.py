@@ -14,7 +14,6 @@ from tcanon.canonical import (
     canonicalize_depth_one,
     channel_of_circuit,
     channel_of_decomposition,
-    equals,
     parse_circuit,
     parse_form,
     quarter_exponential_tableau,
@@ -52,6 +51,8 @@ class TestLayerAndCircuitValidation:
             TLayer(2, t=[2])
         with pytest.raises(ValueError):
             TLayer(2, t=[0], tdg=[0])
+        with pytest.raises(ValueError):
+            TLayer(2, t=[0, 0])
         with pytest.raises(ValueError):
             TLayer(2)
 
@@ -154,15 +155,6 @@ def test_quarter_exponential_matches_dense_conjugation():
                     g = PauliOperator.from_label(n, glabel)
                     got = dense_of_pauli(tab.conjugate_pauli(g))
                     assert got == u.multiply(dense_of_pauli(g)).multiply(udag)
-
-
-def test_equals_requires_matching_width():
-    a = CanonicalForm(validate_set([parse_pauli("Z")]), ID1)
-    b = CanonicalForm(validate_set([parse_pauli("ZI")]), ID2)
-    with pytest.raises(ValueError):
-        equals(a, b)
-    assert equals(a, a)
-    assert not equals(a, CanonicalForm(validate_set([parse_pauli("X")]), ID1))
 
 
 class TestFormText:

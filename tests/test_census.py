@@ -10,7 +10,6 @@ from tcanon.census import (
     DEFAULT_SEED,
     FeasibilityRefusalError,
     VerificationReport,
-    census_rows,
     count_sets,
     count_tdepth_one,
     count_tuples,
@@ -61,13 +60,6 @@ class TestCounting:
             assert unitaries == classes * group_order(n)
             assert classes == sum(count_sets(n, m) for m in range(1, n + 1))
 
-    def test_census_rows(self):
-        rows = census_rows(2)
-        assert [(r.m, r.tuple_count, r.set_count) for r in rows] == [
-            (1, 15, 15), (2, 90, 45)]
-        assert all(r.clifford_order == 11520 for r in rows)
-        assert all(r.unitary_count == r.set_count * 11520 for r in rows)
-
 
 def test_emit_table_single_row():
     assert emit_table(1) == (
@@ -107,11 +99,6 @@ class TestEnumeration:
             assert validate_set(list(s)).labels == s.labels
             seen.add(s.labels)
         assert len(seen) == 45
-
-    def test_worker_split_streams_the_same_sets(self):
-        serial = [s.labels for s in enumerate_sets(3, 2)]
-        parallel = [s.labels for s in enumerate_sets(3, 2, workers=2)]
-        assert serial == parallel
 
     def test_refuses_large_widths_without_the_override(self):
         with pytest.raises(FeasibilityRefusalError):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tcanon.canonical import CanonicalForm
+from tcanon.canonical import CanonicalForm, channel_of_decomposition
 from tcanon.channel import (
     ChannelRep,
     SpectrumMismatchError,
@@ -19,6 +19,7 @@ from tcanon.channel import (
 from tcanon.clifford import CliffordTableau, from_gate_word
 from tcanon.census import random_gate_word, random_pauli_set
 from tcanon.exactnum import DYADIC_ONE, DYADIC_ZERO, DyadicSqrt2Scalar
+from tcanon.oracle import channel_bruteforce, dense_of_exponential, dense_of_gate_word
 from tcanon.pauli import PauliOperator, PauliSet, commutant, parse_pauli, validate_set
 
 R = DyadicSqrt2Scalar(0, 1, 1)  # 1/sqrt2
@@ -150,21 +151,45 @@ def test_infer_t_count_ignores_the_clifford_tail():
 def test_infer_t_count_rejects_foreign_spectra():
     # all-zero matrix
     dim = 4
-    zero_rows = [[ZERO] * dim for _ in range(dim)]
     with pytest.raises(SpectrumMismatchError):
-        infer_t_count(ChannelRep(1, zero_rows))
+        infer_t_count(ChannelRep(1, [{} for _ in range(dim)]))
     # a lone 1/2 entry is not a power of 1/sqrt2 times anything reachable
     half = DyadicSqrt2Scalar(1, 0, 1)
-    rows = [[ZERO] * dim for _ in range(dim)]
-    rows[0][0] = half
+    cols = [{} for _ in range(dim)]
+    cols[0][0] = half
     with pytest.raises(SpectrumMismatchError):
-        infer_t_count(ChannelRep(1, rows))
+        infer_t_count(ChannelRep(1, cols))
     # right minimum magnitude, wrong multiset
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        rows[i][i] = R
+    cols = [{i: R} for i in range(dim)]
     with pytest.raises(SpectrumMismatchError):
-        infer_t_count(ChannelRep(1, rows))
+        infer_t_count(ChannelRep(1, cols))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sparse_columns_store_no_zeros(n):
+    rng = random.Random(57)
+    reps = []
+    for label in range(1, 1 << (2 * n)):
+        p = PauliOperator.from_label(n, label)
+        reps.append(channel_of_exponential(p))
+        reps.append(channel_bruteforce(dense_of_exponential(p, 1)))
+    for m in range(1, n + 1):
+        word = random_gate_word(n, rng)
+        form = CanonicalForm(random_pauli_set(n, m, rng), from_gate_word(word, n))
+        reps.append(channel_of_canonical(form))
+        reps.append(channel_bruteforce(dense_of_gate_word(word, n)))
+        # each factor applied twice is a Clifford: half the rotated entries cancel
+        reps.append(channel_of_decomposition([form.paulis] * 2,
+                                             CliffordTableau.identity(n)))
+    dim = 1 << (2 * n)
+    for rep in reps:
+        assert len(rep.cols) == dim
+        for q, col in enumerate(rep.cols):
+            assert not any(v.is_zero() for v in col.values())
+            for r in range(dim):
+                if r not in col:
+                    assert rep.entry(r, q) == ZERO
+        assert sum(rep.pauli_spectrum().values()) == 16 ** n
 
 
 def test_transfer_signed_permutation_on_equal_sets():

@@ -146,6 +146,27 @@ def test_verify_hamming_weight_kmax(capsys):
     assert report["counts"]["families"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--qubits", "1", "--trials", "-3"),
+    ("unit-rows", "--qubits", "1", "--trials", "-1"),
+    ("spectrum", "--qubits", "0"),
+    ("distinctness", "--qubits", "0"),
+    ("oracle", "--qubits", "-2"),
+])
+def test_verify_rejects_bad_width_or_trials(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need ")
+    assert "randrange" not in err
+
+
+def test_enumerate_has_no_workers_flag():
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--qubits", "2", "--tcount", "1", "--workers", "2"])
+    assert info.value.code == 2
+
+
 def test_verify_rejects_bad_seed():
     with pytest.raises(SystemExit) as info:
         main(["verify", "oracle", "--qubits", "1", "--seed", "abc"])
@@ -219,6 +240,18 @@ def test_canonicalize_parse_error_exits_two(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "canonicalize")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("layer", ["t=0,0", "tdg=1,1", "t=0 t=0"])
+def test_canonicalize_rejects_a_repeated_qubit_in_a_layer(capsys, monkeypatch,
+                                                          layer):
+    text = f"QUBITS: 2\nCLIFFORD:\nTLAYER: {layer}\nCLIFFORD:\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "canonicalize")
+    assert code == 2
+    assert out == ""
+    assert "marked twice" in err
+    assert f"(at offset {text.index('TLAYER')})" in err
 
 
 def test_missing_input_file_exits_two(capsys):

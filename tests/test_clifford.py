@@ -13,7 +13,6 @@ from tcanon.clifford import (
     from_gate_word,
     group_order,
     parse_gate_word,
-    pauli_label_anticommutes,
     random_clifford,
     synthesize_mapping,
 )
@@ -160,13 +159,6 @@ def test_synthesize_mapping_zz_case():
 def test_synthesize_mapping_rejects_non_sets():
     with pytest.raises(InvalidSetError):
         synthesize_mapping([parse_pauli("Z")])
-
-
-def test_pauli_label_anticommutes():
-    for a, b in itertools.product(range(1, 16), repeat=2):
-        pa = PauliOperator.from_label(2, a)
-        pb = PauliOperator.from_label(2, b)
-        assert pauli_label_anticommutes(a, b, 2) == (not pa.commutes_with(pb))
 
 
 def test_random_clifford_is_valid_and_deterministic():

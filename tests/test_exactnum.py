@@ -18,7 +18,6 @@ from tcanon.exactnum import (
     DYADIC_SQRT2,
     DYADIC_ZERO,
     DyadicSqrt2Scalar,
-    compare_real,
     embed_dyadic_in_cyclotomic,
 )
 
@@ -82,11 +81,12 @@ class TestDyadic:
 
     def test_ordering_against_rationals(self):
         # 5/4 < sqrt2 < 3/2
-        assert compare_real(DYADIC_SQRT2, D(3, 0, 1)) == -1
-        assert compare_real(DYADIC_SQRT2, D(5, 0, 2)) == 1
-        assert compare_real(D(3, 0, 1), D(3, 0, 1)) == 0
         assert DYADIC_SQRT2 < D(3, 0, 1)
+        assert not D(3, 0, 1) < DYADIC_SQRT2
+        assert D(5, 0, 2) < DYADIC_SQRT2
         assert D(5, 0, 2) <= DYADIC_SQRT2
+        assert D(3, 0, 1) <= D(3, 0, 1)
+        assert not D(3, 0, 1) < D(3, 0, 1)
 
     def test_abs(self):
         assert abs(D(3, -3)) == D(3, -3) * DYADIC_MINUS_ONE
