@@ -222,7 +222,7 @@ def channel_of_decomposition(sets: Sequence[PauliSet],
     the product canonicalize_depth_d decomposes a circuit into."""
     rep = channel_of_clifford(tail)
     for s in reversed(list(sets)):
-        rep = _rotate_columns(rep, s)
+        rep = _rotate_columns(rep, s.labels)
     return rep
 
 
@@ -232,7 +232,7 @@ def channel_of_circuit(circ: TLayerCircuit) -> ChannelRep:
     rep = channel_of_clifford(circ.cliffords[-1])
     for k in range(circ.depth - 1, -1, -1):
         for qubit, is_tdg in circ.layers[k].marked:
-            z = PauliOperator.single(n, qubit, "Z")
+            z = PauliOperator.single(n, qubit, "Z").label
             rep = _rotate_columns(rep, [z], inverse=not is_tdg)
         rep = channel_of_clifford(circ.cliffords[k]).multiply(rep)
     return rep
@@ -332,6 +332,8 @@ def parse_circuit(text: str, n: int | None = None) -> TLayerCircuit:
                 declared = int(stripped.split(":", 1)[1])
             except ValueError:
                 raise ParseError("bad QUBITS value", at) from None
+            if declared < 1:
+                raise ParseError(f"need QUBITS >= 1, got {declared}", at)
             continue
         if stripped.upper().startswith("CLIFFORD:"):
             entries.append(("c", stripped.split(":", 1)[1], at))

@@ -369,8 +369,7 @@ def _independent_families(n: int, k_max: int) -> Iterator[tuple]:
     yield from extend([], 1, 1)
 
 
-def verify_hamming_weight(n: int, k_max: int = 3,
-                          allow_large: bool = False) -> VerificationReport:
+def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
     """Pauli support of E X_j E' is exactly 2^w.
 
     E is the product of exp(i*pi*Z^a/8) over an independent family of
@@ -378,7 +377,9 @@ def verify_hamming_weight(n: int, k_max: int = 3,
     dense oracle exhaustively over every family of size <= k_max.
     """
     _check_run(n)
-    if n > 3 and not allow_large:
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
+    if n > 3:
         raise FeasibilityRefusalError(
             f"dense Hamming-weight sweep capped at 3 qubits, got {n}")
     t0 = time.perf_counter()
@@ -390,12 +391,11 @@ def verify_hamming_weight(n: int, k_max: int = 3,
         e = DenseUnitary.identity(n)
         for a in family:
             p = PauliOperator(n, 0, a, 0)
-            e = e.multiply(dense_of_exponential(p, 1, allow_large=True))
+            e = e.multiply(dense_of_exponential(p, 1))
         ed = e.dagger()
         for j in range(n):
             instances += 1
-            xj = dense_of_pauli(PauliOperator.single(n, j, "X"),
-                                allow_large=True)
+            xj = dense_of_pauli(PauliOperator.single(n, j, "X"))
             m_mat = e.multiply(xj).multiply(ed)
             support = len(pauli_expand(m_mat))
             bit = 1 << (n - 1 - j)
@@ -513,6 +513,8 @@ def verify_oracle(n: int, trials: int = 100,
 
 def growth_check(n_max: int = 16) -> VerificationReport:
     """g_n >= 2^(n^2) for n up to n_max, by big-integer comparison."""
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     if n_max > 64:
         raise ValueError(f"growth check capped at 64 qubits, got {n_max}")
     t0 = time.perf_counter()

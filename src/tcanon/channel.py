@@ -24,7 +24,8 @@ from functools import lru_cache
 from .clifford import CliffordTableau
 from .exactnum import (DYADIC_MINUS_ONE, DYADIC_ONE, DYADIC_ZERO,
                        DyadicSqrt2Scalar)
-from .pauli import PauliOperator, PauliSet, label_commutes
+from .pauli import (PauliOperator, PauliSet, label_commutes,
+                    label_product_phase)
 
 
 class IdentityPauliError(ValueError):
@@ -150,49 +151,47 @@ def channel_of_clifford(c: CliffordTableau) -> ChannelRep:
     return ChannelRep(n, cols)
 
 
-def _rotate(col: dict, p: PauliOperator, inverse: bool) -> dict:
-    """Left-multiply a sparse column by channel(exp(+-i*pi*P/8)); entries
-    that cancel to zero are dropped."""
-    n = p.n
-    pl = p.label
+def _rotate(col: dict, p: int, n: int, inverse: bool) -> dict:
+    """Left-multiply a sparse column by channel(exp(+-i*pi*P/8)) for the
+    positive non-identity Pauli of label p; entries that cancel to zero
+    are dropped."""
     out: dict[int, DyadicSqrt2Scalar] = {}
     for r, val in col.items():
-        if label_commutes(r, pl, n):
+        if label_commutes(r, p, n):
             cur = out.get(r)
             out[r] = val if cur is None else cur + val
             continue
-        # i*P*R = +-S; the inverse rotation flips the sign
-        prod = (p * PauliOperator.from_label(n, r)).mul_i()
-        s = prod.label
+        # P*R = i^k S with S = p ^ r, so i*P*R = +S exactly when k = 3;
+        # the inverse rotation flips the sign
+        s = p ^ r
         half = val.times_inv_sqrt2()
         cur = out.get(r)
         out[r] = half if cur is None else cur + half
-        shalf = half if (prod.phase == 0) != inverse else -half
+        shalf = half if (label_product_phase(p, r, n) == 3) != inverse else -half
         cur = out.get(s)
         out[s] = shalf if cur is None else cur + shalf
     return {r: v for r, v in out.items() if not v.is_zero()}
 
 
-def _rotate_columns(rep: ChannelRep, paulis, inverse: bool = False) -> ChannelRep:
-    """channel(exp(+-i*pi*P_1/8) ... exp(+-i*pi*P_k/8)) * rep for positive
-    non-identity P_j, one column at a time."""
-    paulis = list(paulis)
-    for p in paulis:
-        if p.x == 0 and p.z == 0:
-            raise IdentityPauliError("exponential of the identity label")
-        if not p.is_positive():
-            raise NonPositivePauliError(f"need a positive Pauli, got {p!r}")
+def _rotate_columns(rep: ChannelRep, labels, inverse: bool = False) -> ChannelRep:
+    """channel(exp(+-i*pi*P_1/8) ... exp(+-i*pi*P_k/8)) * rep for the
+    positive non-identity Paulis of labels P_j, one column at a time."""
+    n = rep.n
     cols = []
     for col in rep.cols:
-        for p in reversed(paulis):
-            col = _rotate(col, p, inverse)
+        for p in reversed(labels):
+            col = _rotate(col, p, n, inverse)
         cols.append(col)
-    return ChannelRep(rep.n, cols)
+    return ChannelRep(n, cols)
 
 
 def channel_of_exponential(p: PauliOperator, inverse: bool = False) -> ChannelRep:
     """Channel of exp(i*pi*P/8) for positive non-identity P (or its inverse)."""
-    return _rotate_columns(ChannelRep.identity(p.n), [p], inverse)
+    if p.x == 0 and p.z == 0:
+        raise IdentityPauliError("exponential of the identity label")
+    if not p.is_positive():
+        raise NonPositivePauliError(f"need a positive Pauli, got {p!r}")
+    return _rotate_columns(ChannelRep.identity(p.n), [p.label], inverse)
 
 
 def channel_of_canonical(form) -> ChannelRep:
@@ -201,14 +200,15 @@ def channel_of_canonical(form) -> ChannelRep:
     form needs .paulis (a PauliSet) and .clifford (a CliffordTableau); the
     exponential factors commute, so their order never changes the result.
     """
-    return _rotate_columns(channel_of_clifford(form.clifford), form.paulis)
+    return _rotate_columns(channel_of_clifford(form.clifford),
+                           form.paulis.labels)
 
 
 @lru_cache(maxsize=None)
 def reference_spectrum(n: int, m: int) -> Counter:
     """Spectrum of the form ({Z on the first m qubits}, identity)."""
     assert 0 <= m <= n
-    zs = [PauliOperator.single(n, j, "Z") for j in range(m)]
+    zs = [PauliOperator.single(n, j, "Z").label for j in range(m)]
     return _rotate_columns(ChannelRep.identity(n), zs).pauli_spectrum()
 
 
@@ -249,15 +249,17 @@ def exponential_transfer_is_signed_permutation(set_a: PauliSet,
     """
     if set_a.n != set_b.n:
         raise ValueError(f"qubit counts differ: {set_a.n} vs {set_b.n}")
-    for q in range(1 << (2 * set_a.n)):
+    n = set_a.n
+    labels_a, labels_b = set_a.labels, set_b.labels
+    for q in range(1 << (2 * n)):
         col = {q: DYADIC_ONE}
-        for p in reversed(set_b.elements):
-            col = _rotate(col, p, inverse=False)
+        for p in reversed(labels_b):
+            col = _rotate(col, p, n, inverse=False)
         # channel(A)^T = transpose of exp factors applied in reverse order:
         # (E1...Em)^T = Em^T ... E1^T, and each transpose is the inverse
         # rotation
-        for p in set_a.elements:
-            col = _rotate(col, p, inverse=True)
+        for p in labels_a:
+            col = _rotate(col, p, n, inverse=True)
         if len(col) != 1:
             return False
         (v,) = col.values()

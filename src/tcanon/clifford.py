@@ -34,7 +34,8 @@ class InvalidSetError(ValueError):
 
 def group_order(n: int) -> int:
     """Number of tableaux on n qubits: 2^(n^2 + 2n) * prod_j (4^j - 1)."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     r = 1 << (n * n + 2 * n)
     for j in range(1, n + 1):
         r *= (1 << (2 * j)) - 1
@@ -52,7 +53,8 @@ class CliffordTableau:
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         xim = tuple(PauliOperator.single(n, j, "X") for j in range(n))
         zim = tuple(PauliOperator.single(n, j, "Z") for j in range(n))
         return cls(n, xim, zim)
@@ -77,12 +79,6 @@ class CliffordTableau:
                 if imgs[i].commutes_with(imgs[j]) == anti:
                     raise ValueError("images do not satisfy the symplectic relations")
         return cls(n, tuple(xim), tuple(zim))
-
-    def x_image(self, j: int) -> PauliOperator:
-        return self.xim[j]
-
-    def z_image(self, j: int) -> PauliOperator:
-        return self.zim[j]
 
     def conjugate_pauli(self, p: PauliOperator) -> PauliOperator:
         """Image of p under conjugation, with the exact sign.
@@ -236,8 +232,8 @@ def parse_gate_word(text: str, n: int) -> list[tuple[str, tuple]]:
 
 
 def from_gate_word(text: str, n: int) -> CliffordTableau:
-    """Tableau of a gate word; the leftmost factor is applied last."""
-    assert n >= 1
+    """Tableau of a gate word; the leftmost factor is applied last.
+    CliffordTableau.identity raises ValueError for n < 1."""
     c = CliffordTableau.identity(n)
     for name, qubits in reversed(parse_gate_word(text, n)):
         c = _gate_tableau(name, qubits, n).compose(c)

@@ -6,7 +6,7 @@ tableau or channel machinery beyond the gate-word tokenizer.  That makes
 it slow and size-limited but trustworthy: agreement between a structured
 channel and channel_bruteforce checks the fast path end to end.
 
-Matrices above three qubits are refused unless allow_large=True; at 16
+Matrices above three qubits are refused with SizeRefusalError; at 16
 dimensions and beyond the quadratic-in-entries trace loops stop being
 interactive.
 """
@@ -36,13 +36,13 @@ _COS_PI_8 = Cyclotomic16Scalar((0, 1, 0, 0, 0, 0, 0, -1), 1)
 _I_SIN_PI_8 = Cyclotomic16Scalar((0, 1, 0, 0, 0, 0, 0, 1), 1)
 _ZETA2 = Cyclotomic16Scalar.zeta_power(2)       # exp(+i*pi/4), the T phase
 _ZETA2_CONJ = Cyclotomic16Scalar.zeta_power(2).conjugate()
+_I_INV_SQRT2 = CYC_I * CYC_INV_SQRT2
 
 
-def _guard(n: int, allow_large: bool) -> None:
-    if n > _SIZE_CAP and not allow_large:
+def _guard(n: int) -> None:
+    if n > _SIZE_CAP:
         raise SizeRefusalError(
-            f"dense oracle capped at {_SIZE_CAP} qubits; pass allow_large=True "
-            f"to force n={n}")
+            f"dense oracle capped at {_SIZE_CAP} qubits, got n={n}")
 
 
 class DenseUnitary:
@@ -119,9 +119,9 @@ class DenseUnitary:
         return f"<DenseUnitary n={self.n}>"
 
 
-def dense_of_pauli(p: PauliOperator, allow_large: bool = False) -> DenseUnitary:
+def dense_of_pauli(p: PauliOperator) -> DenseUnitary:
     """Matrix of i^phase * (Hermitian representative of (x, z))."""
-    _guard(p.n, allow_large)
+    _guard(p.n)
     n = p.n
     dim = 1 << n
     base = p.phase + bin(p.x & p.z).count("1")
@@ -132,54 +132,30 @@ def dense_of_pauli(p: PauliOperator, allow_large: bool = False) -> DenseUnitary:
     return DenseUnitary(n, mat)
 
 
-def dense_of_exponential(p: PauliOperator, sign: int = 1,
-                         allow_large: bool = False) -> DenseUnitary:
+def _identity_plus(p: PauliOperator, a: Cyclotomic16Scalar,
+                   b: Cyclotomic16Scalar, sign: int) -> DenseUnitary:
+    """a*I + sign*b*P for a positive non-identity P."""
+    assert sign in (1, -1)
+    if p.x == 0 and p.z == 0:
+        raise ValueError("exponential of the identity label")
+    if not p.is_positive():
+        raise ValueError(f"need a positive Pauli, got {p!r}")
+    b = b if sign > 0 else -b
+    mat = [[CYC_ZERO if v.is_zero() else b * v for v in row]
+           for row in dense_of_pauli(p).mat]
+    for r, row in enumerate(mat):
+        row[r] = row[r] + a
+    return DenseUnitary(p.n, mat)
+
+
+def dense_of_exponential(p: PauliOperator, sign: int = 1) -> DenseUnitary:
     """exp(sign * i*pi*P/8) = cos(pi/8) I + sign i sin(pi/8) P."""
-    assert sign in (1, -1)
-    if p.x == 0 and p.z == 0:
-        raise ValueError("exponential of the identity label")
-    if not p.is_positive():
-        raise ValueError(f"need a positive Pauli, got {p!r}")
-    _guard(p.n, allow_large)
-    ph = dense_of_pauli(p, allow_large)
-    dim = ph.dim
-    sin_term = _I_SIN_PI_8 if sign > 0 else -_I_SIN_PI_8
-    mat = []
-    for r in range(dim):
-        prow = ph.mat[r]
-        row = []
-        for c in range(dim):
-            v = sin_term * prow[c] if not prow[c].is_zero() else CYC_ZERO
-            if r == c:
-                v = v + _COS_PI_8
-            row.append(v)
-        mat.append(row)
-    return DenseUnitary(p.n, mat)
+    return _identity_plus(p, _COS_PI_8, _I_SIN_PI_8, sign)
 
 
-def dense_of_quarter_exponential(p: PauliOperator, sign: int = 1,
-                                 allow_large: bool = False) -> DenseUnitary:
+def dense_of_quarter_exponential(p: PauliOperator, sign: int = 1) -> DenseUnitary:
     """exp(sign * i*pi*P/4) = (I + sign i P) / sqrt2."""
-    assert sign in (1, -1)
-    if p.x == 0 and p.z == 0:
-        raise ValueError("exponential of the identity label")
-    if not p.is_positive():
-        raise ValueError(f"need a positive Pauli, got {p!r}")
-    _guard(p.n, allow_large)
-    ph = dense_of_pauli(p, allow_large)
-    dim = ph.dim
-    ip = CYC_I if sign > 0 else -CYC_I
-    mat = []
-    for r in range(dim):
-        prow = ph.mat[r]
-        row = []
-        for c in range(dim):
-            v = ip * prow[c] if not prow[c].is_zero() else CYC_ZERO
-            if r == c:
-                v = v + CYC_ONE
-            row.append(CYC_INV_SQRT2 * v)
-        mat.append(row)
-    return DenseUnitary(p.n, mat)
+    return _identity_plus(p, CYC_INV_SQRT2, _I_INV_SQRT2, sign)
 
 
 def _qubit_mask(n: int, q: int) -> int:
@@ -233,19 +209,18 @@ def _dense_gate(name: str, qubits: tuple, n: int) -> DenseUnitary:
     return DenseUnitary(n, mat)
 
 
-def dense_of_gate_word(text: str, n: int,
-                       allow_large: bool = False) -> DenseUnitary:
+def dense_of_gate_word(text: str, n: int) -> DenseUnitary:
     """Matrix of a gate word, leftmost factor applied last (product order)."""
-    _guard(n, allow_large)
+    _guard(n)
     acc = DenseUnitary.identity(n)
     for name, qubits in parse_gate_word(text, n):
         acc = acc.multiply(_dense_gate(name, qubits, n))
     return acc
 
 
-def dense_of_t_layer(layer: TLayer, allow_large: bool = False) -> DenseUnitary:
+def dense_of_t_layer(layer: TLayer) -> DenseUnitary:
     """Diagonal matrix of a parallel T / Tdg layer (true gates, with phase)."""
-    _guard(layer.n, allow_large)
+    _guard(layer.n)
     n = layer.n
     dim = 1 << n
     mat = [[CYC_ZERO] * dim for _ in range(dim)]
@@ -258,21 +233,23 @@ def dense_of_t_layer(layer: TLayer, allow_large: bool = False) -> DenseUnitary:
     return DenseUnitary(n, mat)
 
 
-def pauli_expand(u: DenseUnitary) -> dict:
-    """Nonzero coefficients of M = sum_P m_P P over positive Pauli labels.
+def _dense_paulis(n: int) -> list:
+    """Dense matrices of the positive Paulis, indexed by label."""
+    return [dense_of_pauli(PauliOperator.from_label(n, label))
+            for label in range(1 << (2 * n))]
 
-    m_P = Tr(P M) / 2^n, exact in the cyclotomic ring.
-    """
-    n = u.n
-    dim = 1 << n
+
+def _pauli_traces(m: DenseUnitary, dense: list) -> dict:
+    """Nonzero Tr(P M) / 2^n by label, with dense[label] the matrix of P;
+    P is a phased permutation, so each trace sums 2^n products."""
+    n = m.n
     out = {}
-    for label in range(1 << (2 * n)):
-        p = PauliOperator.from_label(n, label)
-        ph = dense_of_pauli(p, allow_large=True)
+    for label, ph in enumerate(dense):
+        x = label >> n
         acc = CYC_ZERO
-        for r in range(dim):
-            a = ph.mat[r][r ^ p.x]
-            b = u.mat[r ^ p.x][r]
+        for r in range(1 << n):
+            a = ph.mat[r][r ^ x]
+            b = m.mat[r ^ x][r]
             if not (a.is_zero() or b.is_zero()):
                 acc = acc + a * b
         if not acc.is_zero():
@@ -280,40 +257,35 @@ def pauli_expand(u: DenseUnitary) -> dict:
     return out
 
 
-def channel_bruteforce(u: DenseUnitary, allow_large: bool = False) -> ChannelRep:
+def pauli_expand(u: DenseUnitary) -> dict:
+    """Nonzero coefficients of M = sum_P m_P P over positive Pauli labels.
+
+    m_P = Tr(P M) / 2^n, exact in the cyclotomic ring.
+    """
+    return _pauli_traces(u, _dense_paulis(u.n))
+
+
+def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     """Channel matrix by raw traces: entry[P, Q] = Tr(P U Q U') / 2^n.
 
     Raises NonRealEntryError if any trace falls outside the real dyadic
     sqrt2 ring, which cannot happen for an actual unitary's channel.
     """
-    _guard(u.n, allow_large)
-    n = u.n
-    dim = 1 << n
-    labels = 1 << (2 * n)
+    _guard(u.n)
     ud = u.dagger()
-    paulis = [PauliOperator.from_label(n, l) for l in range(labels)]
-    dense = [dense_of_pauli(p, allow_large=True) for p in paulis]
-    cols: list = [{} for _ in range(labels)]
-    for q in range(labels):
-        m = u.multiply(dense[q]).multiply(ud)
-        for p in range(labels):
-            pp = paulis[p]
-            ph = dense[p]
-            acc = CYC_ZERO
-            for r in range(dim):
-                a = ph.mat[r][r ^ pp.x]
-                b = m.mat[r ^ pp.x][r]
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            scaled = Cyclotomic16Scalar(acc.c, acc.k + n)
+    dense = _dense_paulis(u.n)
+    cols = []
+    for q, pq in enumerate(dense):
+        col = {}
+        for p, trace in _pauli_traces(u.multiply(pq).multiply(ud),
+                                      dense).items():
             try:
-                value = scaled.to_dyadic()
+                col[p] = trace.to_dyadic()
             except ValueError:
                 raise NonRealEntryError(
-                    f"entry ({p}, {q}) is not real dyadic: {scaled!r}") from None
-            if not value.is_zero():
-                cols[q][p] = value
-    return ChannelRep(n, cols)
+                    f"entry ({p}, {q}) is not real dyadic: {trace!r}") from None
+        cols.append(col)
+    return ChannelRep(u.n, cols)
 
 
 def equal_up_to_phase(u: DenseUnitary, v: DenseUnitary) -> bool:

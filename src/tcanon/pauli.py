@@ -45,18 +45,21 @@ class PauliOperator:
 
     @classmethod
     def identity(cls, n: int) -> "PauliOperator":
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         return cls(n, 0, 0, 0)
 
     @classmethod
     def from_label(cls, n: int, label: int) -> "PauliOperator":
-        assert 0 <= label < 1 << (2 * n)
+        if not 0 <= label < 1 << (2 * n):
+            raise ValueError(f"label {label} out of range for n={n}")
         return cls(n, label >> n, label & ((1 << n) - 1), 0)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliOperator":
         """X, Y or Z on one qubit, identity elsewhere."""
-        assert 0 <= qubit < n
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit {qubit} out of range for n={n}")
         xb, zb = _BITS[letter]
         bit = 1 << (n - 1 - qubit)
         return cls(n, xb * bit, zb * bit, 0)
@@ -84,9 +87,6 @@ class PauliOperator:
 
     def __neg__(self) -> "PauliOperator":
         return PauliOperator(self.n, self.x, self.z, self.phase + 2)
-
-    def mul_i(self) -> "PauliOperator":
-        return PauliOperator(self.n, self.x, self.z, self.phase + 1)
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
@@ -172,6 +172,16 @@ def label_commutes(a: int, b: int, n: int) -> bool:
     mask = (1 << n) - 1
     return not ((((a >> n) & (b & mask)).bit_count()
                  ^ ((a & mask) & (b >> n)).bit_count()) & 1)
+
+
+def label_product_phase(a: int, b: int, n: int) -> int:
+    """k with P_a * P_b = i^k P_(a ^ b) for the positive Paulis of two
+    unsigned labels; the same arithmetic as PauliOperator.__mul__."""
+    mask = (1 << n) - 1
+    x1, z1, x2, z2 = a >> n, a & mask, b >> n, b & mask
+    return ((x1 & z1).bit_count() + (x2 & z2).bit_count()
+            + 2 * (z1 & x2).bit_count()
+            - ((x1 ^ x2) & (z1 ^ z2)).bit_count()) & 3
 
 
 def _swap_halves(label: int, n: int) -> int:

@@ -252,6 +252,17 @@ class TestCircuitText:
         with pytest.raises(ParseError):
             parse_circuit(text)
 
+    @pytest.mark.parametrize("width", ["0", "-2"])
+    def test_width_below_one_is_a_parse_error_at_the_qubits_line(self, width):
+        text = f"\n  QUBITS: {width}\nCLIFFORD:\nTLAYER: t=0\nCLIFFORD:"
+        with pytest.raises(ParseError) as info:
+            parse_circuit(text)
+        assert info.value.position == text.index("QUBITS")
+
+    def test_width_argument_below_one_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_circuit("CLIFFORD:\nTLAYER: t=0\nCLIFFORD:", n=0)
+
     def test_depth_zero_line(self):
         circ = parse_circuit("CLIFFORD: S 0; S 0", n=1)
         assert circ.depth == 0

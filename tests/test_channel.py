@@ -8,6 +8,8 @@ import pytest
 from tcanon.canonical import CanonicalForm, channel_of_decomposition
 from tcanon.channel import (
     ChannelRep,
+    IdentityPauliError,
+    NonPositivePauliError,
     SpectrumMismatchError,
     channel_of_canonical,
     channel_of_clifford,
@@ -64,6 +66,13 @@ def test_exponential_channel_fixture():
     assert entries(rep) == want
     assert rep.is_orthogonal()
     assert not rep.is_signed_permutation()
+
+
+def test_exponential_channel_rejects_identity_and_negative_paulis():
+    with pytest.raises(IdentityPauliError):
+        channel_of_exponential(PauliOperator.identity(2))
+    with pytest.raises(NonPositivePauliError):
+        channel_of_exponential(parse_pauli("-Z"))
 
 
 def test_inverse_exponential_is_the_transpose():

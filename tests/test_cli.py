@@ -152,6 +152,8 @@ def test_verify_hamming_weight_kmax(capsys):
     ("spectrum", "--qubits", "0"),
     ("distinctness", "--qubits", "0"),
     ("oracle", "--qubits", "-2"),
+    ("hamming-weight", "--qubits", "2", "--kmax", "-1"),
+    ("hamming-weight", "--qubits", "2", "--kmax", "0"),
 ])
 def test_verify_rejects_bad_width_or_trials(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -252,6 +254,25 @@ def test_canonicalize_rejects_a_repeated_qubit_in_a_layer(capsys, monkeypatch,
     assert out == ""
     assert "marked twice" in err
     assert f"(at offset {text.index('TLAYER')})" in err
+
+
+@pytest.mark.parametrize("width", ["0", "-2"])
+def test_canonicalize_rejects_a_width_below_one(capsys, monkeypatch, width):
+    text = f"# header\nQUBITS: {width}\nCLIFFORD:\nTLAYER: t=0\nCLIFFORD:\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "canonicalize")
+    assert code == 2
+    assert out == ""
+    assert "QUBITS" in err
+    assert f"(at offset {text.index('QUBITS')})" in err
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_growth_rejects_widths_below_one(capsys, width):
+    code, out, err = run_cli(capsys, "growth", "--max-qubits", width)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need ")
 
 
 def test_missing_input_file_exits_two(capsys):

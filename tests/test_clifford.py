@@ -28,6 +28,16 @@ def test_group_order_small_values():
     assert group_order(4) == 12128668876800
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_widths_below_one_raise_value_error(n):
+    with pytest.raises(ValueError):
+        group_order(n)
+    with pytest.raises(ValueError):
+        CliffordTableau.identity(n)
+    with pytest.raises(ValueError):
+        from_gate_word("", n)
+
+
 def test_identity_tableau():
     c = CliffordTableau.identity(2)
     assert c.to_strings() == ["+XI", "+IX", "+ZI", "+IZ"]

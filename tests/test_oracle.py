@@ -1,6 +1,8 @@
 """Dense-matrix reference implementation: small, slow, and independent."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from tcanon.exactnum import (
     CYC_ZERO,
     Cyclotomic16Scalar,
 )
+from tcanon import oracle
 from tcanon.oracle import (
     DenseUnitary,
     NonRealEntryError,
@@ -113,10 +116,38 @@ def test_size_guard():
     p4 = PauliOperator.single(4, 0, "Z")
     with pytest.raises(SizeRefusalError):
         dense_of_pauli(p4)
-    big = dense_of_pauli(p4, allow_large=True)
-    assert big.dim == 16
     with pytest.raises(SizeRefusalError):
         dense_of_gate_word("H 0", 4)
+    with pytest.raises(SizeRefusalError):
+        dense_of_exponential(p4)
+    with pytest.raises(SizeRefusalError):
+        dense_of_quarter_exponential(p4)
+    with pytest.raises(SizeRefusalError):
+        dense_of_t_layer(TLayer(4, t=[0]))
+    with pytest.raises(SizeRefusalError):
+        channel_bruteforce(DenseUnitary.identity(4))
+
+
+def test_oracle_imports_only_the_tokenizer_and_containers():
+    # c07 is evidence only while the oracle shares no arithmetic with the
+    # tableau and channel code it checks
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "tcanon" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "tcanon":
+                continue
+            assert node.level <= 1
+            module = module.removeprefix("tcanon").lstrip(".")
+            imported |= {(module, a.name) for a in node.names}
+    restricted = {("canonical", "TLayer"), ("channel", "ChannelRep"),
+                  ("clifford", "parse_gate_word")}
+    free = {(mod, name) for mod, name in imported
+            if mod in ("exactnum", "pauli")}
+    assert imported - free == restricted
 
 
 def test_channel_bruteforce_matches_structured_channels():

@@ -13,6 +13,7 @@ from tcanon.pauli import (
     PauliSet,
     commutant,
     label_commutes,
+    label_product_phase,
     parse_pauli,
     validate_set,
     z_power,
@@ -48,8 +49,6 @@ def test_signs_propagate_through_products():
     assert P("-X") * P("Z") == P("+iY")
     assert P("-X") * P("-Z") == P("-iY")
     assert (-P("X")) == P("-X")
-    assert P("X").mul_i() == P("+iX")
-    assert P("+iX").mul_i().mul_i().mul_i() == P("X")
 
 
 def test_multiqubit_products_factor_per_qubit():
@@ -114,6 +113,27 @@ def test_label_commutes_agrees_with_operator_commutes():
         pa = PauliOperator.from_label(2, a)
         pb = PauliOperator.from_label(2, b)
         assert label_commutes(a, b, 2) == pa.commutes_with(pb)
+
+
+def test_label_product_phase_agrees_with_operator_product():
+    for n in (1, 2, 3):
+        for a, b in itertools.product(range(1 << (2 * n)), repeat=2):
+            prod = PauliOperator.from_label(n, a) * PauliOperator.from_label(n, b)
+            assert prod.label == a ^ b
+            assert label_product_phase(a, b, n) == prod.phase
+
+
+def test_constructors_reject_out_of_range_input():
+    with pytest.raises(ValueError):
+        PauliOperator.identity(0)
+    with pytest.raises(ValueError):
+        PauliOperator.from_label(1, 4)
+    with pytest.raises(ValueError):
+        PauliOperator.from_label(2, -1)
+    with pytest.raises(ValueError):
+        PauliOperator.single(2, 2, "X")
+    with pytest.raises(ValueError):
+        PauliOperator.single(2, -1, "Z")
 
 
 def test_hermiticity_and_sign():
