@@ -156,8 +156,10 @@ def quarter_exponential_tableau(p: PauliOperator, sign: int = -1) -> CliffordTab
     Conjugation fixes commuting Paulis and sends an anticommuting Q to
     sign * i * P * Q.
     """
-    assert p.is_positive() and (p.x or p.z)
-    assert sign in (1, -1)
+    if not (p.is_positive() and (p.x or p.z)):
+        raise ValueError(f"need a positive non-identity Pauli, got {p!r}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     n = p.n
     extra = 1 if sign > 0 else 3  # multiply by +-i
 

@@ -207,7 +207,8 @@ def channel_of_canonical(form) -> ChannelRep:
 @lru_cache(maxsize=None)
 def reference_spectrum(n: int, m: int) -> Counter:
     """Spectrum of the form ({Z on the first m qubits}, identity)."""
-    assert 0 <= m <= n
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     zs = [PauliOperator.single(n, j, "Z").label for j in range(m)]
     return _rotate_columns(ChannelRep.identity(n), zs).pauli_spectrum()
 

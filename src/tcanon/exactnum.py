@@ -151,6 +151,19 @@ DYADIC_SQRT2 = DyadicSqrt2Scalar(0, 1)
 DYADIC_INV_SQRT2 = DyadicSqrt2Scalar(0, 1, 1)
 
 
+def _convolve_into(out: list, a: tuple, b: tuple, shift: int) -> None:
+    """out += (a * b) << shift for coefficient 8-tuples, using zeta^8 = -1."""
+    for i, ai in enumerate(a):
+        if ai:
+            ai <<= shift
+            for j, bj in enumerate(b):
+                if bj:
+                    if i + j < 8:
+                        out[i + j] += ai * bj
+                    else:
+                        out[i + j - 8] -= ai * bj
+
+
 class Cyclotomic16Scalar:
     """sum_j c_j * zeta^j / 2^k with zeta = exp(i*pi/8), zeta^8 = -1.
 
@@ -208,18 +221,7 @@ class Cyclotomic16Scalar:
 
     def __mul__(self, other: "Cyclotomic16Scalar") -> "Cyclotomic16Scalar":
         out = [0] * 8
-        cb = other.c
-        for i, ai in enumerate(self.c):
-            if not ai:
-                continue
-            for j, bj in enumerate(cb):
-                if not bj:
-                    continue
-                idx = i + j
-                if idx >= 8:
-                    out[idx - 8] -= ai * bj
-                else:
-                    out[idx] += ai * bj
+        _convolve_into(out, self.c, other.c, 0)
         return Cyclotomic16Scalar(out, self.k + other.k)
 
     def conjugate(self) -> "Cyclotomic16Scalar":
@@ -229,7 +231,7 @@ class Cyclotomic16Scalar:
             (c[0], -c[7], -c[6], -c[5], -c[4], -c[3], -c[2], -c[1]), self.k)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.c)
+        return not any(self.c)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -273,6 +275,19 @@ CYC_I = Cyclotomic16Scalar.zeta_power(4)
 # sqrt2 = zeta^2 - zeta^6, hence 1/sqrt2 = (zeta^2 - zeta^6)/2
 CYC_SQRT2 = Cyclotomic16Scalar((0, 0, 1, 0, 0, 0, -1, 0))
 CYC_INV_SQRT2 = Cyclotomic16Scalar((0, 0, 1, 0, 0, 0, -1, 0), 1)
+
+
+def cyclotomic_dot(pairs) -> Cyclotomic16Scalar:
+    """Sum of a*b over (a, b) pairs: the raw products are summed over the
+    largest denominator 2^k and the total is normalized once."""
+    out, k = [0] * 8, 0
+    for a, b in pairs:
+        kab = a.k + b.k
+        if kab > k:
+            out = [v << (kab - k) for v in out]
+            k = kab
+        _convolve_into(out, a.c, b.c, k - kab)
+    return Cyclotomic16Scalar(out, k)
 
 
 def embed_dyadic_in_cyclotomic(x: DyadicSqrt2Scalar) -> Cyclotomic16Scalar:

@@ -17,7 +17,7 @@ from .canonical import TLayer
 from .channel import ChannelRep
 from .clifford import parse_gate_word
 from .exactnum import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO,
-                       Cyclotomic16Scalar)
+                       Cyclotomic16Scalar, cyclotomic_dot)
 from .pauli import PauliOperator
 
 
@@ -69,23 +69,13 @@ class DenseUnitary:
     def multiply(self, other: "DenseUnitary") -> "DenseUnitary":
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        dim = self.dim
-        b = other.mat
-        out = []
-        for i in range(dim):
-            arow = self.mat[i]
-            row = [CYC_ZERO] * dim
-            for k in range(dim):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = b[k]
-                for j in range(dim):
-                    v = brow[j]
-                    if not v.is_zero():
-                        row[j] = row[j] + a * v
-            out.append(row)
-        return DenseUnitary(self.n, out)
+        rows = [[(k, a) for k, a in enumerate(row) if not a.is_zero()]
+                for row in self.mat]
+        cols = [{k: b for k, b in enumerate(col) if not b.is_zero()}
+                for col in zip(*other.mat)]
+        return DenseUnitary(self.n, [
+            [cyclotomic_dot((a, col[k]) for k, a in row if k in col)
+             for col in cols] for row in rows])
 
     def dagger(self) -> "DenseUnitary":
         dim = self.dim
@@ -135,7 +125,8 @@ def dense_of_pauli(p: PauliOperator) -> DenseUnitary:
 def _identity_plus(p: PauliOperator, a: Cyclotomic16Scalar,
                    b: Cyclotomic16Scalar, sign: int) -> DenseUnitary:
     """a*I + sign*b*P for a positive non-identity P."""
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     if p.x == 0 and p.z == 0:
         raise ValueError("exponential of the identity label")
     if not p.is_positive():
@@ -240,20 +231,21 @@ def _dense_paulis(n: int) -> list:
 
 
 def _pauli_traces(m: DenseUnitary, dense: list) -> dict:
-    """Nonzero Tr(P M) / 2^n by label, with dense[label] the matrix of P;
-    P is a phased permutation, so each trace sums 2^n products."""
+    """Nonzero Tr(P M) / 2^n by label, with dense[label] the matrix of P.
+    P = (x, z) is a phased permutation, so Tr(P M) pairs P[r][r ^ x] with
+    M[r ^ x][r]; every z shares those entries of M."""
     n = m.n
     out = {}
-    for label, ph in enumerate(dense):
-        x = label >> n
-        acc = CYC_ZERO
-        for r in range(1 << n):
-            a = ph.mat[r][r ^ x]
-            b = m.mat[r ^ x][r]
-            if not (a.is_zero() or b.is_zero()):
-                acc = acc + a * b
-        if not acc.is_zero():
-            out[label] = Cyclotomic16Scalar(acc.c, acc.k + n)
+    for x in range(1 << n):
+        terms = [(r, v) for r in range(1 << n)
+                 if not (v := m.mat[r ^ x][r]).is_zero()]
+        if not terms:
+            continue
+        for label in range(x << n, (x + 1) << n):
+            ph = dense[label].mat
+            acc = cyclotomic_dot((ph[r][r ^ x], v) for r, v in terms)
+            if not acc.is_zero():
+                out[label] = Cyclotomic16Scalar(acc.c, acc.k + n)
     return out
 
 
@@ -272,13 +264,17 @@ def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     sqrt2 ring, which cannot happen for an actual unitary's channel.
     """
     _guard(u.n)
+    n = u.n
     ud = u.dagger()
-    dense = _dense_paulis(u.n)
+    dense = _dense_paulis(n)
     cols = []
     for q, pq in enumerate(dense):
+        # Q is a phased permutation: (U Q)[i][c] = U[i][c ^ x] Q[c ^ x][c]
+        x = q >> n
+        uq = DenseUnitary(n, [[row[c ^ x] * pq.mat[c ^ x][c]
+                               for c in range(1 << n)] for row in u.mat])
         col = {}
-        for p, trace in _pauli_traces(u.multiply(pq).multiply(ud),
-                                      dense).items():
+        for p, trace in _pauli_traces(uq.multiply(ud), dense).items():
             try:
                 col[p] = trace.to_dyadic()
             except ValueError:

@@ -157,6 +157,13 @@ def test_quarter_exponential_matches_dense_conjugation():
                     assert got == u.multiply(dense_of_pauli(g)).multiply(udag)
 
 
+def test_quarter_exponential_rejects_bad_input_with_value_error():
+    for p, sign in ((parse_pauli("-Z"), -1), (parse_pauli("II"), 1),
+                    (parse_pauli("XZ"), 0)):
+        with pytest.raises(ValueError):
+            quarter_exponential_tableau(p, sign=sign)
+
+
 class TestFormText:
     def test_round_trip(self):
         rng = random.Random(8004)

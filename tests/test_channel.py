@@ -140,6 +140,12 @@ def test_pauli_spectrum_counts_magnitudes():
     assert reference_spectrum(1, 1) == spec
 
 
+def test_reference_spectrum_rejects_m_outside_zero_to_n():
+    for n, m in ((2, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            reference_spectrum(n, m)
+
+
 def test_infer_t_count_on_reference_forms():
     for n in (1, 2, 3):
         for m in range(n + 1):

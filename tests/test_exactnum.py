@@ -18,6 +18,7 @@ from tcanon.exactnum import (
     DYADIC_SQRT2,
     DYADIC_ZERO,
     DyadicSqrt2Scalar,
+    cyclotomic_dot,
     embed_dyadic_in_cyclotomic,
 )
 
@@ -194,6 +195,33 @@ class TestCyclotomic:
         assert x * (y * z) == (x * y) * z
         assert x - x == CYC_ZERO
         assert x * CYC_ONE == x
+
+    @given(st.lists(st.tuples(cyclotomics(), cyclotomics()), max_size=6),
+           st.booleans())
+    def test_dot_equals_the_left_fold(self, pairs, cancel):
+        if cancel:
+            # append the negation of every product so the sum is zero
+            pairs = pairs + [(-a, b) for a, b in pairs]
+        fold = CYC_ZERO
+        for a, b in pairs:
+            fold = fold + a * b
+        got = cyclotomic_dot(pairs)
+        assert got == fold
+        assert (got.c, got.k) == (fold.c, fold.k)
+        if cancel:
+            assert got == CYC_ZERO
+
+    def test_dot_of_no_pairs_is_zero(self):
+        assert cyclotomic_dot([]) == CYC_ZERO
+        assert cyclotomic_dot(iter(())) == CYC_ZERO
+
+    def test_dot_is_normalized_over_mixed_denominators(self):
+        # 1/2 * 1 + 1/4 * 2 = 1, summed over 2^2 and then reduced to k = 0
+        pairs = [(C((1,) + (0,) * 7, 1), CYC_ONE),
+                 (C((1,) + (0,) * 7, 2), C.from_int(2))]
+        got = cyclotomic_dot(pairs)
+        assert (got.c, got.k) == (CYC_ONE.c, 0)
+        assert cyclotomic_dot([(CYC_INV_SQRT2, CYC_SQRT2)]) == CYC_ONE
 
     @given(cyclotomics(), cyclotomics())
     def test_to_complex_is_multiplicative(self, x, y):

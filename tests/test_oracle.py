@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from tcanon.oracle import (
     equal_up_to_phase,
     pauli_expand,
 )
+from tcanon.census import random_gate_word
 from tcanon.channel import channel_of_clifford, channel_of_exponential
 from tcanon.clifford import from_gate_word
 from tcanon.pauli import PauliOperator, parse_pauli
@@ -158,6 +160,34 @@ def test_channel_bruteforce_matches_structured_channels():
         p = PauliOperator.from_label(1, label)
         got = channel_bruteforce(dense_of_exponential(p, sign=1))
         assert got == channel_of_exponential(p)
+
+
+def test_channel_bruteforce_columns_match_two_product_conjugation():
+    # channel_bruteforce forms U Q as a phased column permutation and does
+    # one dense product per column; the plain U Q U' must give the same
+    rng = random.Random(2207)
+    for n in (1, 2):
+        for _ in range(3):
+            p = PauliOperator.from_label(n, rng.randrange(1, 1 << (2 * n)))
+            word = dense_of_gate_word(random_gate_word(n, rng), n)
+            for u in (word, dense_of_exponential(p, rng.choice((1, -1))),
+                      dense_of_exponential(p, 1).multiply(word)):
+                rep = channel_bruteforce(u)
+                for q in range(1 << (2 * n)):
+                    pq = dense_of_pauli(PauliOperator.from_label(n, q))
+                    m = u.multiply(pq).multiply(u.dagger())
+                    want = {label: v.to_dyadic()
+                            for label, v in pauli_expand(m).items()}
+                    assert rep.cols[q] == want
+
+
+def test_exponential_rejects_a_sign_other_than_plus_or_minus_one():
+    p = parse_pauli("XZ")
+    for sign in (0, 2):
+        with pytest.raises(ValueError):
+            dense_of_exponential(p, sign)
+        with pytest.raises(ValueError):
+            dense_of_quarter_exponential(p, sign)
 
 
 def test_channel_bruteforce_rejects_values_outside_the_ring():
