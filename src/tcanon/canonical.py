@@ -390,24 +390,25 @@ def _infer_width(entries) -> int:
     from .clifford import GATE_ARITY
 
     top = -1
-    for kind, payload, _ in entries:
+    for kind, payload, at in entries:
+        fields = []
         if kind == "c":
             for tok in payload.replace("\n", ";").split(";"):
                 parts = tok.split()
                 if len(parts) > 1 and parts[0].upper() in GATE_ARITY:
-                    for p in parts[1:]:
-                        try:
-                            top = max(top, int(p))
-                        except ValueError:
-                            pass
+                    fields += parts[1:]
         else:
             for item in payload.split():
-                _, _, val = item.partition("=")
-                for v in val.split(","):
-                    try:
-                        top = max(top, int(v))
-                    except ValueError:
-                        pass
+                fields += item.partition("=")[2].split(",")
+        for field in fields:
+            try:
+                q = int(field)
+            except ValueError:
+                continue
+            if q < 0:
+                raise ParseError(f"qubit {q} out of range; indices start at 0",
+                                 at)
+            top = max(top, q)
     if top < 0:
         raise ParseError("cannot infer width; add a QUBITS line", 0)
     return top + 1

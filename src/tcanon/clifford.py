@@ -8,6 +8,7 @@ equality in the quotient group.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, Sequence
 
@@ -55,9 +56,7 @@ class CliffordTableau:
     def identity(cls, n: int) -> "CliffordTableau":
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        xim = tuple(PauliOperator.single(n, j, "X") for j in range(n))
-        zim = tuple(PauliOperator.single(n, j, "Z") for j in range(n))
-        return cls(n, xim, zim)
+        return cls(n, *_generators(n))
 
     @classmethod
     def from_images(cls, xim: Sequence[PauliOperator],
@@ -84,31 +83,44 @@ class CliffordTableau:
         """Image of p under conjugation, with the exact sign.
 
         Uses p = i^(phase + |x&z|) * prod_j X_j^{x_j} * prod_j Z_j^{z_j}
-        and substitutes generator images factor by factor.
+        and substitutes generator images factor by factor.  The running
+        product is kept as i^t * X^ax * Z^az: a factor i^ph * X^gx * Z^gz
+        with gx&gz set on its Y qubits adds ph + |gx&gz| to t, and moving
+        its X^gx left past Z^az adds 2|az&gx|.
         """
         if p.n != self.n:
             raise ValueError(f"qubit counts differ: {p.n} vs {self.n}")
         n = self.n
-        acc = PauliOperator(n, 0, 0, p.phase + (p.x & p.z).bit_count())
-        x = p.x
-        while x:
-            low = x & -x
-            x ^= low
-            acc = acc * self.xim[n - low.bit_length()]
-        z = p.z
-        while z:
-            low = z & -z
-            z ^= low
-            acc = acc * self.zim[n - low.bit_length()]
-        return acc
+        t = p.phase + (p.x & p.z).bit_count()
+        ax = az = 0
+        for images, bits in ((self.xim, p.x), (self.zim, p.z)):
+            while bits:
+                top = bits.bit_length()
+                bits ^= 1 << (top - 1)
+                g = images[n - top]
+                gx = g.x
+                t += g.phase + (gx & g.z).bit_count() + 2 * (az & gx).bit_count()
+                ax ^= gx
+                az ^= g.z
+        return PauliOperator(n, ax, az, t - (ax & az).bit_count())
 
     def compose(self, other: "CliffordTableau") -> "CliffordTableau":
-        """Tableau of self times other (self applied after other)."""
+        """Tableau of self times other (self applied after other).
+
+        Where other fixes a generator (+X_j or +Z_j), the product's image
+        of it is self's image, taken as is.
+        """
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        xim = tuple(self.conjugate_pauli(p) for p in other.xim)
-        zim = tuple(self.conjugate_pauli(p) for p in other.zim)
-        return CliffordTableau(self.n, xim, zim)
+        xgen, zgen = _generators(self.n)
+        return CliffordTableau(self.n, self._images(other.xim, xgen, self.xim),
+                               self._images(other.zim, zgen, self.zim))
+
+    def _images(self, ps, gens, own) -> tuple:
+        """self's image of each p in ps; own[j] where ps[j] == gens[j].
+        The identity test skips __eq__ on the shared generator objects."""
+        return tuple(s if p is g or p == g else self.conjugate_pauli(p)
+                     for p, g, s in zip(ps, gens, own))
 
     def inverse(self) -> "CliffordTableau":
         """Tableau of the inverse unitary.
@@ -164,6 +176,13 @@ class CliffordTableau:
 
     def __repr__(self):
         return f"<CliffordTableau n={self.n} {self.to_strings()}>"
+
+
+@functools.cache
+def _generators(n: int) -> tuple[tuple, tuple]:
+    """(+X_1..+X_n, +Z_1..+Z_n), built once per width."""
+    return (tuple(PauliOperator.single(n, j, "X") for j in range(n)),
+            tuple(PauliOperator.single(n, j, "Z") for j in range(n)))
 
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2, "SWAP": 2}
@@ -235,8 +254,8 @@ def from_gate_word(text: str, n: int) -> CliffordTableau:
     """Tableau of a gate word; the leftmost factor is applied last.
     CliffordTableau.identity raises ValueError for n < 1."""
     c = CliffordTableau.identity(n)
-    for name, qubits in reversed(parse_gate_word(text, n)):
-        c = _gate_tableau(name, qubits, n).compose(c)
+    for name, qubits in parse_gate_word(text, n):
+        c = c.compose(_gate_tableau(name, qubits, n))
     return c
 
 

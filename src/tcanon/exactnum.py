@@ -174,7 +174,8 @@ class Cyclotomic16Scalar:
 
     def __init__(self, c, k: int = 0):
         c = list(c)
-        assert len(c) == 8
+        if len(c) != 8:
+            raise ValueError(f"need 8 coefficients, got {len(c)}")
         if k < 0:
             c = [v << -k for v in c]
             k = 0

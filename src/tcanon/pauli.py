@@ -79,7 +79,8 @@ class PauliOperator:
         return self.phase == 0
 
     def sign(self) -> int:
-        assert self.is_hermitian()
+        if not self.is_hermitian():
+            raise NonHermitianInputError(f"{self.to_string()} has no real sign")
         return 1 if self.phase == 0 else -1
 
     def positive(self) -> "PauliOperator":

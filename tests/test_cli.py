@@ -267,6 +267,24 @@ def test_canonicalize_rejects_a_width_below_one(capsys, monkeypatch, width):
     assert f"(at offset {text.index('QUBITS')})" in err
 
 
+@pytest.mark.parametrize("text, bad, line", [
+    ("CLIFFORD: H -1\n", -1, "CLIFFORD: H -1"),
+    ("# no width\nCLIFFORD: H 0\nTLAYER: t=0\nCLIFFORD: CX 1 -1\n", -1,
+     "CLIFFORD: CX 1 -1"),
+    ("CLIFFORD: H 2\nTLAYER: t=0 tdg=-2\nCLIFFORD:\n", -2,
+     "TLAYER: t=0 tdg=-2"),
+    ("CLIFFORD:\nTLAYER: t=-3\nCLIFFORD:\n", -3, "TLAYER: t=-3"),
+], ids=["only-index", "gate-line", "layer-line", "only-layer-index"])
+def test_canonicalize_names_a_negative_index_when_inferring_width(
+        capsys, monkeypatch, text, bad, line):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "canonicalize")
+    assert code == 2
+    assert out == ""
+    assert f"qubit {bad} out of range" in err
+    assert f"(at offset {text.index(line)})" in err
+
+
 @pytest.mark.parametrize("width", ["0", "-3"])
 def test_growth_rejects_widths_below_one(capsys, width):
     code, out, err = run_cli(capsys, "growth", "--max-qubits", width)

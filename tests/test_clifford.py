@@ -10,6 +10,7 @@ from tcanon.clifford import (
     CliffordTableau,
     IndexOutOfRangeError,
     InvalidSetError,
+    _gate_tableau,
     from_gate_word,
     group_order,
     parse_gate_word,
@@ -121,6 +122,85 @@ def test_conjugation_preserves_commutation():
         q = PauliOperator.from_label(2, rng.randrange(1, 16))
         assert (c.conjugate_pauli(p).commutes_with(c.conjugate_pauli(q))
                 == p.commutes_with(q))
+
+
+def _conjugate_by_products(c, p):
+    """conjugate_pauli written as a fold of PauliOperator.__mul__ over the
+    generator images that p's X and Z bits pick out."""
+    n = c.n
+    acc = PauliOperator(n, 0, 0, p.phase + (p.x & p.z).bit_count())
+    for bits, images in ((p.x, c.xim), (p.z, c.zim)):
+        for j in range(n):
+            if bits >> (n - 1 - j) & 1:
+                acc = acc * images[j]
+    return acc
+
+
+def _compose_by_conjugation(c, other):
+    """compose from its definition: c's image of each of other's images."""
+    return CliffordTableau(c.n,
+                           tuple(c.conjugate_pauli(p) for p in other.xim),
+                           tuple(c.conjugate_pauli(p) for p in other.zim))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugate_pauli_equals_the_product_fold_on_every_pauli(n):
+    rng = random.Random(600 + n)
+    for _ in range(8):
+        c = random_clifford(n, seed=rng.randrange(1 << 30))
+        for label in range(1 << (2 * n)):
+            for phase in range(4):
+                p = PauliOperator(n, label >> n, label & ((1 << n) - 1), phase)
+                assert c.conjugate_pauli(p) == _conjugate_by_products(c, p)
+
+
+def test_conjugate_pauli_equals_the_product_fold_on_sampled_paulis():
+    rng = random.Random(604)
+    for _ in range(200):
+        c = random_clifford(4, seed=rng.randrange(1 << 30))
+        p = PauliOperator(4, rng.randrange(16), rng.randrange(16),
+                          rng.randrange(4))
+        assert c.conjugate_pauli(p) == _conjugate_by_products(c, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_from_gate_word_equals_the_reversed_fold(n):
+    rng = random.Random(610 + n)
+    for length in (0, 1, 2, 5) + (24,) * 3:
+        word = random_gate_word(n, rng, length)
+        want = CliffordTableau.identity(n)
+        for name, qubits in reversed(parse_gate_word(word, n)):
+            want = _gate_tableau(name, qubits, n).compose(want)
+        assert from_gate_word(word, n) == want, word
+
+
+def _mixed_images(n, rng, gens, dense):
+    """Per qubit: its generator with any of the four phases, or the image
+    `dense` gives it."""
+    out = []
+    for g, d in zip(gens, dense):
+        pick = rng.randrange(5)
+        out.append(d if pick == 4 else PauliOperator(n, g.x, g.z, pick))
+    return tuple(out)
+
+
+def test_compose_equals_conjugating_each_image():
+    rng = random.Random(620)
+    for n in (1, 2, 3, 4):
+        ident = CliffordTableau.identity(n)
+        for _ in range(30):
+            c = random_clifford(n, seed=rng.randrange(1 << 30))
+            r = random_clifford(n, seed=rng.randrange(1 << 30))
+            # images need not form a valid tableau for the definition to hold
+            other = CliffordTableau(n, _mixed_images(n, rng, ident.xim, r.xim),
+                                    _mixed_images(n, rng, ident.zim, r.zim))
+            assert c.compose(other) == _compose_by_conjugation(c, other)
+        # valid tableaux that fix some generators and negate others
+        for word in ("", "Z 0", "X 0", "X 0; Z 0", f"Z {n - 1}; H 0",
+                     random_gate_word(n, rng, 3)):
+            other = from_gate_word(word, n)
+            c = random_clifford(n, seed=rng.randrange(1 << 30))
+            assert c.compose(other) == _compose_by_conjugation(c, other)
 
 
 GENERATOR_WORDS_2Q = ["H 0", "H 1", "S 0", "S 1", "X 0", "X 1", "Z 0", "Z 1",

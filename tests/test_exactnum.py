@@ -182,6 +182,13 @@ class TestCyclotomic:
             want = complex(math.cos(math.pi * j / 8), math.sin(math.pi * j / 8))
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("coeffs", [(1, 2, 3), (0,) * 9, ()])
+    def test_rejects_a_coefficient_count_other_than_eight(self, coeffs):
+        # a raised error, not an assert, so the check also holds under
+        # python -O; a short tuple would be truncated by `+` through zip
+        with pytest.raises(ValueError, match="need 8 coefficients"):
+            C(coeffs)
+
     def test_normalization(self):
         assert C((2, 0, 0, 0, 0, 0, 0, 0), 1) == CYC_ONE
         assert C((0,) * 8, 7) == CYC_ZERO

@@ -144,6 +144,13 @@ def test_hermiticity_and_sign():
     assert P("-Z").positive() == P("Z")
 
 
+@pytest.mark.parametrize("text", ["+iX", "-iY", "+iZZ"])
+def test_sign_of_a_non_hermitian_operator_raises(text):
+    # a raised error, not an assert, so the check also holds under python -O
+    with pytest.raises(NonHermitianInputError, match="has no real sign"):
+        P(text).sign()
+
+
 def test_validate_set_sorts_and_positivizes():
     s = validate_set([P("-Z")])
     assert s.labels == (P("Z").label,)
