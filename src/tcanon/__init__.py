@@ -24,6 +24,6 @@ from .oracle import (DenseUnitary, channel_bruteforce, dense_of_exponential,
                      dense_of_gate_word, dense_of_pauli, dense_of_t_layer,
                      equal_up_to_phase, pauli_expand)
 from .pauli import (PauliOperator, PauliSet, commutant, parse_pauli,
-                    validate_set, z_power)
+                    validate_set)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .channel import ChannelRep, _rotate_columns, channel_of_clifford
 from .clifford import CliffordTableau
-from .pauli import PauliOperator, PauliSet, validate_set
+from .pauli import LabelNames, PauliOperator, PauliSet, validate_set
 
 
 class WidthMismatchError(ValueError):
@@ -137,7 +137,7 @@ class CanonicalForm:
         """Text form "P: +ZZ | C: id"; an empty set renders as "-" and the
         Clifford as its 2n image strings unless it is the identity."""
         if len(self.paulis):
-            left = ", ".join(p.to_string() for p in self.paulis)
+            left = LabelNames(self.n).render(self.paulis)
         else:
             left = "-"
         if self.clifford == CliffordTableau.identity(self.n):

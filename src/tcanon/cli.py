@@ -19,7 +19,7 @@ from .census import (DEFAULT_SEED, VerificationReport,
                      verify_distinctness, verify_hamming_weight,
                      verify_oracle, verify_spectrum, verify_unit_rows)
 from .clifford import group_order
-from .pauli import PauliSet
+from .pauli import LabelNames, PauliSet
 
 
 def _seed_arg(value: str) -> int:
@@ -118,10 +118,12 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     stream = enumerate_sets(args.qubits, args.tcount,
                             allow_large=args.allow_large)
+    # one memo for the whole stream: each distinct label is rendered once
+    render = LabelNames(args.qubits).render
 
     def lines():
         for s in stream:
-            yield ", ".join(p.to_string() for p in s) + "\n"
+            yield render(s) + "\n"
 
     if args.out is None:
         for line in lines():
@@ -181,10 +183,9 @@ def _cmd_canonicalize(args) -> int:
         out = form.render() + f"\ntcount: {form.m}\n"
     else:
         sets, tail = canonical.canonicalize_depth_d(circ)
-        lines = []
-        for k, s in enumerate(sets, start=1):
-            body = ", ".join(p.to_string() for p in s)
-            lines.append(f"layer {k}: {body}")
+        names = LabelNames(circ.n)
+        lines = [f"layer {k}: {names.render(s)}"
+                 for k, s in enumerate(sets, start=1)]
         from .clifford import CliffordTableau
         if tail == CliffordTableau.identity(circ.n):
             lines.append("C: id")

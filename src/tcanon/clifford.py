@@ -206,13 +206,17 @@ def _gate_tableau(name: str, qubits: tuple, n: int) -> CliffordTableau:
         q = qubits[0]
         xim[q] = -xim[q]
     elif name == "CX":
+        # X_c -> X_c X_t and Z_t -> Z_c Z_t
         c, tq = qubits
-        xim[c] = xim[c] * xim[tq]
-        zim[tq] = zim[c] * zim[tq]
+        both = (1 << (n - 1 - c)) | (1 << (n - 1 - tq))
+        xim[c] = PauliOperator(n, both, 0)
+        zim[tq] = PauliOperator(n, 0, both)
     elif name == "CZ":
+        # X_a -> X_a Z_b and X_b -> Z_a X_b
         a, b = qubits
-        xim[a] = xim[a] * zim[b]
-        xim[b] = zim[a] * xim[b]
+        bit_a, bit_b = 1 << (n - 1 - a), 1 << (n - 1 - b)
+        xim[a] = PauliOperator(n, bit_a, bit_b)
+        xim[b] = PauliOperator(n, bit_b, bit_a)
     elif name == "SWAP":
         a, b = qubits
         xim[a], xim[b] = xim[b], xim[a]

@@ -150,24 +150,6 @@ def parse_pauli(text: str) -> PauliOperator:
     return PauliOperator(n, x, z, phase)
 
 
-def z_power(bits) -> PauliOperator:
-    """Diagonal Pauli Z^a from a bit string "101" or a 0/1 sequence."""
-    if isinstance(bits, str):
-        vals = []
-        for ch in bits:
-            if ch not in "01":
-                raise ValueError(f"bad bit {ch!r} in {bits!r}")
-            vals.append(int(ch))
-    else:
-        vals = [int(bool(v)) for v in bits]
-    if not vals:
-        raise ValueError("empty bit string")
-    z = 0
-    for v in vals:
-        z = (z << 1) | v
-    return PauliOperator(len(vals), 0, z, 0)
-
-
 def label_commutes(a: int, b: int, n: int) -> bool:
     """Symplectic test on unsigned labels, avoiding object construction."""
     mask = (1 << n) - 1
@@ -190,20 +172,43 @@ def _swap_halves(label: int, n: int) -> int:
     return ((label & mask) << n) | (label >> n)
 
 
+class LabelNames(dict):
+    """Memo from unsigned label to its "+XZ" text at one width.
+
+    Filled on first use, so it holds only the labels actually rendered;
+    make one per command rather than per set.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, label: int) -> str:
+        text = self[label] = PauliOperator.from_label(self.n, label).to_string()
+        return text
+
+    def render(self, s: "PauliSet") -> str:
+        """A set's elements as text, comma separated, in label order."""
+        return ", ".join(map(self.__getitem__, s.labels))
+
+
 class PauliSet:
     """Commuting, independent, positive Paulis sorted ascending by label.
 
-    Construct through validate_set; the raw constructor trusts its input.
-    The empty set is allowed here (a canonical form may carry no
-    exponential factors) even though validate_set requires at least one
-    candidate.
+    Stored as the sorted tuple of unsigned labels; the PauliOperator
+    elements are built on demand.  Construct through validate_set; the
+    raw constructor and from_labels trust their input.  The empty set is
+    allowed here (a canonical form may carry no exponential factors) even
+    though validate_set requires at least one candidate.
     """
 
-    __slots__ = ("n", "elements")
+    __slots__ = ("n", "labels")
 
-    def __init__(self, n: int, elements: tuple):
+    def __init__(self, n: int, labels: tuple):
         self.n = n
-        self.elements = elements
+        self.labels = labels
 
     @classmethod
     def empty(cls, n: int) -> "PauliSet":
@@ -213,30 +218,28 @@ class PauliSet:
     def from_labels(cls, n: int, labels) -> "PauliSet":
         """Fast trusted path used by the enumerator; labels must already be
         sorted, commuting and independent."""
-        mask = (1 << n) - 1
-        return cls(n, tuple(PauliOperator(n, l >> n, l & mask, 0) for l in labels))
+        return cls(n, tuple(labels))
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(PauliOperator.from_label(self.n, l) for l in self.labels)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.elements)
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(p.label for p in self.elements)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSet):
             return NotImplemented
-        return self.n == other.n and self.elements == other.elements
+        return self.n == other.n and self.labels == other.labels
 
     def __hash__(self):
-        return hash((self.n, self.elements))
+        return hash((self.n, self.labels))
 
     def __repr__(self):
-        inner = ", ".join(p.to_string() for p in self.elements)
-        return f"<PauliSet n={self.n} {{{inner}}}>"
+        return f"<PauliSet n={self.n} {{{LabelNames(self.n).render(self)}}}>"
 
 
 def validate_set(candidates: Iterable[PauliOperator]) -> PauliSet:
@@ -261,10 +264,10 @@ def validate_set(candidates: Iterable[PauliOperator]) -> PauliSet:
             if not pos[i].commutes_with(pos[j]):
                 raise NonCommutingSetError(
                     f"{pos[i]!r} and {pos[j]!r} anticommute")
-    if gf2.rank(p.label for p in pos) != len(pos):
+    labels = sorted(p.label for p in pos)
+    if gf2.rank(labels) != len(labels):
         raise DependentSetError("candidates are dependent over GF(2)")
-    pos.sort(key=lambda p: p.label)
-    return PauliSet(n, tuple(pos))
+    return PauliSet(n, tuple(labels))
 
 
 def commutant(s: PauliSet) -> list[int]:
@@ -275,7 +278,7 @@ def commutant(s: PauliSet) -> list[int]:
     """
     n = s.n
     dim = 2 * n
-    basis = gf2.nullspace((_swap_halves(p.label, n) for p in s.elements), dim)
+    basis = gf2.nullspace((_swap_halves(l, n) for l in s.labels), dim)
     out = []
     for combo in range(1 << len(basis)):
         v = 0

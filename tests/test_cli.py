@@ -5,6 +5,7 @@ point registered in pyproject.toml with no install, the other runs the
 ``tcanon`` executable on PATH when one exists.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -90,6 +91,28 @@ def test_enumerate_streams_one_line_per_set(capsys):
                            "--tcount", "1")
     assert code == 0
     assert out == "+Z\n+X\n+Y\n"
+
+
+# stdout of `enumerate` at the commit before sets were stored as labels
+ENUMERATE_STREAMS = [
+    (3, 1, 63,
+     "93745e9a22f632a9aca00891606c5a42db569e4422e9981cb20dad0e7040e7db"),
+    (3, 2, 945,
+     "736bdabe03a2db4e5dbd73962c606b866aa55821e253b28ba9bf5634bffcacd4"),
+    (3, 3, 3780,
+     "a7a2d4cbf4d2d2b4389951213daff093817ed0fd147db36184a6a6bb7867a86a"),
+    (4, 2, 16065,
+     "16db6c39782b3f5c46053b30e27967a5315c8c8732a5df380b3b38b6e8080ea1"),
+]
+
+
+@pytest.mark.parametrize("n, m, lines, digest", ENUMERATE_STREAMS)
+def test_enumerate_stream_is_pinned(capsys, n, m, lines, digest):
+    code, out, _ = run_cli(capsys, "enumerate", "--qubits", str(n),
+                           "--tcount", str(m))
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_enumerate_to_file(tmp_path, capsys):

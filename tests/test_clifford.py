@@ -174,6 +174,35 @@ def test_from_gate_word_equals_the_reversed_fold(n):
         assert from_gate_word(word, n) == want, word
 
 
+def _gate_tableau_by_products(name, qubits, n):
+    """A two-qubit gate's tableau with CX and CZ images built as products
+    of generators, as the images were once made."""
+    ident = CliffordTableau.identity(n)
+    xim, zim = list(ident.xim), list(ident.zim)
+    if name == "CX":
+        c, t = qubits
+        xim[c] = xim[c] * xim[t]
+        zim[t] = zim[c] * zim[t]
+    elif name == "CZ":
+        a, b = qubits
+        xim[a] = xim[a] * zim[b]
+        xim[b] = zim[a] * xim[b]
+    else:  # SWAP
+        a, b = qubits
+        xim[a], xim[b] = xim[b], xim[a]
+        zim[a], zim[b] = zim[b], zim[a]
+    return CliffordTableau(n, tuple(xim), tuple(zim))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_two_qubit_gate_images_equal_the_product_construction(n):
+    for a, b in itertools.permutations(range(n), 2):
+        for name in ("CX", "CZ", "SWAP"):
+            got = _gate_tableau(name, (a, b), n)
+            assert got == _gate_tableau_by_products(name, (a, b), n), (name, a, b)
+            assert all(p.phase == 0 for p in got.xim + got.zim)
+
+
 def _mixed_images(n, rng, gens, dense):
     """Per qubit: its generator with any of the four phases, or the image
     `dense` gives it."""

@@ -1,12 +1,15 @@
 """Signed Pauli algebra on int-encoded (x, z) bit pairs."""
 
 import itertools
+import random
 
 import pytest
 
+from tcanon.census import enumerate_sets, random_pauli_set
 from tcanon.oracle import dense_of_pauli
 from tcanon.pauli import (
     DependentSetError,
+    LabelNames,
     NonCommutingSetError,
     NonHermitianInputError,
     PauliOperator,
@@ -16,7 +19,6 @@ from tcanon.pauli import (
     label_product_phase,
     parse_pauli,
     validate_set,
-    z_power,
 )
 
 
@@ -89,16 +91,6 @@ def test_label_packs_x_over_z():
     assert PauliOperator.from_label(2, 0b1001) == p
     for label in range(16):
         assert PauliOperator.from_label(2, label).label == label
-
-
-def test_z_power():
-    assert z_power("101") == P("ZIZ")
-    assert z_power([1, 1]) == P("ZZ")
-    assert z_power("0") == P("I")
-    with pytest.raises(ValueError):
-        z_power("21")
-    with pytest.raises(ValueError):
-        z_power("")
 
 
 def test_commutation_rules():
@@ -181,6 +173,50 @@ def test_pauli_set_basics():
     assert s == PauliSet.from_labels(2, sorted(s.labels))
     assert PauliSet.empty(3).elements == ()
     assert len(PauliSet.empty(3)) == 0
+
+
+def _sets_to_check():
+    """Every set at n <= 2 (the empty ones too) and 200 seeded random sets
+    at each of n = 3 and n = 4."""
+    for n in (1, 2):
+        yield PauliSet.empty(n)
+        for m in range(1, n + 1):
+            yield from enumerate_sets(n, m)
+    rng = random.Random(707)
+    for n in (3, 4):
+        for _ in range(200):
+            yield random_pauli_set(n, rng.randint(1, n), rng)
+
+
+def test_label_storage_agrees_with_the_elements():
+    count = 0
+    for s in _sets_to_check():
+        count += 1
+        n = s.n
+        elements = s.elements
+        assert s.labels == tuple(sorted(s.labels))
+        assert s.labels == tuple(p.label for p in elements)
+        assert all(p.n == n and p.is_positive() for p in elements)
+        assert tuple(s) == elements
+        assert len(s) == len(elements)
+        text = ", ".join(p.to_string() for p in elements)
+        assert repr(s) == f"<PauliSet n={n} {{{text}}}>"
+        assert LabelNames(n).render(s) == text
+        if not len(s):
+            continue
+        again = validate_set(list(s))
+        assert again == s and hash(again) == hash(s)
+        assert again.labels == s.labels
+        assert PauliSet.from_labels(n + 1, s.labels) != s
+    assert count == 2 + 3 + 15 + 45 + 400
+
+
+def test_label_names_hold_only_the_labels_rendered():
+    names = LabelNames(4)
+    s = validate_set([P("XXII"), P("ZZII")])
+    assert names.render(s) == "+ZZII, +XXII"
+    assert names.render(s) == "+ZZII, +XXII"
+    assert sorted(names) == list(s.labels)
 
 
 def test_commutant_of_z_is_diagonal():
