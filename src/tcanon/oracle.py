@@ -5,6 +5,9 @@ entries in Z[zeta, 1/2], zeta = exp(i*pi/8), sharing nothing with the
 tableau or channel machinery beyond the gate-word tokenizer.  That makes
 it slow and size-limited but trustworthy: agreement between a structured
 channel and channel_bruteforce checks the fast path end to end.
+pauli_expand and channel_bruteforce run on raw rows, each entry an 8-int
+coefficient list over one 2^k shared by the matrix, and apply Pauli
+entries as rotations by i^t; they build a scalar only per nonzero trace.
 
 Matrices above three qubits are refused with SizeRefusalError; at 16
 dimensions and beyond the quadratic-in-entries trace loops stop being
@@ -17,7 +20,7 @@ from .canonical import TLayer
 from .channel import ChannelRep
 from .clifford import parse_gate_word
 from .exactnum import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO,
-                       Cyclotomic16Scalar, cyclotomic_dot)
+                       Cyclotomic16Scalar, _convolve_into, cyclotomic_dot)
 from .pauli import PauliOperator
 
 
@@ -84,26 +87,10 @@ class DenseUnitary:
             self.n,
             [[mat[j][i].conjugate() for j in range(dim)] for i in range(dim)])
 
-    def scale(self, s: Cyclotomic16Scalar) -> "DenseUnitary":
-        return DenseUnitary(self.n, [[s * v for v in row] for row in self.mat])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseUnitary):
             return NotImplemented
         return self.n == other.n and self.mat == other.mat
-
-    def is_unitary(self) -> bool:
-        prod = self.multiply(self.dagger())
-        dim = self.dim
-        for i in range(dim):
-            for j in range(dim):
-                v = prod.mat[i][j]
-                if i == j:
-                    if v != CYC_ONE:
-                        return False
-                elif not v.is_zero():
-                    return False
-        return True
 
     def __repr__(self):
         return f"<DenseUnitary n={self.n}>"
@@ -224,28 +211,74 @@ def dense_of_t_layer(layer: TLayer) -> DenseUnitary:
     return DenseUnitary(n, mat)
 
 
-def _dense_paulis(n: int) -> list:
-    """Dense matrices of the positive Paulis, indexed by label."""
-    return [dense_of_pauli(PauliOperator.from_label(n, label))
-            for label in range(1 << (2 * n))]
+# unit index t of i^t by coefficient tuple, i = zeta^4
+_UNIT_INDEX = {Cyclotomic16Scalar.zeta_power(4 * t).c: t for t in range(4)}
+_PAULI_UNITS: dict = {}
 
 
-def _pauli_traces(m: DenseUnitary, dense: list) -> dict:
-    """Nonzero Tr(P M) / 2^n by label, with dense[label] the matrix of P.
-    P = (x, z) is a phased permutation, so Tr(P M) pairs P[r][r ^ x] with
-    M[r ^ x][r]; every z shares those entries of M."""
-    n = m.n
+def _pauli_units(n: int) -> list:
+    """units[label][r] = t with P[r][r ^ x] = i^t, read off dense_of_pauli.
+
+    Cached per width; _SIZE_CAP bounds the cache at three entries.
+    """
+    units = _PAULI_UNITS.get(n)
+    if units is None:
+        dim = 1 << n
+        units = []
+        for label in range(1 << (2 * n)):
+            mat = dense_of_pauli(PauliOperator.from_label(n, label)).mat
+            x = label >> n
+            units.append(tuple(_UNIT_INDEX[mat[r][r ^ x].c]
+                               for r in range(dim)))
+        _PAULI_UNITS[n] = units
+    return units
+
+
+def _rotate(c: list, t: int) -> list:
+    """i^t * c on 8 coefficients: i = zeta^4 and zeta^8 = -1."""
+    if t == 0:
+        return c
+    if t == 2:
+        return [-v for v in c]
+    if t == 1:
+        return [-v for v in c[4:]] + c[:4]
+    return c[4:] + [-v for v in c[:4]]
+
+
+def _raw(u: DenseUnitary) -> tuple:
+    """(rows, k): every entry of u as an 8-int list over one shared 2^k."""
+    k = max(v.k for row in u.mat for v in row)
+    return [[[c << (k - v.k) for c in v.c] for v in row]
+            for row in u.mat], k
+
+
+def _conjugate_raw(rows: list) -> list:
+    """Entrywise complex conjugate of raw rows, zeta^j -> -zeta^(8-j),
+    with None for each zero entry so products can skip it."""
+    return [[[c[0], -c[7], -c[6], -c[5], -c[4], -c[3], -c[2], -c[1]]
+             if any(c) else None for c in row] for row in rows]
+
+
+def _pauli_traces(n: int, rows: list, k: int) -> dict:
+    """Nonzero Tr(P M) / 2^n by label, for M given as raw rows over 2^k.
+
+    P = (x, z) is a phased permutation with P[r][r ^ x] = i^t, so
+    Tr(P M) sums i^t M[r ^ x][r]; every z shares those entries of M.
+    """
+    units = _pauli_units(n)
+    dim = 1 << n
     out = {}
-    for x in range(1 << n):
-        terms = [(r, v) for r in range(1 << n)
-                 if not (v := m.mat[r ^ x][r]).is_zero()]
+    for x in range(dim):
+        # i^t M[r ^ x][r] for t = 0..3, for each nonzero M[r ^ x][r]
+        terms = [(r, [_rotate(v, t) for t in range(4)])
+                 for r in range(dim) if any(v := rows[r ^ x][r])]
         if not terms:
             continue
         for label in range(x << n, (x + 1) << n):
-            ph = dense[label].mat
-            acc = cyclotomic_dot((ph[r][r ^ x], v) for r, v in terms)
-            if not acc.is_zero():
-                out[label] = Cyclotomic16Scalar(acc.c, acc.k + n)
+            t = units[label]
+            acc = [sum(c) for c in zip(*[turns[t[r]] for r, turns in terms])]
+            if any(acc):
+                out[label] = Cyclotomic16Scalar(acc, k + n)
     return out
 
 
@@ -254,7 +287,8 @@ def pauli_expand(u: DenseUnitary) -> dict:
 
     m_P = Tr(P M) / 2^n, exact in the cyclotomic ring.
     """
-    return _pauli_traces(u, _dense_paulis(u.n))
+    rows, k = _raw(u)
+    return _pauli_traces(u.n, rows, k)
 
 
 def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
@@ -265,23 +299,36 @@ def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     """
     _guard(u.n)
     n = u.n
-    ud = u.dagger()
-    dense = _dense_paulis(n)
+    dim = 1 << n
+    rows, k = _raw(u)
+    # U'[c][j] = conj(U[j][c]), so row j of conj(U) is column j of U'
+    conj_rows = _conjugate_raw(rows)
     cols = []
-    for q, pq in enumerate(dense):
-        # Q is a phased permutation: (U Q)[i][c] = U[i][c ^ x] Q[c ^ x][c]
+    for q, t in enumerate(_pauli_units(n)):
+        # Q is a phased permutation: (U Q)[i][c] = U[i][c ^ x] i^t[c ^ x]
         x = q >> n
-        uq = DenseUnitary(n, [[row[c ^ x] * pq.mat[c ^ x][c]
-                               for c in range(1 << n)] for row in u.mat])
+        m = []
+        for row in rows:
+            uq = [(_rotate(a, t[c ^ x]), c) for c in range(dim)
+                  if any(a := row[c ^ x])]
+            m_row = []
+            for conj_row in conj_rows:
+                acc = [0] * 8
+                for a, c in uq:
+                    b = conj_row[c]
+                    if b is not None:
+                        _convolve_into(acc, a, b, 0)
+                m_row.append(acc)
+            m.append(m_row)
         col = {}
-        for p, trace in _pauli_traces(uq.multiply(ud), dense).items():
+        for p, trace in _pauli_traces(n, m, 2 * k).items():
             try:
                 col[p] = trace.to_dyadic()
             except ValueError:
                 raise NonRealEntryError(
                     f"entry ({p}, {q}) is not real dyadic: {trace!r}") from None
         cols.append(col)
-    return ChannelRep(u.n, cols)
+    return ChannelRep(n, cols)
 
 
 def equal_up_to_phase(u: DenseUnitary, v: DenseUnitary) -> bool:

@@ -13,6 +13,7 @@ from tcanon.exactnum import (
     CYC_ONE,
     CYC_ZERO,
     Cyclotomic16Scalar,
+    cyclotomic_dot,
 )
 from tcanon import oracle
 from tcanon.oracle import (
@@ -28,8 +29,9 @@ from tcanon.oracle import (
     equal_up_to_phase,
     pauli_expand,
 )
-from tcanon.census import random_gate_word
-from tcanon.channel import channel_of_clifford, channel_of_exponential
+from tcanon.census import _generator_words, random_gate_word, random_pauli_set
+from tcanon.channel import (ChannelRep, channel_of_clifford,
+                            channel_of_exponential)
 from tcanon.clifford import from_gate_word
 from tcanon.pauli import PauliOperator, parse_pauli
 
@@ -45,15 +47,19 @@ def test_identity_and_pauli_matrices():
     assert z.mat == [[CYC_ONE, CYC_ZERO], [CYC_ZERO, C.from_int(-1)]]
     y = dense_of_pauli(parse_pauli("Y"))
     assert y.mat == [[CYC_ZERO, -C.zeta_power(4)], [C.zeta_power(4), CYC_ZERO]]
-    assert dense_of_pauli(parse_pauli("-X")) == x.scale(C.from_int(-1))
-    assert dense_of_pauli(parse_pauli("+iX")) == x.scale(C.zeta_power(4))
+    minus_one, i = C.from_int(-1), C.zeta_power(4)
+    assert dense_of_pauli(parse_pauli("-X")).mat == [[CYC_ZERO, minus_one],
+                                                     [minus_one, CYC_ZERO]]
+    assert dense_of_pauli(parse_pauli("+iX")).mat == [[CYC_ZERO, i],
+                                                      [i, CYC_ZERO]]
 
 
 def test_pauli_matrices_are_unitary_and_multiplicative():
     for a, b in itertools.product(range(1, 16), repeat=2):
         pa = PauliOperator.from_label(2, a)
         pb = PauliOperator.from_label(2, b)
-        assert dense_of_pauli(pa).is_unitary()
+        u = dense_of_pauli(pa)
+        assert u.multiply(u.dagger()) == DenseUnitary.identity(2)
         assert (dense_of_pauli(pa).multiply(dense_of_pauli(pb))
                 == dense_of_pauli(pa * pb))
 
@@ -84,9 +90,10 @@ def test_t_layer_tensor_structure():
 def test_exponentials_are_unitary():
     for label in range(1, 16):
         p = PauliOperator.from_label(2, label)
-        assert dense_of_exponential(p, sign=1).is_unitary()
-        assert dense_of_exponential(p, sign=-1).is_unitary()
-        assert dense_of_quarter_exponential(p, sign=1).is_unitary()
+        for u in (dense_of_exponential(p, sign=1),
+                  dense_of_exponential(p, sign=-1),
+                  dense_of_quarter_exponential(p, sign=1)):
+            assert u.multiply(u.dagger()) == DenseUnitary.identity(2)
 
 
 def test_exponential_inverse_pairs():
@@ -110,7 +117,7 @@ def test_negative_exponent_splits_into_quarter_times_positive():
 def test_gate_words_multiply_left_to_right():
     hs = dense_of_gate_word("H 0; S 0", 1)
     assert hs == dense_of_gate_word("H 0", 1).multiply(dense_of_gate_word("S 0", 1))
-    assert hs.is_unitary()
+    assert hs.multiply(hs.dagger()) == DenseUnitary.identity(1)
     assert dense_of_gate_word("", 2) == DenseUnitary.identity(2)
 
 
@@ -211,9 +218,9 @@ def test_pauli_expand_reconstructs_the_matrix():
     u = dense_of_exponential(parse_pauli("XZ"), sign=-1)
     acc = DenseUnitary(2, [[CYC_ZERO] * 4 for _ in range(4)])
     for label, coeff in pauli_expand(u).items():
-        term = dense_of_pauli(PauliOperator.from_label(2, label)).scale(coeff)
-        acc = DenseUnitary(2, [[a + b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(acc.mat, term.mat)])
+        term = dense_of_pauli(PauliOperator.from_label(2, label)).mat
+        acc = DenseUnitary(2, [[a + coeff * b for a, b in zip(ra, rb)]
+                              for ra, rb in zip(acc.mat, term)])
     assert acc == u
 
 
@@ -226,7 +233,9 @@ def test_pauli_expand_of_paulis_is_a_point_mass():
 def test_equal_up_to_phase():
     h = dense_of_gate_word("H 0", 1)
     for k in range(16):
-        assert equal_up_to_phase(h, h.scale(C.zeta_power(k)))
+        phase = C.zeta_power(k)
+        scaled = DenseUnitary(1, [[phase * v for v in row] for row in h.mat])
+        assert equal_up_to_phase(h, scaled)
     assert not equal_up_to_phase(dense_of_pauli(parse_pauli("X")),
                                  dense_of_pauli(Z1))
     assert not equal_up_to_phase(h, dense_of_gate_word("S 0", 1))
@@ -235,3 +244,88 @@ def test_equal_up_to_phase():
 def test_dagger_inverts_unitaries():
     u = dense_of_gate_word("H 0; CX 0 1; S 1", 2)
     assert u.multiply(u.dagger()) == DenseUnitary.identity(2)
+
+
+# Reference construction on scalar objects: every trace is one
+# cyclotomic_dot over dense_of_pauli entries, and every column one
+# DenseUnitary product.  The oracle's integer-row loops must agree with it.
+
+def _reference_traces(m, dense):
+    n = m.n
+    out = {}
+    for x in range(1 << n):
+        terms = [(r, v) for r in range(1 << n)
+                 if not (v := m.mat[r ^ x][r]).is_zero()]
+        if not terms:
+            continue
+        for label in range(x << n, (x + 1) << n):
+            ph = dense[label].mat
+            acc = cyclotomic_dot((ph[r][r ^ x], v) for r, v in terms)
+            if not acc.is_zero():
+                out[label] = C(acc.c, acc.k + n)
+    return out
+
+
+def _reference_dense_paulis(n):
+    return [dense_of_pauli(PauliOperator.from_label(n, label))
+            for label in range(1 << (2 * n))]
+
+
+def _reference_expand(u):
+    return _reference_traces(u, _reference_dense_paulis(u.n))
+
+
+def _reference_channel(u):
+    n = u.n
+    ud = u.dagger()
+    dense = _reference_dense_paulis(n)
+    cols = []
+    for q, pq in enumerate(dense):
+        x = q >> n
+        uq = DenseUnitary(n, [[row[c ^ x] * pq.mat[c ^ x][c]
+                               for c in range(1 << n)] for row in u.mat])
+        cols.append({p: trace.to_dyadic() for p, trace
+                     in _reference_traces(uq.multiply(ud), dense).items()})
+    return ChannelRep(n, cols)
+
+
+def _random_form(n, rng):
+    s = random_pauli_set(n, rng.randint(1, n), rng)
+    dense = dense_of_gate_word(random_gate_word(n, rng), n)
+    for p in reversed(s.elements):
+        dense = dense_of_exponential(p, 1).multiply(dense)
+    return dense
+
+
+def _assert_matches_reference(u):
+    assert pauli_expand(u) == _reference_expand(u)
+    assert channel_bruteforce(u) == _reference_channel(u)
+
+
+def test_integer_rows_match_the_scalar_construction_on_generators():
+    for n in (1, 2):
+        for word in _generator_words(n):
+            _assert_matches_reference(dense_of_gate_word(word, n))
+        for label in range(1, 1 << (2 * n)):
+            p = PauliOperator.from_label(n, label)
+            for sign in (1, -1):
+                _assert_matches_reference(dense_of_exponential(p, sign))
+
+
+def test_integer_rows_match_the_scalar_construction_on_forms():
+    rng = random.Random(3301)
+    for n, count in ((2, 40), (3, 6)):
+        for _ in range(count):
+            _assert_matches_reference(_random_form(n, rng))
+
+
+def test_cached_unit_indices_rebuild_every_pauli_matrix():
+    for n in (1, 2, 3):
+        dim = 1 << n
+        for label, units in enumerate(oracle._pauli_units(n)):
+            x = label >> n
+            mat = [[CYC_ZERO] * dim for _ in range(dim)]
+            for r, t in enumerate(units):
+                mat[r][r ^ x] = C.zeta_power(4 * t)
+            p = PauliOperator.from_label(n, label)
+            assert dense_of_pauli(p).mat == mat
