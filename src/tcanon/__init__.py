@@ -18,11 +18,11 @@ from .channel import (ChannelRep, SpectrumMismatchError, channel_of_canonical,
                       channel_of_clifford, channel_of_exponential,
                       infer_t_count)
 from .clifford import (CliffordTableau, from_gate_word, group_order,
-                       random_clifford, synthesize_mapping)
+                       random_clifford)
 from .exactnum import Cyclotomic16Scalar, DyadicSqrt2Scalar
 from .oracle import (DenseUnitary, channel_bruteforce, dense_of_exponential,
                      dense_of_gate_word, dense_of_pauli, dense_of_t_layer,
-                     equal_up_to_phase, pauli_expand)
+                     pauli_expand)
 from .pauli import (PauliOperator, PauliSet, commutant, parse_pauli,
                     validate_set)
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .channel import ChannelRep, _rotate_columns, channel_of_clifford
-from .clifford import CliffordTableau
-from .pauli import LabelNames, PauliOperator, PauliSet, validate_set
+from .clifford import (GATE_ARITY, CliffordTableau, from_gate_word,
+                       parse_index)
+from .pauli import (LabelNames, PauliOperator, PauliSet, parse_pauli,
+                    validate_set)
 
 
 class WidthMismatchError(ValueError):
@@ -257,8 +259,6 @@ def _split_top(text: str):
 
 def parse_form(text: str) -> CanonicalForm:
     """Inverse of CanonicalForm.render; raises ParseError with an offset."""
-    from .pauli import parse_pauli
-
     set_text, set_off, cl_text, cl_off = _split_top(text)
     body = set_text.strip()
     if body == "-" or body == "":
@@ -315,10 +315,9 @@ def parse_circuit(text: str, n: int | None = None) -> TLayerCircuit:
     The word starts and ends with a CLIFFORD line; an empty gate word is
     the identity.
     """
-    from .clifford import from_gate_word
-
     entries = []  # (kind, payload, offset)
     declared = n
+    seen_qubits = False
     offset = 0
     for raw in text.splitlines(keepends=True):
         line = raw.split("#", 1)[0]
@@ -330,8 +329,11 @@ def parse_circuit(text: str, n: int | None = None) -> TLayerCircuit:
         if stripped.upper().startswith("QUBITS:"):
             if entries:
                 raise ParseError("QUBITS must come first", at)
+            if seen_qubits:
+                raise ParseError("repeated QUBITS line", at)
+            seen_qubits = True
             try:
-                declared = int(stripped.split(":", 1)[1])
+                declared = parse_index(stripped.split(":", 1)[1].strip())
             except ValueError:
                 raise ParseError("bad QUBITS value", at) from None
             if declared < 1:
@@ -381,14 +383,12 @@ def _parse_tlayer(payload: str, n: int) -> TLayer:
         key = key.lower()
         if key not in ("t", "tdg"):
             raise ValueError(f"bad T layer key {key!r}")
-        qubits = [int(v) for v in val.split(",") if v.strip() != ""]
+        qubits = [parse_index(v) for v in val.split(",") if v.strip() != ""]
         (t if key == "t" else tdg).extend(qubits)
     return TLayer(n, t=t, tdg=tdg)
 
 
 def _infer_width(entries) -> int:
-    from .clifford import GATE_ARITY
-
     top = -1
     for kind, payload, at in entries:
         fields = []
@@ -401,10 +401,12 @@ def _infer_width(entries) -> int:
             for item in payload.split():
                 fields += item.partition("=")[2].split(",")
         for field in fields:
-            try:
-                q = int(field)
-            except ValueError:
+            if not field:
                 continue
+            try:
+                q = parse_index(field)
+            except ValueError as e:
+                raise ParseError(str(e), at) from None
             if q < 0:
                 raise ParseError(f"qubit {q} out of range; indices start at 0",
                                  at)

@@ -62,9 +62,6 @@ class ChannelRep:
     def dim(self) -> int:
         return 1 << (2 * self.n)
 
-    def entry(self, p_label: int, q_label: int) -> DyadicSqrt2Scalar:
-        return self.cols[q_label].get(p_label, DYADIC_ZERO)
-
     def transpose(self) -> "ChannelRep":
         cols: list = [{} for _ in range(self.dim)]
         for q, col in enumerate(self.cols):
@@ -123,18 +120,6 @@ class ChannelRep:
         if zeros:
             spec[DYADIC_ZERO] = zeros
         return spec
-
-    def to_tsv(self) -> str:
-        """Exact text dump with Pauli-string row and column headers."""
-        n = self.n
-        dim = self.dim
-        labels = [PauliOperator.from_label(n, l).to_string().lstrip("+")
-                  for l in range(dim)]
-        lines = ["\t".join([""] + labels)]
-        for i in range(dim):
-            cells = [self.entry(i, j).render() for j in range(dim)]
-            lines.append("\t".join([labels[i]] + cells))
-        return "\n".join(lines) + "\n"
 
     def __repr__(self):
         return f"<ChannelRep n={self.n}>"

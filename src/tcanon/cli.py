@@ -85,34 +85,29 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_count(args) -> int:
+def _count_text(args) -> str:
+    """The whole output of count, built before any of it is written."""
     n = args.qubits
     if args.tcount is not None:
         m = args.tcount
         row = {"n": n, "m": m, "tuples": count_tuples(n, m),
                "sets": count_sets(n, m), "clifford_order": group_order(n),
                "unitaries": count_sets(n, m) * group_order(n)}
-        if args.json:
-            print(json.dumps(row, indent=2))
-        else:
-            for k, v in row.items():
-                print(f"{k}\t{v}")
-        return 0
-    g, total = count_tdepth_one(n)
-    rows = {"n": n, "clifford_order": group_order(n),
-            "sets_per_tcount": {str(m): count_sets(n, m)
-                                for m in range(1, n + 1)},
-            "total_classes": g, "total_unitaries": total}
-    if args.json:
-        print(json.dumps(rows, indent=2))
     else:
-        print(f"n\t{n}")
-        print(f"clifford_order\t{group_order(n)}")
-        for m in range(1, n + 1):
-            print(f"tcount_{m}\t{count_sets(n, m)}")
-        print(f"total_classes\t{g}")
-        print(f"total_unitaries\t{total}")
-    return 0
+        g, total = count_tdepth_one(n)
+        row = {"n": n, "clifford_order": group_order(n),
+               "sets_per_tcount": {str(m): count_sets(n, m)
+                                   for m in range(1, n + 1)},
+               "total_classes": g, "total_unitaries": total}
+    if args.json:
+        return json.dumps(row, indent=2) + "\n"
+    lines = []
+    for k, v in row.items():
+        if k == "sets_per_tcount":
+            lines += [f"tcount_{m}\t{c}\n" for m, c in v.items()]
+        else:
+            lines.append(f"{k}\t{v}\n")
+    return "".join(lines)
 
 
 def _cmd_enumerate(args) -> int:
@@ -202,7 +197,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "count":
-            return _cmd_count(args)
+            _write(_count_text(args), None)
+            return 0
         if args.command == "table":
             _write(emit_table(args.max_qubits), args.out)
             return 0
@@ -216,6 +212,13 @@ def main(argv=None) -> int:
             return _cmd_canonicalize(args)
         raise AssertionError(f"unhandled command {args.command}")
     except (OSError, ValueError) as e:
+        if "integer string conversion" in str(e):
+            # count and table pass CPython's digit limit from 65 qubits on
+            flag = "qubits" if args.command == "count" else "max_qubits"
+            e = (f"--{flag.replace('_', '-')} {getattr(args, flag)}: the "
+                 f"counts exceed Python's limit of "
+                 f"{sys.get_int_max_str_digits()} digits for printing an "
+                 f"integer")
         print(f"error: {e}", file=sys.stderr)
         return 2
 

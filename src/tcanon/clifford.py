@@ -13,8 +13,7 @@ import random
 from typing import Iterable, Sequence
 
 from . import gf2
-from .pauli import (PauliOperator, PauliSet, _swap_halves, label_commutes,
-                    parse_pauli)
+from .pauli import PauliOperator, _swap_halves, parse_pauli
 
 
 class GateWordError(ValueError):
@@ -26,10 +25,6 @@ class BadTokenError(GateWordError):
 
 
 class IndexOutOfRangeError(GateWordError):
-    pass
-
-
-class InvalidSetError(ValueError):
     pass
 
 
@@ -122,38 +117,6 @@ class CliffordTableau:
         return tuple(s if p is g or p == g else self.conjugate_pauli(p)
                      for p, g, s in zip(ps, gens, own))
 
-    def inverse(self) -> "CliffordTableau":
-        """Tableau of the inverse unitary.
-
-        The unsigned part is the inverse of the symplectic bit matrix;
-        each sign is then fixed so the round trip lands on +generator.
-        """
-        n = self.n
-        dim = 2 * n
-        rows = [0] * dim
-        for j in range(n):
-            rows[2 * n - 1 - j] = self.xim[j].label
-            rows[n - 1 - j] = self.zim[j].label
-        inv = gf2.invert(rows, dim)
-        assert inv is not None
-        mask = (1 << n) - 1
-
-        def preimage(bit: int) -> PauliOperator:
-            lab = inv[bit]
-            cand = PauliOperator(n, lab >> n, lab & mask, 0)
-            back = self.conjugate_pauli(cand)
-            # back is +-(the generator for this bit); flip cand to make it +
-            return cand if back.phase == 0 else -cand
-
-        xim = tuple(preimage(2 * n - 1 - j) for j in range(n))
-        zim = tuple(preimage(n - 1 - j) for j in range(n))
-        return CliffordTableau(n, xim, zim)
-
-    def is_z_diagonal(self) -> bool:
-        """True when every Z_j maps to +Z_j (diagonal in the Z basis)."""
-        return all(self.zim[j] == PauliOperator.single(self.n, j, "Z")
-                   for j in range(self.n))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordTableau):
             return NotImplemented
@@ -226,6 +189,16 @@ def _gate_tableau(name: str, qubits: tuple, n: int) -> CliffordTableau:
     return CliffordTableau(n, tuple(xim), tuple(zim))
 
 
+def parse_index(text: str) -> int:
+    """A qubit index or width in ASCII decimal digits.  int() alone would
+    also read "+1", "1_0" and non-ASCII digits; a leading '-' is kept so
+    a negative index is reported as out of range."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad qubit index {text!r}")
+    return int(text)
+
+
 def parse_gate_word(text: str, n: int) -> list[tuple[str, tuple]]:
     """Tokenize a gate word: tokens split on ';' or newlines, each a gate
     name followed by qubit indices, e.g. "H 0; CX 0 1".  Empty text is the
@@ -242,7 +215,7 @@ def parse_gate_word(text: str, n: int) -> list[tuple[str, tuple]]:
         if len(parts) - 1 != arity:
             raise BadTokenError(f"gate {name} expects {arity} qubit(s): {raw.strip()!r}")
         try:
-            qubits = tuple(int(p) for p in parts[1:])
+            qubits = tuple(parse_index(p) for p in parts[1:])
         except ValueError:
             raise BadTokenError(f"bad qubit index in {raw.strip()!r}") from None
         for q in qubits:
@@ -260,67 +233,6 @@ def from_gate_word(text: str, n: int) -> CliffordTableau:
     c = CliffordTableau.identity(n)
     for name, qubits in parse_gate_word(text, n):
         c = c.compose(_gate_tableau(name, qubits, n))
-    return c
-
-
-def _label_pauli(n: int, label: int) -> PauliOperator:
-    return PauliOperator(n, label >> n, label & ((1 << n) - 1), 0)
-
-
-def synthesize_mapping(s: PauliSet) -> CliffordTableau:
-    """A Clifford carrying the k-th set element (sorted order) to +Z_k.
-
-    Completes the set to a full symplectic basis with deterministic
-    lowest-label pivots, inverts, and fixes the signs with X gates.
-    """
-    if not isinstance(s, PauliSet):
-        raise InvalidSetError("expected a PauliSet")
-    n = s.n
-    m = len(s)
-    if m > n:
-        raise InvalidSetError("set larger than qubit count")
-    dim = 1 << (2 * n)
-    ps = list(s.labels)
-    qs: list[int] = []
-    for lab in ps:
-        if not 0 < lab < dim:
-            raise InvalidSetError(f"bad label {lab}")
-
-    def first_label(anti_with: int, commute_with: list[int], exclude_span=None) -> int:
-        # lowest label anticommuting with anti_with (0 means no such
-        # constraint) and commuting with everything in commute_with
-        for v in range(1, dim):
-            if anti_with and label_commutes(v, anti_with, n):
-                continue
-            if not all(label_commutes(v, w, n) for w in commute_with):
-                continue
-            if exclude_span is not None and gf2.in_span(exclude_span, v):
-                continue
-            return v
-        raise AssertionError("no symplectic completion found")
-
-    # phase one: a destabilizer partner for each given element
-    for k in range(m):
-        others = [p for i, p in enumerate(ps) if i != k] + qs
-        qs.append(first_label(ps[k], others))
-    # phase two: complete the remaining symplectic pairs
-    while len(ps) < n:
-        chosen = ps + qs
-        p_new = first_label(0, chosen, exclude_span=gf2.row_basis(chosen))
-        ps.append(p_new)
-        qs.append(first_label(p_new, chosen))
-
-    inv_tab = CliffordTableau(
-        n,
-        tuple(_label_pauli(n, qs[k]) for k in range(n)),
-        tuple(_label_pauli(n, ps[k]) for k in range(n)),
-    )
-    c = inv_tab.inverse()
-    for k, p in enumerate(s.elements):
-        img = c.conjugate_pauli(p)
-        assert img.x == 0 and img.z == PauliOperator.single(n, k, "Z").z
-        if img.phase == 2:
-            c = _gate_tableau("X", (k,), n).compose(c)
     return c
 
 

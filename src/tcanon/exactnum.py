@@ -11,13 +11,10 @@ Two rings cover all values that ever appear:
   matrices and the exponentials exp(i*pi*P/8) live here; sqrt2 embeds as
   zeta^2 - zeta^6.
 
-There is no floating point anywhere in the arithmetic.  ``to_float`` and
-``to_complex`` exist for display only and never feed back into results.
+There is no floating point anywhere in the arithmetic.
 """
 
 from __future__ import annotations
-
-import math
 
 
 class DyadicSqrt2Scalar:
@@ -60,10 +57,6 @@ class DyadicSqrt2Scalar:
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return DyadicSqrt2Scalar(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, self.k + other.k)
 
-    def conjugate(self) -> "DyadicSqrt2Scalar":
-        """Complex conjugation; the identity on this real ring."""
-        return self
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -104,9 +97,6 @@ class DyadicSqrt2Scalar:
 
     def __le__(self, other: "DyadicSqrt2Scalar") -> bool:
         return (self - other).sign() <= 0
-
-    def to_float(self) -> float:
-        return (self.a + self.b * math.sqrt(2.0)) / (1 << self.k)
 
     def render(self) -> str:
         """Exact text form, e.g. "1", "-sqrt2", "(1 + sqrt2)/2", "3/2^2"."""
@@ -234,9 +224,6 @@ class Cyclotomic16Scalar:
     def is_zero(self) -> bool:
         return not any(self.c)
 
-    def is_real(self) -> bool:
-        return self == self.conjugate()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cyclotomic16Scalar):
             return NotImplemented
@@ -258,13 +245,6 @@ class Cyclotomic16Scalar:
         if c[6] != -c[2]:
             raise ValueError(f"not in the dyadic sqrt2 ring: {self!r}")
         return DyadicSqrt2Scalar(c[0], c[2], self.k)
-
-    def to_complex(self) -> complex:
-        z = complex(0.0)
-        for j, v in enumerate(self.c):
-            if v:
-                z += v * complex(math.cos(j * math.pi / 8), math.sin(j * math.pi / 8))
-        return z / (1 << self.k)
 
     def __repr__(self):
         return f"Cyclotomic16Scalar({self.c}, {self.k})"
@@ -289,8 +269,3 @@ def cyclotomic_dot(pairs) -> Cyclotomic16Scalar:
             k = kab
         _convolve_into(out, a.c, b.c, k - kab)
     return Cyclotomic16Scalar(out, k)
-
-
-def embed_dyadic_in_cyclotomic(x: DyadicSqrt2Scalar) -> Cyclotomic16Scalar:
-    """Ring embedding sending sqrt2 to zeta^2 - zeta^6."""
-    return Cyclotomic16Scalar((x.a, 0, x.b, 0, 0, 0, -x.b, 0), x.k)

@@ -8,11 +8,6 @@ bits of v (row-vector convention).
 from __future__ import annotations
 
 
-def dot(u: int, v: int) -> int:
-    """Inner product of two bit vectors, in {0, 1}."""
-    return (u & v).bit_count() & 1
-
-
 def pivot_bit(v: int) -> int:
     # highest set bit; v must be nonzero
     return v.bit_length() - 1
@@ -41,12 +36,8 @@ def rank(vectors) -> int:
     return len(row_basis(vectors))
 
 
-def in_span(basis: list[int], v: int) -> bool:
-    return reduce_vector(basis, v) == 0
-
-
 def solve_affine(equations, dim: int):
-    """Solve the system dot(v, u_i) = b_i over GF(2).
+    """Solve the system <v, u_i> = b_i over GF(2), <v, u> = |v & u| mod 2.
 
     equations is an iterable of (u_i, b_i) pairs.  Returns a pair
     (particular, nullspace_basis), or None when inconsistent.  The full
@@ -86,32 +77,7 @@ def solve_affine(equations, dim: int):
 
 
 def nullspace(vectors, dim: int) -> list[int]:
-    """Basis of {v : dot(v, u) = 0 for every u in vectors}."""
+    """Basis of {v : <v, u> = 0 for every u in vectors}."""
     solved = solve_affine(((u, 0) for u in vectors), dim)
     assert solved is not None
     return solved[1]
-
-
-def invert(rows: list[int], dim: int):
-    """Inverse of a square bit matrix in row convention, or None if singular."""
-    work = [(rows[i], 1 << i) for i in range(dim)]
-    pivots: dict[int, tuple[int, int]] = {}
-    for vec, img in work:
-        for p, (pvec, pimg) in pivots.items():
-            if (vec >> p) & 1:
-                vec ^= pvec
-                img ^= pimg
-        if vec == 0:
-            return None
-        p = pivot_bit(vec)
-        for q in list(pivots):
-            qvec, qimg = pivots[q]
-            if (qvec >> p) & 1:
-                pivots[q] = (qvec ^ vec, qimg ^ img)
-        pivots[p] = (vec, img)
-    # after full reduction each pivot row is a unit vector
-    out = [0] * dim
-    for p, (vec, img) in pivots.items():
-        assert vec == 1 << p
-        out[p] = img
-    return out

@@ -329,30 +329,3 @@ def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
                     f"entry ({p}, {q}) is not real dyadic: {trace!r}") from None
         cols.append(col)
     return ChannelRep(n, cols)
-
-
-def equal_up_to_phase(u: DenseUnitary, v: DenseUnitary) -> bool:
-    """Exact proportionality test; for unitaries the ratio is a phase."""
-    if u.n != v.n:
-        raise ValueError(f"qubit counts differ: {u.n} vs {v.n}")
-    dim = u.dim
-    anchor = None
-    for r in range(dim):
-        for c in range(dim):
-            if not u.mat[r][c].is_zero():
-                anchor = (r, c)
-                break
-        if anchor:
-            break
-    if anchor is None:
-        return all(v.mat[r][c].is_zero() for r in range(dim) for c in range(dim))
-    ar, ac = anchor
-    ua = u.mat[ar][ac]
-    va = v.mat[ar][ac]
-    if va.is_zero():
-        return False
-    for r in range(dim):
-        for c in range(dim):
-            if u.mat[r][c] * va != v.mat[r][c] * ua:
-                return False
-    return True

@@ -44,12 +44,6 @@ class PauliOperator:
         self.phase = phase & 3
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        return cls(n, 0, 0, 0)
-
-    @classmethod
     def from_label(cls, n: int, label: int) -> "PauliOperator":
         if not 0 <= label < 1 << (2 * n):
             raise ValueError(f"label {label} out of range for n={n}")
@@ -68,9 +62,6 @@ class PauliOperator:
     def label(self) -> int:
         """Unsigned label (x << n) | z; ignores the phase."""
         return (self.x << self.n) | self.z
-
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase == 0
 
     def is_hermitian(self) -> bool:
         return not self.phase & 1

@@ -2,14 +2,29 @@
 
 The acceptance tests register one line per criterion here so the run ends
 with a compact pass/fail scoreboard regardless of how pytest interleaved
-the output.
+the output.  inverse_word builds a Clifford's inverse from its gate word,
+so inverse facts are checked without any tableau inversion.
 """
+
+from tcanon.clifford import parse_gate_word
 
 ACCEPTANCE_RESULTS: list[tuple[str, str, bool]] = []
 
 
 def record_criterion(cid: str, description: str, passed: bool) -> None:
     ACCEPTANCE_RESULTS.append((cid, description, passed))
+
+
+def inverse_word(word: str, n: int) -> str:
+    """The gate word of the inverse: the gates in reverse order, each
+    inverted.  H, X, Z, CX, CZ and SWAP are their own inverses, and the
+    inverse of S is Z S."""
+    inverted = []
+    for name, qubits in reversed(parse_gate_word(word, n)):
+        args = " ".join(map(str, qubits))
+        inverted.append(f"Z {args}; S {args}" if name == "S"
+                        else f"{name} {args}")
+    return "; ".join(inverted)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -86,6 +86,38 @@ def test_count_single_tcount_json(capsys):
                    "unitaries": 945 * 92897280}
 
 
+# sha256 of the widest outputs whose counts CPython still prints
+WIDEST_PRINTABLE = [
+    (["count", "--qubits", "64"],
+     "44e46679cbbd44c079d640abc113d6b7b1beb332d11fa6166fc6c6d5ebcbd325"),
+    (["table", "--max-qubits", "64"],
+     "5ddd5c1c5a5115ce3093c0f17a3f2dce535caa2ade2d94d72d5f2ac12b425acc"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", WIDEST_PRINTABLE,
+                         ids=["count", "table"])
+def test_widest_printable_counts_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "--qubits", "65"], "--qubits 65"),
+    (["count", "--qubits", "80", "--tcount", "80"], "--qubits 80"),
+    (["count", "--qubits", "65", "--json"], "--qubits 65"),
+    (["table", "--max-qubits", "65"], "--max-qubits 65"),
+], ids=["count", "count-tcount", "count-json", "table"])
+def test_counts_too_long_to_print_fail_before_any_output(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ")
+    assert "digits" in err
+
+
 def test_enumerate_streams_one_line_per_set(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--qubits", "1",
                            "--tcount", "1")
@@ -279,7 +311,8 @@ def test_canonicalize_rejects_a_repeated_qubit_in_a_layer(capsys, monkeypatch,
     assert f"(at offset {text.index('TLAYER')})" in err
 
 
-@pytest.mark.parametrize("width", ["0", "-2"])
+# "+1", "1_0" and Arabic-Indic one are widths int() would misread
+@pytest.mark.parametrize("width", ["0", "-2", "+1", "1_0", "\u0661"])
 def test_canonicalize_rejects_a_width_below_one(capsys, monkeypatch, width):
     text = f"# header\nQUBITS: {width}\nCLIFFORD:\nTLAYER: t=0\nCLIFFORD:\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -290,21 +323,36 @@ def test_canonicalize_rejects_a_width_below_one(capsys, monkeypatch, width):
     assert f"(at offset {text.index('QUBITS')})" in err
 
 
-@pytest.mark.parametrize("text, bad, line", [
-    ("CLIFFORD: H -1\n", -1, "CLIFFORD: H -1"),
-    ("# no width\nCLIFFORD: H 0\nTLAYER: t=0\nCLIFFORD: CX 1 -1\n", -1,
-     "CLIFFORD: CX 1 -1"),
-    ("CLIFFORD: H 2\nTLAYER: t=0 tdg=-2\nCLIFFORD:\n", -2,
-     "TLAYER: t=0 tdg=-2"),
-    ("CLIFFORD:\nTLAYER: t=-3\nCLIFFORD:\n", -3, "TLAYER: t=-3"),
-], ids=["only-index", "gate-line", "layer-line", "only-layer-index"])
+@pytest.mark.parametrize("text, message, line", [
+    ("CLIFFORD: H -1\n", "qubit -1 out of range", "CLIFFORD: H -1"),
+    ("# no width\nCLIFFORD: H 0\nTLAYER: t=0\nCLIFFORD: CX 1 -1\n",
+     "qubit -1 out of range", "CLIFFORD: CX 1 -1"),
+    ("CLIFFORD: H 2\nTLAYER: t=0 tdg=-2\nCLIFFORD:\n",
+     "qubit -2 out of range", "TLAYER: t=0 tdg=-2"),
+    ("CLIFFORD:\nTLAYER: t=-3\nCLIFFORD:\n", "qubit -3 out of range",
+     "TLAYER: t=-3"),
+    ("CLIFFORD:\nTLAYER: t=1_0\nCLIFFORD:\n", "bad qubit index '1_0'",
+     "TLAYER"),
+    ("CLIFFORD: H +1\n", "bad qubit index '+1'", "CLIFFORD"),
+    ("CLIFFORD: H 0\nTLAYER: t=\u0661\nCLIFFORD:\n",
+     "bad qubit index '\u0661'", "TLAYER"),
+    ("QUBITS: 2\nCLIFFORD: CX 0 +1\n", "bad qubit index", "CLIFFORD"),
+    ("QUBITS: 2\nCLIFFORD:\nTLAYER: tdg=1_0\nCLIFFORD:\n",
+     "bad qubit index '1_0'", "TLAYER"),
+    ("QUBITS: 2\nQUBITS: 1\nCLIFFORD:\nTLAYER: t=0\nCLIFFORD:\n",
+     "repeated QUBITS line", "QUBITS: 1"),
+], ids=["only-index", "gate-line", "layer-line", "only-layer-index",
+        "layer-underscore", "gate-plus", "layer-non-ascii",
+        "declared-gate-plus", "declared-layer-underscore", "repeated-qubits"])
 def test_canonicalize_names_a_negative_index_when_inferring_width(
-        capsys, monkeypatch, text, bad, line):
+        capsys, monkeypatch, text, message, line):
+    # and, inferred or declared, an index int() would misread ("1_0" as
+    # 10, "+1" as 1), or a second QUBITS line that would override the first
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, "canonicalize")
     assert code == 2
     assert out == ""
-    assert f"qubit {bad} out of range" in err
+    assert message in err
     assert f"(at offset {text.index(line)})" in err
 
 

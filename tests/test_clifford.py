@@ -1,25 +1,24 @@
-"""Tableau Cliffords: gate words, conjugation, synthesis, random sampling."""
+"""Tableau Cliffords: gate words, conjugation, random sampling."""
 
 import itertools
 import random
 
 import pytest
+from conftest import inverse_word
 
 from tcanon.clifford import (
     BadTokenError,
     CliffordTableau,
     IndexOutOfRangeError,
-    InvalidSetError,
     _gate_tableau,
     from_gate_word,
     group_order,
     parse_gate_word,
     random_clifford,
-    synthesize_mapping,
 )
-from tcanon.census import random_gate_word, random_pauli_set
+from tcanon.census import random_gate_word
 from tcanon.oracle import dense_of_gate_word, dense_of_pauli
-from tcanon.pauli import PauliOperator, parse_pauli, validate_set
+from tcanon.pauli import PauliOperator, parse_pauli
 
 
 def test_group_order_small_values():
@@ -99,10 +98,14 @@ def test_parse_gate_word_rejects(word, err):
 
 def test_compose_inverse_round_trip():
     rng = random.Random(404)
+    assert from_gate_word(inverse_word("S 0", 1), 1) == from_gate_word(
+        "S 0; S 0; S 0", 1)
     for _ in range(25):
-        c = from_gate_word(random_gate_word(3, rng), 3)
-        assert c.compose(c.inverse()) == CliffordTableau.identity(3)
-        assert c.inverse().compose(c) == CliffordTableau.identity(3)
+        word = random_gate_word(3, rng)
+        c = from_gate_word(word, 3)
+        inv = from_gate_word(inverse_word(word, 3), 3)
+        assert c.compose(inv) == CliffordTableau.identity(3)
+        assert inv.compose(c) == CliffordTableau.identity(3)
 
 
 def test_conjugation_is_an_automorphism():
@@ -258,28 +261,6 @@ def test_from_images_validates_symplectic_relations():
         CliffordTableau.from_images([parse_pauli("+iX")], [parse_pauli("Z")])
 
 
-def test_synthesize_mapping_sends_elements_to_plus_z():
-    rng = random.Random(77)
-    for n in (1, 2, 3):
-        for _ in range(20):
-            m = rng.randint(1, n)
-            s = random_pauli_set(n, m, rng)
-            c = synthesize_mapping(s)
-            for k, p in enumerate(s.elements):
-                assert c.conjugate_pauli(p) == PauliOperator.single(n, k, "Z")
-
-
-def test_synthesize_mapping_zz_case():
-    s = validate_set([parse_pauli("ZZ")])
-    c = synthesize_mapping(s)
-    assert c.conjugate_pauli(parse_pauli("ZZ")) == parse_pauli("ZI")
-
-
-def test_synthesize_mapping_rejects_non_sets():
-    with pytest.raises(InvalidSetError):
-        synthesize_mapping([parse_pauli("Z")])
-
-
 def test_random_clifford_is_valid_and_deterministic():
     for n in (1, 2, 3):
         c = random_clifford(n, seed=99)
@@ -305,8 +286,13 @@ def test_random_clifford_uniform_on_one_qubit():
 
 
 def test_is_z_diagonal():
-    assert CliffordTableau.identity(2).is_z_diagonal()
-    assert from_gate_word("S 0; S 1", 2).is_z_diagonal()
-    assert from_gate_word("CZ 0 1", 2).is_z_diagonal()
-    assert not from_gate_word("H 0", 2).is_z_diagonal()
-    assert not from_gate_word("X 0", 1).is_z_diagonal()
+    # a Clifford diagonal in the Z basis maps every Z_j to +Z_j
+    def z_diagonal(word, n):
+        return (from_gate_word(word, n).zim
+                == CliffordTableau.identity(n).zim)
+
+    assert z_diagonal("", 2)
+    assert z_diagonal("S 0; S 1", 2)
+    assert z_diagonal("CZ 0 1", 2)
+    assert not z_diagonal("H 0", 2)
+    assert not z_diagonal("X 0", 1)

@@ -26,7 +26,6 @@ from tcanon.oracle import (
     dense_of_pauli,
     dense_of_quarter_exponential,
     dense_of_t_layer,
-    equal_up_to_phase,
     pauli_expand,
 )
 from tcanon.census import _generator_words, random_gate_word, random_pauli_set
@@ -65,12 +64,18 @@ def test_pauli_matrices_are_unitary_and_multiplicative():
 
 
 def test_t_gate_is_the_minus_exponential_up_to_phase():
+    # channels are faithful up to global phase, so equal channels mean
+    # equal unitaries up to phase
     t = dense_of_t_layer(TLayer(1, t=[0]))
     assert t.mat[0][0] == CYC_ONE and t.mat[1][1] == C.zeta_power(2)
-    assert equal_up_to_phase(t, dense_of_exponential(Z1, sign=-1))
-    assert not equal_up_to_phase(t, dense_of_exponential(Z1, sign=+1))
-    tdg = dense_of_t_layer(TLayer(1, tdg=[0]))
-    assert equal_up_to_phase(tdg, dense_of_exponential(Z1, sign=+1))
+    minus = channel_bruteforce(dense_of_exponential(Z1, sign=-1))
+    plus = channel_bruteforce(dense_of_exponential(Z1, sign=+1))
+    assert minus != plus
+    assert channel_bruteforce(t) == minus
+    assert minus == channel_of_exponential(Z1, inverse=True)
+    tdg = channel_bruteforce(dense_of_t_layer(TLayer(1, tdg=[0])))
+    assert tdg == plus
+    assert plus == channel_of_exponential(Z1)
 
 
 def test_t_squared_is_s_exactly():
@@ -231,14 +236,16 @@ def test_pauli_expand_of_paulis_is_a_point_mass():
 
 
 def test_equal_up_to_phase():
+    # the channel forgets a global phase and nothing else
     h = dense_of_gate_word("H 0", 1)
     for k in range(16):
         phase = C.zeta_power(k)
         scaled = DenseUnitary(1, [[phase * v for v in row] for row in h.mat])
-        assert equal_up_to_phase(h, scaled)
-    assert not equal_up_to_phase(dense_of_pauli(parse_pauli("X")),
-                                 dense_of_pauli(Z1))
-    assert not equal_up_to_phase(h, dense_of_gate_word("S 0", 1))
+        assert channel_bruteforce(scaled) == channel_bruteforce(h)
+    assert (channel_bruteforce(dense_of_pauli(parse_pauli("X")))
+            != channel_bruteforce(dense_of_pauli(Z1)))
+    assert channel_bruteforce(h) != channel_bruteforce(
+        dense_of_gate_word("S 0", 1))
 
 
 def test_dagger_inverts_unitaries():
