@@ -301,7 +301,7 @@ def parse_form(text: str) -> CanonicalForm:
         raise ParseError(str(e), set_off) from None
 
 
-def parse_circuit(text: str, n: int | None = None) -> TLayerCircuit:
+def parse_circuit(text: str) -> TLayerCircuit:
     """Parse the line-oriented circuit format.
 
     Lines (after stripping '#' comments) alternate strictly:
@@ -316,7 +316,7 @@ def parse_circuit(text: str, n: int | None = None) -> TLayerCircuit:
     the identity.
     """
     entries = []  # (kind, payload, offset)
-    declared = n
+    declared = None
     seen_qubits = False
     offset = 0
     for raw in text.splitlines(keepends=True):

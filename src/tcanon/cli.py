@@ -18,8 +18,19 @@ from .census import (DEFAULT_SEED, VerificationReport,
                      emit_table, enumerate_sets, growth_check,
                      verify_distinctness, verify_hamming_weight,
                      verify_oracle, verify_spectrum, verify_unit_rows)
-from .clifford import group_order
+from .clifford import group_order, parse_index
 from .pauli import LabelNames, PauliSet
+
+
+def _int_arg(value: str) -> int:
+    """An integer flag in ASCII decimal digits, read as parse_index reads
+    a qubit index: "1_0", "+1" and non-ASCII digits are refused, and a
+    negative value is left to the command's own range check."""
+    try:
+        return parse_index(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need an ASCII decimal integer, got {value!r}") from None
 
 
 def _seed_arg(value: str) -> int:
@@ -27,7 +38,7 @@ def _seed_arg(value: str) -> int:
     if value == "random":
         return random.SystemRandom().randrange(1 << 31)
     try:
-        return int(value)
+        return parse_index(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"seed must be an integer or 'random', got {value!r}") from None
@@ -41,33 +52,33 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="counting formulas for one (n, m) or all m")
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--tcount", type=int, default=None)
+    p.add_argument("--qubits", type=_int_arg, required=True)
+    p.add_argument("--tcount", type=_int_arg, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("table", help="per-size census table (TSV)")
-    p.add_argument("--max-qubits", type=int, required=True)
+    p.add_argument("--max-qubits", type=_int_arg, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("enumerate", help="stream every set, one per line")
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--tcount", type=int, required=True)
+    p.add_argument("--qubits", type=_int_arg, required=True)
+    p.add_argument("--tcount", type=_int_arg, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("verify", help="machine-check one of the lemmas")
     p.add_argument("check", choices=["distinctness", "unit-rows",
                                      "hamming-weight", "spectrum", "oracle"])
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--qubits", type=_int_arg, required=True)
+    p.add_argument("--trials", type=_int_arg, default=None)
     p.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--kmax", type=int, default=3,
+    p.add_argument("--kmax", type=_int_arg, default=3,
                    help="largest family size for hamming-weight")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("growth", help="witness the 2^(n^2) lower bound")
-    p.add_argument("--max-qubits", type=int, default=16)
+    p.add_argument("--max-qubits", type=_int_arg, default=16)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("canonicalize", help="normalize a layered circuit file")

@@ -6,12 +6,13 @@ tableau or channel machinery beyond the gate-word tokenizer.  That makes
 it slow and size-limited but trustworthy: agreement between a structured
 channel and channel_bruteforce checks the fast path end to end.
 pauli_expand and channel_bruteforce run on raw rows, each entry an 8-int
-coefficient list over one 2^k shared by the matrix, and apply Pauli
-entries as rotations by i^t; they build a scalar only per nonzero trace.
+coefficient list over one 2^k shared by the matrix.  Every Pauli trace
+is read off an integer Walsh-Hadamard transform of those entries, times
+a unit i^t; a scalar is built only per nonzero trace.
 
-Matrices above three qubits are refused with SizeRefusalError; at 16
-dimensions and beyond the quadratic-in-entries trace loops stop being
-interactive.
+Matrices above three qubits are refused with SizeRefusalError; a channel
+costs 16^n entry products and 16^n transform outputs, which stops being
+interactive from four qubits on.
 """
 
 from __future__ import annotations
@@ -211,31 +212,9 @@ def dense_of_t_layer(layer: TLayer) -> DenseUnitary:
     return DenseUnitary(n, mat)
 
 
-# unit index t of i^t by coefficient tuple, i = zeta^4
-_UNIT_INDEX = {Cyclotomic16Scalar.zeta_power(4 * t).c: t for t in range(4)}
-_PAULI_UNITS: dict = {}
-
-
-def _pauli_units(n: int) -> list:
-    """units[label][r] = t with P[r][r ^ x] = i^t, read off dense_of_pauli.
-
-    Cached per width; _SIZE_CAP bounds the cache at three entries.
-    """
-    units = _PAULI_UNITS.get(n)
-    if units is None:
-        dim = 1 << n
-        units = []
-        for label in range(1 << (2 * n)):
-            mat = dense_of_pauli(PauliOperator.from_label(n, label)).mat
-            x = label >> n
-            units.append(tuple(_UNIT_INDEX[mat[r][r ^ x].c]
-                               for r in range(dim)))
-        _PAULI_UNITS[n] = units
-    return units
-
-
 def _rotate(c: list, t: int) -> list:
     """i^t * c on 8 coefficients: i = zeta^4 and zeta^8 = -1."""
+    t &= 3
     if t == 0:
         return c
     if t == 2:
@@ -246,86 +225,102 @@ def _rotate(c: list, t: int) -> list:
 
 
 def _raw(u: DenseUnitary) -> tuple:
-    """(rows, k): every entry of u as an 8-int list over one shared 2^k."""
+    """(rows, k): every nonzero entry of u as an 8-int list over one
+    shared 2^k, and None for each zero entry so products can skip it."""
     k = max(v.k for row in u.mat for v in row)
-    return [[[c << (k - v.k) for c in v.c] for v in row]
-            for row in u.mat], k
+    return [[[c << (k - v.k) for c in v.c] if any(v.c) else None
+             for v in row] for row in u.mat], k
 
 
 def _conjugate_raw(rows: list) -> list:
-    """Entrywise complex conjugate of raw rows, zeta^j -> -zeta^(8-j),
-    with None for each zero entry so products can skip it."""
-    return [[[c[0], -c[7], -c[6], -c[5], -c[4], -c[3], -c[2], -c[1]]
-             if any(c) else None for c in row] for row in rows]
+    """Per raw row, (column, conjugate) for each nonzero entry, with the
+    complex conjugate taken as zeta^j -> -zeta^(8-j)."""
+    return [[(j, [c[0], -c[7], -c[6], -c[5], -c[4], -c[3], -c[2], -c[1]])
+             for j, c in enumerate(row) if c is not None] for row in rows]
 
 
-def _pauli_traces(n: int, rows: list, k: int) -> dict:
-    """Nonzero Tr(P M) / 2^n by label, for M given as raw rows over 2^k.
+_ZERO = (0,) * 8
 
-    P = (x, z) is a phased permutation with P[r][r ^ x] = i^t, so
-    Tr(P M) sums i^t M[r ^ x][r]; every z shares those entries of M.
+
+def _popcount(v: int) -> int:
+    return bin(v).count("1")
+
+
+def _walsh_hadamard(entries: list, bits: int) -> list:
+    """out[j] = sum_i (-1)^|i & j| entries[i] over 8-int entries.
+
+    Each coefficient plane that is not all zero runs `bits` integer
+    butterfly stages; a stage pairs the entries that differ in the lowest
+    index bit and writes sums then differences, which rotates the index
+    bits, so after `bits` stages every index is back in place.
     """
-    units = _pauli_units(n)
-    dim = 1 << n
-    out = {}
-    for x in range(dim):
-        # i^t M[r ^ x][r] for t = 0..3, for each nonzero M[r ^ x][r]
-        terms = [(r, [_rotate(v, t) for t in range(4)])
-                 for r in range(dim) if any(v := rows[r ^ x][r])]
-        if not terms:
-            continue
-        for label in range(x << n, (x + 1) << n):
-            t = units[label]
-            acc = [sum(c) for c in zip(*[turns[t[r]] for r, turns in terms])]
-            if any(acc):
-                out[label] = Cyclotomic16Scalar(acc, k + n)
-    return out
+    planes = []
+    for plane in zip(*entries):
+        if any(plane):
+            for _ in range(bits):
+                lo, hi = plane[0::2], plane[1::2]
+                plane = ([a + b for a, b in zip(lo, hi)]
+                         + [a - b for a, b in zip(lo, hi)])
+        planes.append(plane)
+    return list(zip(*planes))
 
 
 def pauli_expand(u: DenseUnitary) -> dict:
     """Nonzero coefficients of M = sum_P m_P P over positive Pauli labels.
 
-    m_P = Tr(P M) / 2^n, exact in the cyclotomic ring.
+    m_P = Tr(P M) / 2^n, exact in the cyclotomic ring.  P = (x, z) has
+    P[r][r ^ x] = i^|x&z| (-1)^(z.(r ^ x)), so Tr(P M) is i^(3|x&z|) times
+    the transform of v[r] = M[r ^ x][r] at z.
     """
+    n = u.n
+    dim = 1 << n
     rows, k = _raw(u)
-    return _pauli_traces(u.n, rows, k)
+    out = {}
+    for x in range(dim):
+        diagonal = [rows[r ^ x][r] or _ZERO for r in range(dim)]
+        for z, v in enumerate(_walsh_hadamard(diagonal, n)):
+            if any(v):
+                out[x << n | z] = Cyclotomic16Scalar(
+                    _rotate(list(v), 3 * _popcount(x & z)), k + n)
+    return out
 
 
 def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     """Channel matrix by raw traces: entry[P, Q] = Tr(P U Q U') / 2^n.
 
-    Raises NonRealEntryError if any trace falls outside the real dyadic
-    sqrt2 ring, which cannot happen for an actual unitary's channel.
+    For X-parts (xp, xq), A[r][c] = U[r ^ xp][c ^ xq] conj(U[r][c]) is one
+    grid; its transform over the 2n bits of r * 2^n + c holds at
+    (zp, zq) the trace for P = (xp, zp), Q = (xq, zq), up to the unit
+    i^(3|xp&zp| + |xq&zq|).  Raises NonRealEntryError if any trace falls
+    outside the real dyadic sqrt2 ring, which cannot happen for an actual
+    unitary's channel.
     """
     _guard(u.n)
     n = u.n
     dim = 1 << n
     rows, k = _raw(u)
-    # U'[c][j] = conj(U[j][c]), so row j of conj(U) is column j of U'
     conj_rows = _conjugate_raw(rows)
-    cols = []
-    for q, t in enumerate(_pauli_units(n)):
-        # Q is a phased permutation: (U Q)[i][c] = U[i][c ^ x] i^t[c ^ x]
-        x = q >> n
-        m = []
-        for row in rows:
-            uq = [(_rotate(a, t[c ^ x]), c) for c in range(dim)
-                  if any(a := row[c ^ x])]
-            m_row = []
-            for conj_row in conj_rows:
-                acc = [0] * 8
-                for a, c in uq:
-                    b = conj_row[c]
-                    if b is not None:
+    cols = [{} for _ in range(dim * dim)]
+    for xp in range(dim):
+        for xq in range(dim):
+            grid = [_ZERO] * (dim * dim)
+            for r, conj_row in enumerate(conj_rows):
+                row = rows[r ^ xp]
+                for c, b in conj_row:
+                    if (a := row[c ^ xq]) is not None:
+                        acc = grid[r << n | c] = [0] * 8
                         _convolve_into(acc, a, b, 0)
-                m_row.append(acc)
-            m.append(m_row)
-        col = {}
-        for p, trace in _pauli_traces(n, m, 2 * k).items():
-            try:
-                col[p] = trace.to_dyadic()
-            except ValueError:
-                raise NonRealEntryError(
-                    f"entry ({p}, {q}) is not real dyadic: {trace!r}") from None
-        cols.append(col)
+            for j, v in enumerate(_walsh_hadamard(grid, 2 * n)):
+                if not any(v):
+                    continue
+                zp, zq = j >> n, j & (dim - 1)
+                p, q = xp << n | zp, xq << n | zq
+                trace = Cyclotomic16Scalar(_rotate(
+                    list(v), 3 * _popcount(xp & zp) + _popcount(xq & zq)),
+                    2 * k + n)
+                try:
+                    cols[q][p] = trace.to_dyadic()
+                except ValueError:
+                    raise NonRealEntryError(
+                        f"entry ({p}, {q}) is not real dyadic: {trace!r}") from None
     return ChannelRep(n, cols)

@@ -230,8 +230,8 @@ class TestCircuitText:
         circ = parse_circuit("CLIFFORD: CX 0 2\nTLAYER: t=1\nCLIFFORD:")
         assert circ.n == 3
 
-    def test_explicit_width_argument_wins_over_inference(self):
-        circ = parse_circuit("CLIFFORD:\nTLAYER: t=0\nCLIFFORD:", n=3)
+    def test_qubits_line_wins_over_inference(self):
+        circ = parse_circuit("QUBITS: 3\nCLIFFORD:\nTLAYER: t=0\nCLIFFORD:")
         assert circ.n == 3
 
     def test_comma_lists_in_layers(self):
@@ -266,12 +266,8 @@ class TestCircuitText:
             parse_circuit(text)
         assert info.value.position == text.index("QUBITS")
 
-    def test_width_argument_below_one_is_a_parse_error(self):
-        with pytest.raises(ParseError):
-            parse_circuit("CLIFFORD:\nTLAYER: t=0\nCLIFFORD:", n=0)
-
     def test_depth_zero_line(self):
-        circ = parse_circuit("CLIFFORD: S 0; S 0", n=1)
+        circ = parse_circuit("QUBITS: 1\nCLIFFORD: S 0; S 0")
         assert circ.depth == 0
         assert circ.cliffords[0] == from_gate_word("S 0; S 0", 1)
 

@@ -230,6 +230,36 @@ def test_verify_rejects_bad_seed():
     assert info.value.code == 2
 
 
+# int() would read "1_0" as 10, "+1" as 1 and Arabic-Indic two as 2
+_FLAG_ARGV = {
+    "--qubits": ("count", "--qubits", "{}"),
+    "--tcount": ("count", "--qubits", "2", "--tcount", "{}"),
+    "--max-qubits": ("table", "--max-qubits", "{}"),
+    "--trials": ("verify", "oracle", "--qubits", "1", "--trials", "{}"),
+    "--kmax": ("verify", "hamming-weight", "--qubits", "2", "--kmax", "{}"),
+    "--seed": ("verify", "oracle", "--qubits", "1", "--seed", "{}"),
+}
+
+
+@pytest.mark.parametrize("value", ["1_0", "+1", "\u0662"])
+@pytest.mark.parametrize("flag", sorted(_FLAG_ARGV))
+def test_integer_flags_refuse_what_int_would_misread(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(value) for arg in _FLAG_ARGV[flag]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err
+    assert repr(value) in captured.err
+
+
+def test_verify_draws_a_seed_for_the_word_random(capsys):
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--qubits", "1",
+                           "--trials", "1", "--seed", "random", "--json")
+    assert code == 0
+    assert isinstance(json.loads(out)["seed"], int)
+
+
 def test_verify_rejects_unknown_check():
     with pytest.raises(SystemExit) as info:
         main(["verify", "nonsense", "--qubits", "1"])

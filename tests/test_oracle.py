@@ -175,8 +175,8 @@ def test_channel_bruteforce_matches_structured_channels():
 
 
 def test_channel_bruteforce_columns_match_two_product_conjugation():
-    # channel_bruteforce forms U Q as a phased column permutation and does
-    # one dense product per column; the plain U Q U' must give the same
+    # channel_bruteforce reads every trace off one transform per pair of
+    # X-parts; the plain U Q U' must give the same
     rng = random.Random(2207)
     for n in (1, 2):
         for _ in range(3):
@@ -326,13 +326,16 @@ def test_integer_rows_match_the_scalar_construction_on_forms():
             _assert_matches_reference(_random_form(n, rng))
 
 
-def test_cached_unit_indices_rebuild_every_pauli_matrix():
+def test_the_kernel_phase_rule_rebuilds_every_pauli_matrix():
+    # the Walsh-Hadamard kernel's units i^(3|xp&zp| + |xq&zq|) rest on
+    # P[r][r ^ x] = i^|x&z| (-1)^(z.(r ^ x)) for every positive P = (x, z)
     for n in (1, 2, 3):
         dim = 1 << n
-        for label, units in enumerate(oracle._pauli_units(n)):
-            x = label >> n
+        for label in range(1 << (2 * n)):
+            x, z = label >> n, label & (dim - 1)
             mat = [[CYC_ZERO] * dim for _ in range(dim)]
-            for r, t in enumerate(units):
+            for r in range(dim):
+                t = bin(x & z).count("1") + 2 * bin(z & (r ^ x)).count("1")
                 mat[r][r ^ x] = C.zeta_power(4 * t)
             p = PauliOperator.from_label(n, label)
             assert dense_of_pauli(p).mat == mat
