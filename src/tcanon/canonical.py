@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 
 from .channel import ChannelRep, _rotate_columns, channel_of_clifford
 from .clifford import (GATE_ARITY, CliffordTableau, from_gate_word,
-                       parse_index)
+                       parse_index, quarter_exponential_tableau)
 from .pauli import (LabelNames, PauliOperator, PauliSet, parse_pauli,
-                    validate_set)
+                    validate_labels, validate_set)
 
 
 class WidthMismatchError(ValueError):
@@ -142,38 +142,10 @@ class CanonicalForm:
             left = LabelNames(self.n).render(self.paulis)
         else:
             left = "-"
-        if self.clifford == CliffordTableau.identity(self.n):
-            right = "id"
-        else:
-            right = ", ".join(self.clifford.to_strings())
-        return f"P: {left} | C: {right}"
+        return f"P: {left} | C: {self.clifford.render()}"
 
     def __repr__(self):
         return f"<CanonicalForm {self.render()}>"
-
-
-def quarter_exponential_tableau(p: PauliOperator, sign: int = -1) -> CliffordTableau:
-    """Tableau of the Clifford exp(sign * i*pi*P/4) for positive P.
-
-    Conjugation fixes commuting Paulis and sends an anticommuting Q to
-    sign * i * P * Q.
-    """
-    if not (p.is_positive() and (p.x or p.z)):
-        raise ValueError(f"need a positive non-identity Pauli, got {p!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-    n = p.n
-    extra = 1 if sign > 0 else 3  # multiply by +-i
-
-    def image(g: PauliOperator) -> PauliOperator:
-        if g.commutes_with(p):
-            return g
-        out = p * g
-        return PauliOperator(n, out.x, out.z, out.phase + extra)
-
-    xim = tuple(image(PauliOperator.single(n, j, "X")) for j in range(n))
-    zim = tuple(image(PauliOperator.single(n, j, "Z")) for j in range(n))
-    return CliffordTableau(n, xim, zim)
 
 
 def _sweep(cliffords: Sequence[CliffordTableau],
@@ -185,17 +157,15 @@ def _sweep(cliffords: Sequence[CliffordTableau],
         factors = []
         corrections = []
         for qubit, is_tdg in layer.marked:
-            # T contributes exp(-i*pi*Z/8), Tdg exp(+i*pi*Z/8), up to phase
-            exponent_sign = 1 if is_tdg else -1
-            image = prefix.conjugate_pauli(PauliOperator.single(n, qubit, "Z"))
-            effective = exponent_sign * image.sign()
-            base = image.positive()
-            factors.append(base)
-            if effective < 0:
-                corrections.append(base)
-        sets.append(validate_set(factors))
-        for base in corrections:
-            prefix = quarter_exponential_tableau(base, sign=-1).compose(prefix)
+            # T contributes exp(-i*pi*Z/8), Tdg exp(+i*pi*Z/8), up to phase;
+            # a negative image of Z flips the exponent's sign
+            label, phase = prefix.conjugate_pauli(1 << (n - 1 - qubit))
+            factors.append(label)
+            if (phase == 2) == is_tdg:
+                corrections.append(label)
+        sets.append(validate_labels(n, factors))
+        for label in corrections:
+            prefix = quarter_exponential_tableau(label, n).compose(prefix)
         prefix = prefix.compose(tail)
     return tuple(sets), prefix
 

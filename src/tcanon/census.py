@@ -18,6 +18,7 @@ the structured channels with the dense-trace oracle.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -198,10 +199,12 @@ def random_pauli_set(n: int, m: int, rng) -> PauliSet:
     while len(chosen) < m:
         basis = gf2.nullspace([_swap_halves(l, n) for l in chosen], dim)
         while True:
-            v = 0
-            for b in basis:
-                if rng.getrandbits(1):
-                    v ^= b
+            bits = 0
+            # one getrandbits(1) per vector, in order: the seeded streams
+            # depend on it
+            for i in range(len(basis)):
+                bits |= rng.getrandbits(1) << i
+            v = gf2.combine(basis, bits)
             if not (span >> v) & 1:
                 break
         span = _span_with(span, v)
@@ -303,8 +306,7 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
         if n > 4:
             raise FeasibilityRefusalError(
                 f"sampled distinctness capped at 4 qubits, got {n}")
-        import random as _random
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         report.seed = seed
         pairs = 0
         while pairs < trials:
@@ -327,9 +329,8 @@ def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Rows of a form's channel holding a +-1 entry = commutant of the set."""
     _check_run(n, trials)
-    import random as _random
     t0 = time.perf_counter()
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     report = VerificationReport("unit-rows", seed=seed)
     for trial in range(trials):
         m = 0 if trial == 0 else rng.randint(1, n)  # one m=0 edge case
@@ -431,8 +432,7 @@ def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
         if n > 4:
             raise FeasibilityRefusalError(
                 f"sampled spectrum capped at 4 qubits, got {n}")
-        import random as _random
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         report.seed = seed
         for _ in range(trials):
             m = rng.randint(1, n)
@@ -475,9 +475,8 @@ def verify_oracle(n: int, trials: int = 100,
     if n > 3:
         raise FeasibilityRefusalError(
             f"oracle agreement capped at 3 qubits, got {n}")
-    import random as _random
     t0 = time.perf_counter()
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     report = VerificationReport("oracle", seed=seed)
     generators = 0
     for word in _generator_words(n):

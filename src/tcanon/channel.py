@@ -14,6 +14,9 @@ row of i*P*R.  Building a canonical form's channel therefore costs a
 signed permutation plus m sparse column updates, never a dense product;
 a column of a form's channel holds 2^w nonzero entries, w the number of
 set elements anticommuting with the column's image under the Clifford.
+Everything here works on unsigned int labels: the Clifford's column Q
+is the (label, phase) pair conjugate_pauli returns for Q, and a rotation
+reads its signs off label_product_phase.
 """
 
 from __future__ import annotations
@@ -126,13 +129,20 @@ class ChannelRep:
 
 
 def channel_of_clifford(c: CliffordTableau) -> ChannelRep:
-    """Signed permutation matrix: column Q carries +-1 at row label(CQC')."""
+    """Signed permutation matrix: column Q carries +-1 at row label(CQC').
+
+    Q = i^|x&z| X^x Z^z, so its image is i^|x&z| times the images of X^x
+    and Z^z: 2^(n+1) conjugations, then one product per column.
+    """
     n = c.n
+    half = range(1 << n)
+    zims = [c.conjugate_pauli(z) for z in half]
     cols = []
-    for q in range(1 << (2 * n)):
-        img = c.conjugate_pauli(PauliOperator.from_label(n, q))
-        cols.append({img.label: DYADIC_ONE if img.phase == 0
-                     else DYADIC_MINUS_ONE})
+    for x in half:
+        xl, xp = c.conjugate_pauli(x << n)
+        for z, (zl, zp) in zip(half, zims):
+            t = (x & z).bit_count() + xp + zp + label_product_phase(xl, zl, n)
+            cols.append({xl ^ zl: DYADIC_MINUS_ONE if t & 2 else DYADIC_ONE})
     return ChannelRep(n, cols)
 
 

@@ -192,11 +192,7 @@ def _cmd_canonicalize(args) -> int:
         names = LabelNames(circ.n)
         lines = [f"layer {k}: {names.render(s)}"
                  for k, s in enumerate(sets, start=1)]
-        from .clifford import CliffordTableau
-        if tail == CliffordTableau.identity(circ.n):
-            lines.append("C: id")
-        else:
-            lines.append("C: " + ", ".join(tail.to_strings()))
+        lines.append(f"C: {tail.render()}")
         lines.append(f"tgates: {sum(len(s) for s in sets)}")
         out = "\n".join(lines) + "\n"
     _write(out, args.out)

@@ -1,9 +1,13 @@
 """Clifford group elements as stabilizer tableaux with exact signs.
 
 A tableau stores the images of the generators X_1..X_n and Z_1..Z_n under
-conjugation, each a Hermitian PauliOperator (phase 0 or 2).  Two unitaries
-equal up to global phase give the same tableau, so tableau equality is
-equality in the quotient group.
+conjugation, each a (label, phase) pair of ints: the unsigned label
+(x << n) | z of pauli.py and the exponent of i, 0 or 2 for the Hermitian
+images of a Clifford (the integer tableau of Aaronson and Gottesman,
+quant-ph/0406196).  PauliOperator objects appear only where images are
+parsed or rendered: from_images, from_strings and to_strings.  Two
+unitaries equal up to global phase give the same tableau, so tableau
+equality is equality in the quotient group.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import random
 from typing import Iterable, Sequence
 
 from . import gf2
-from .pauli import PauliOperator, _swap_halves, parse_pauli
+from .pauli import (PauliOperator, _swap_halves, label_commutes,
+                    label_product_phase, parse_pauli)
 
 
 class GateWordError(ValueError):
@@ -70,34 +75,33 @@ class CliffordTableau:
         for i in range(2 * n):
             for j in range(i + 1, 2 * n):
                 anti = (j == i + n)
-                if imgs[i].commutes_with(imgs[j]) == anti:
+                if label_commutes(imgs[i].label, imgs[j].label, n) == anti:
                     raise ValueError("images do not satisfy the symplectic relations")
-        return cls(n, tuple(xim), tuple(zim))
+        pairs = tuple((p.label, p.phase) for p in imgs)
+        return cls(n, pairs[:n], pairs[n:])
 
-    def conjugate_pauli(self, p: PauliOperator) -> PauliOperator:
-        """Image of p under conjugation, with the exact sign.
+    def conjugate_pauli(self, label: int, phase: int = 0) -> tuple[int, int]:
+        """(label, phase) of the image of i^phase * P_label under
+        conjugation, with the exact sign.
 
-        Uses p = i^(phase + |x&z|) * prod_j X_j^{x_j} * prod_j Z_j^{z_j}
-        and substitutes generator images factor by factor.  The running
-        product is kept as i^t * X^ax * Z^az: a factor i^ph * X^gx * Z^gz
-        with gx&gz set on its Y qubits adds ph + |gx&gz| to t, and moving
-        its X^gx left past Z^az adds 2|az&gx|.
+        P_label = i^|x&z| * prod_j X_j^{x_j} * prod_j Z_j^{z_j}; each
+        factor is replaced by its generator image and the images are
+        multiplied left to right.
         """
-        if p.n != self.n:
-            raise ValueError(f"qubit counts differ: {p.n} vs {self.n}")
         n = self.n
-        t = p.phase + (p.x & p.z).bit_count()
-        ax = az = 0
-        for images, bits in ((self.xim, p.x), (self.zim, p.z)):
+        if not 0 <= label < 1 << (2 * n):
+            raise ValueError(f"label {label} out of range for n={n}")
+        x, z = label >> n, label & ((1 << n) - 1)
+        t = phase + (x & z).bit_count()
+        acc = 0
+        for images, bits in ((self.xim, x), (self.zim, z)):
             while bits:
                 top = bits.bit_length()
                 bits ^= 1 << (top - 1)
-                g = images[n - top]
-                gx = g.x
-                t += g.phase + (gx & g.z).bit_count() + 2 * (az & gx).bit_count()
-                ax ^= gx
-                az ^= g.z
-        return PauliOperator(n, ax, az, t - (ax & az).bit_count())
+                g, ph = images[n - top]
+                t += ph + label_product_phase(acc, g, n)
+                acc ^= g
+        return acc, t & 3
 
     def compose(self, other: "CliffordTableau") -> "CliffordTableau":
         """Tableau of self times other (self applied after other).
@@ -113,8 +117,9 @@ class CliffordTableau:
 
     def _images(self, ps, gens, own) -> tuple:
         """self's image of each p in ps; own[j] where ps[j] == gens[j].
-        The identity test skips __eq__ on the shared generator objects."""
-        return tuple(s if p is g or p == g else self.conjugate_pauli(p)
+        The identity test skips __eq__ on the shared generator pairs."""
+        conjugate = self.conjugate_pauli
+        return tuple(s if p is g or p == g else conjugate(*p)
                      for p, g, s in zip(ps, gens, own))
 
     def __eq__(self, other) -> bool:
@@ -127,7 +132,17 @@ class CliffordTableau:
 
     def to_strings(self) -> list[str]:
         """2n signed Pauli strings: X_1..X_n images then Z_1..Z_n images."""
-        return [p.to_string() for p in self.xim + self.zim]
+        n = self.n
+        mask = (1 << n) - 1
+        return [PauliOperator(n, label >> n, label & mask, phase).to_string()
+                for label, phase in self.xim + self.zim]
+
+    def render(self) -> str:
+        """"id" for the identity, else the 2n image strings, comma
+        separated."""
+        if self == CliffordTableau.identity(self.n):
+            return "id"
+        return ", ".join(self.to_strings())
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "CliffordTableau":
@@ -143,43 +158,42 @@ class CliffordTableau:
 
 @functools.cache
 def _generators(n: int) -> tuple[tuple, tuple]:
-    """(+X_1..+X_n, +Z_1..+Z_n), built once per width."""
-    return (tuple(PauliOperator.single(n, j, "X") for j in range(n)),
-            tuple(PauliOperator.single(n, j, "Z") for j in range(n)))
+    """The identity's images, (label, 0) for +X_1..+X_n and for
+    +Z_1..+Z_n, built once per width so compose can spot them by
+    identity."""
+    bits = [1 << (n - 1 - j) for j in range(n)]
+    return (tuple((b << n, 0) for b in bits), tuple((b, 0) for b in bits))
 
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2, "SWAP": 2}
 
 
 def _gate_tableau(name: str, qubits: tuple, n: int) -> CliffordTableau:
-    t = CliffordTableau.identity(n)
-    xim = list(t.xim)
-    zim = list(t.zim)
+    xgen, zgen = _generators(n)
+    xim = list(xgen)
+    zim = list(zgen)
     if name == "H":
         q = qubits[0]
-        xim[q] = PauliOperator.single(n, q, "Z")
-        zim[q] = PauliOperator.single(n, q, "X")
+        xim[q], zim[q] = zgen[q], xgen[q]
     elif name == "S":
         q = qubits[0]
-        xim[q] = PauliOperator.single(n, q, "Y")
+        xim[q] = (xgen[q][0] | zgen[q][0], 0)  # +Y
     elif name == "X":
         q = qubits[0]
-        zim[q] = -zim[q]
+        zim[q] = (zgen[q][0], 2)
     elif name == "Z":
         q = qubits[0]
-        xim[q] = -xim[q]
+        xim[q] = (xgen[q][0], 2)
     elif name == "CX":
         # X_c -> X_c X_t and Z_t -> Z_c Z_t
         c, tq = qubits
-        both = (1 << (n - 1 - c)) | (1 << (n - 1 - tq))
-        xim[c] = PauliOperator(n, both, 0)
-        zim[tq] = PauliOperator(n, 0, both)
+        xim[c] = (xgen[c][0] | xgen[tq][0], 0)
+        zim[tq] = (zgen[c][0] | zgen[tq][0], 0)
     elif name == "CZ":
         # X_a -> X_a Z_b and X_b -> Z_a X_b
         a, b = qubits
-        bit_a, bit_b = 1 << (n - 1 - a), 1 << (n - 1 - b)
-        xim[a] = PauliOperator(n, bit_a, bit_b)
-        xim[b] = PauliOperator(n, bit_b, bit_a)
+        xim[a] = (xgen[a][0] | zgen[b][0], 0)
+        xim[b] = (zgen[a][0] | xgen[b][0], 0)
     elif name == "SWAP":
         a, b = qubits
         xim[a], xim[b] = xim[b], xim[a]
@@ -187,6 +201,27 @@ def _gate_tableau(name: str, qubits: tuple, n: int) -> CliffordTableau:
     else:
         raise BadTokenError(f"unknown gate {name!r}")
     return CliffordTableau(n, tuple(xim), tuple(zim))
+
+
+def quarter_exponential_tableau(p: int, n: int, sign: int = -1) -> CliffordTableau:
+    """Tableau of the Clifford exp(sign * i*pi*P/4) for the positive Pauli
+    P of a non-identity label p.
+
+    Conjugation fixes commuting Paulis and sends an anticommuting Q to
+    sign * i * P * Q.
+    """
+    if not 0 < p < 1 << (2 * n):
+        raise ValueError(f"need a non-identity label, got {p} for n={n}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    extra = 1 if sign > 0 else 3  # multiply by +-i
+
+    def images(gens: tuple) -> tuple:
+        return tuple(g if label_commutes(g[0], p, n)
+                     else (p ^ g[0], (label_product_phase(p, g[0], n) + extra) & 3)
+                     for g in gens)
+
+    return CliffordTableau(n, *map(images, _generators(n)))
 
 
 def parse_index(text: str) -> int:
@@ -245,9 +280,10 @@ def random_clifford(n: int, seed=None) -> CliffordTableau:
     signs are then independent fair bits.  The choice counts multiply to
     group_order(n), so the draw is exactly uniform.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     dim = 2 * n
-    mask = (1 << n) - 1
     chosen: list[int] = []  # alternating p_1, q_1, p_2, q_2, ...
 
     def sample_solution(target: int | None) -> int:
@@ -260,28 +296,13 @@ def random_clifford(n: int, seed=None) -> CliffordTableau:
         assert solved is not None
         part, basis = solved
         while True:
-            v = part
-            bits = rng.getrandbits(len(basis)) if basis else 0
-            i = 0
-            while bits:
-                if bits & 1:
-                    v ^= basis[i]
-                bits >>= 1
-                i += 1
+            v = part ^ gf2.combine(basis, rng.getrandbits(len(basis)))
             if target is not None or v:
                 return v
 
-    pairs = []
     for _ in range(n):
         p = sample_solution(None)
         q = sample_solution(p)
-        chosen.append(p)
-        chosen.append(q)
-        pairs.append((p, q))
-
-    xim = []
-    zim = []
-    for p, q in pairs:
-        xim.append(PauliOperator(n, p >> n, p & mask, 2 * rng.getrandbits(1)))
-        zim.append(PauliOperator(n, q >> n, q & mask, 2 * rng.getrandbits(1)))
-    return CliffordTableau(n, tuple(xim), tuple(zim))
+        chosen += (p, q)
+    signed = [(lab, 2 * rng.getrandbits(1)) for lab in chosen]
+    return CliffordTableau(n, tuple(signed[0::2]), tuple(signed[1::2]))

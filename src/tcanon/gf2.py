@@ -13,6 +13,17 @@ def pivot_bit(v: int) -> int:
     return v.bit_length() - 1
 
 
+def combine(rows: list[int], bits: int) -> int:
+    """XOR of the rows the set bits of bits select: bit i picks rows[i].
+    This is the image of the vector bits under the matrix rows."""
+    v = 0
+    for row in rows:
+        if bits & 1:
+            v ^= row
+        bits >>= 1
+    return v
+
+
 def reduce_vector(basis: list[int], v: int) -> int:
     """Reduce v against an echelon basis; 0 means v lies in the span."""
     for b in basis:

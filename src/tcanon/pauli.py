@@ -69,35 +69,13 @@ class PauliOperator:
     def is_positive(self) -> bool:
         return self.phase == 0
 
-    def sign(self) -> int:
-        if not self.is_hermitian():
-            raise NonHermitianInputError(f"{self.to_string()} has no real sign")
-        return 1 if self.phase == 0 else -1
-
-    def positive(self) -> "PauliOperator":
-        return PauliOperator(self.n, self.x, self.z, 0)
-
-    def __neg__(self) -> "PauliOperator":
-        return PauliOperator(self.n, self.x, self.z, self.phase + 2)
-
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        # write each factor as i^(phase + |x&z|) X^x Z^z, push X's left past
-        # Z's picking up (-1)^(z1.x2), and convert back
-        x1, z1, x2, z2 = self.x, self.z, other.x, other.z
-        x, z = x1 ^ x2, z1 ^ z2
-        t = (self.phase + other.phase
-             + (x1 & z1).bit_count() + (x2 & z2).bit_count()
-             + 2 * (z1 & x2).bit_count()
-             - (x & z).bit_count())
-        return PauliOperator(self.n, x, z, t)
-
-    def commutes_with(self, other: "PauliOperator") -> bool:
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        return not (((self.x & other.z).bit_count()
-                     ^ (self.z & other.x).bit_count()) & 1)
+        return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z,
+                             self.phase + other.phase
+                             + label_product_phase(self.label, other.label,
+                                                   self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliOperator):
@@ -142,7 +120,8 @@ def parse_pauli(text: str) -> PauliOperator:
 
 
 def label_commutes(a: int, b: int, n: int) -> bool:
-    """Symplectic test on unsigned labels, avoiding object construction."""
+    """Whether the Paulis of two unsigned labels commute: the symplectic
+    form |x_a & z_b| + |z_a & x_b| is even."""
     mask = (1 << n) - 1
     return not ((((a >> n) & (b & mask)).bit_count()
                  ^ ((a & mask) & (b >> n)).bit_count()) & 1)
@@ -150,7 +129,10 @@ def label_commutes(a: int, b: int, n: int) -> bool:
 
 def label_product_phase(a: int, b: int, n: int) -> int:
     """k with P_a * P_b = i^k P_(a ^ b) for the positive Paulis of two
-    unsigned labels; the same arithmetic as PauliOperator.__mul__."""
+    unsigned labels.  Each factor is i^|x&z| X^x Z^z; moving X^x2 left
+    past Z^z1 adds 2|z1&x2|.  The one Pauli product rule of the package:
+    PauliOperator.__mul__ and tableau conjugation both take their phase
+    from it."""
     mask = (1 << n) - 1
     x1, z1, x2, z2 = a >> n, a & mask, b >> n, b & mask
     return ((x1 & z1).bit_count() + (x2 & z2).bit_count()
@@ -237,8 +219,7 @@ def validate_set(candidates: Iterable[PauliOperator]) -> PauliSet:
     """Check and normalize a generating family.
 
     Accepts Hermitian inputs (signs are stripped; they belong to the
-    Clifford part upstream), requires pairwise commutation and GF(2)
-    independence, and returns the sorted positive set.
+    Clifford part upstream) and returns validate_labels of their labels.
     """
     cands = list(candidates)
     if not cands:
@@ -249,16 +230,21 @@ def validate_set(candidates: Iterable[PauliOperator]) -> PauliSet:
             raise ValueError(f"qubit counts differ: {p.n} vs {n}")
         if not p.is_hermitian():
             raise NonHermitianInputError(f"non-Hermitian candidate {p!r}")
-    pos = [p.positive() for p in cands]
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if not pos[i].commutes_with(pos[j]):
+    return validate_labels(n, [p.label for p in cands])
+
+
+def validate_labels(n: int, labels: list[int]) -> PauliSet:
+    """The sorted set of the positive Paulis of labels, which must commute
+    pairwise and be independent over GF(2)."""
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            if not label_commutes(a, b, n):
                 raise NonCommutingSetError(
-                    f"{pos[i]!r} and {pos[j]!r} anticommute")
-    labels = sorted(p.label for p in pos)
+                    f"{PauliOperator.from_label(n, a)!r} and "
+                    f"{PauliOperator.from_label(n, b)!r} anticommute")
     if gf2.rank(labels) != len(labels):
         raise DependentSetError("candidates are dependent over GF(2)")
-    return PauliSet(n, tuple(labels))
+    return PauliSet(n, tuple(sorted(labels)))
 
 
 def commutant(s: PauliSet) -> list[int]:
@@ -270,16 +256,4 @@ def commutant(s: PauliSet) -> list[int]:
     n = s.n
     dim = 2 * n
     basis = gf2.nullspace((_swap_halves(l, n) for l in s.labels), dim)
-    out = []
-    for combo in range(1 << len(basis)):
-        v = 0
-        c = combo
-        i = 0
-        while c:
-            if c & 1:
-                v ^= basis[i]
-            c >>= 1
-            i += 1
-        out.append(v)
-    out.sort()
-    return out
+    return sorted(gf2.combine(basis, bits) for bits in range(1 << len(basis)))

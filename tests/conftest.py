@@ -3,10 +3,13 @@
 The acceptance tests register one line per criterion here so the run ends
 with a compact pass/fail scoreboard regardless of how pytest interleaved
 the output.  inverse_word builds a Clifford's inverse from its gate word,
-so inverse facts are checked without any tableau inversion.
+so inverse facts are checked without any tableau inversion.  pauli_of
+and conjugate turn a tableau's (label, phase) images into PauliOperator
+objects, so tests can compare them with products and dense matrices.
 """
 
 from tcanon.clifford import parse_gate_word
+from tcanon.pauli import PauliOperator
 
 ACCEPTANCE_RESULTS: list[tuple[str, str, bool]] = []
 
@@ -25,6 +28,17 @@ def inverse_word(word: str, n: int) -> str:
         inverted.append(f"Z {args}; S {args}" if name == "S"
                         else f"{name} {args}")
     return "; ".join(inverted)
+
+
+def pauli_of(n: int, image: tuple) -> PauliOperator:
+    """The operator i^phase * P_label of a (label, phase) pair."""
+    label, phase = image
+    return PauliOperator(n, label >> n, label & ((1 << n) - 1), phase)
+
+
+def conjugate(c, p: PauliOperator) -> PauliOperator:
+    """The tableau c's image of p, as an operator."""
+    return pauli_of(c.n, c.conjugate_pauli(p.label, p.phase))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import conjugate
 
 from tcanon.canonical import (
     CanonicalForm,
@@ -16,10 +17,10 @@ from tcanon.canonical import (
     channel_of_decomposition,
     parse_circuit,
     parse_form,
-    quarter_exponential_tableau,
 )
 from tcanon.channel import channel_of_canonical
-from tcanon.clifford import CliffordTableau, from_gate_word
+from tcanon.clifford import (CliffordTableau, from_gate_word,
+                             quarter_exponential_tableau)
 from tcanon.census import random_gate_word
 from tcanon.oracle import dense_of_pauli, dense_of_quarter_exponential
 from tcanon.pauli import PauliOperator, PauliSet, parse_pauli, validate_set
@@ -148,20 +149,21 @@ def test_quarter_exponential_matches_dense_conjugation():
         for label in range(1, 1 << (2 * n)):
             p = PauliOperator.from_label(n, label)
             for sign in (1, -1):
-                tab = quarter_exponential_tableau(p, sign=sign)
+                tab = quarter_exponential_tableau(label, n, sign=sign)
                 u = dense_of_quarter_exponential(p, sign=sign)
                 udag = u.dagger()
                 for glabel in range(1, 1 << (2 * n)):
                     g = PauliOperator.from_label(n, glabel)
-                    got = dense_of_pauli(tab.conjugate_pauli(g))
+                    got = dense_of_pauli(conjugate(tab, g))
                     assert got == u.multiply(dense_of_pauli(g)).multiply(udag)
 
 
 def test_quarter_exponential_rejects_bad_input_with_value_error():
-    for p, sign in ((parse_pauli("-Z"), -1), (parse_pauli("II"), 1),
-                    (parse_pauli("XZ"), 0)):
+    # the identity label, labels outside the width, and a zero sign
+    for label, n, sign in ((0, 2, 1), (16, 2, -1), (-1, 1, -1),
+                           (parse_pauli("XZ").label, 2, 0)):
         with pytest.raises(ValueError):
-            quarter_exponential_tableau(p, sign=sign)
+            quarter_exponential_tableau(label, n, sign=sign)
 
 
 class TestFormText:

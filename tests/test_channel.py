@@ -19,7 +19,7 @@ from tcanon.channel import (
     infer_t_count,
     reference_spectrum,
 )
-from tcanon.clifford import CliffordTableau, from_gate_word
+from tcanon.clifford import CliffordTableau, from_gate_word, random_clifford
 from tcanon.census import random_gate_word, random_pauli_set
 from tcanon.exactnum import DYADIC_ONE, DYADIC_ZERO, DyadicSqrt2Scalar
 from tcanon.oracle import channel_bruteforce, dense_of_exponential, dense_of_gate_word
@@ -95,6 +95,18 @@ def test_clifford_channel_functoriality():
         lhs = channel_of_clifford(a.compose(b))
         rhs = channel_of_clifford(a).multiply(channel_of_clifford(b))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_clifford_channel_columns_are_the_conjugated_labels(n):
+    # the channel multiplies the images of X^x and Z^z; its column Q must
+    # still be the tableau's image of Q itself
+    rng = random.Random(54 + n)
+    for _ in range(5):
+        c = random_clifford(n, seed=rng.randrange(1 << 30))
+        for q, col in enumerate(channel_of_clifford(c).cols):
+            label, phase = c.conjugate_pauli(q)
+            assert col == {label: -ONE if phase else ONE}
 
 
 def test_clifford_channel_transpose_is_inverse():
