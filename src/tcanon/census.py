@@ -104,6 +104,7 @@ def emit_table(n_max: int) -> str:
 # ---------------------------------------------------------------- enumeration
 
 _ENUM_CAP = 4
+_SAMPLED_CAP = 5
 
 
 @lru_cache(maxsize=None)
@@ -193,11 +194,11 @@ def random_pauli_set(n: int, m: int, rng) -> PauliSet:
     the sorted sets inherit uniformity.
     """
     _check_nm(n, m)
-    dim = 2 * n
     chosen: list[int] = []
     span = 1
+    # the commutant of the prefix, in gf2.nullspace's echelon form
+    basis = [1 << f for f in range(2 * n)]
     while len(chosen) < m:
-        basis = gf2.nullspace([_swap_halves(l, n) for l in chosen], dim)
         while True:
             bits = 0
             # one getrandbits(1) per vector, in order: the seeded streams
@@ -209,6 +210,14 @@ def random_pauli_set(n: int, m: int, rng) -> PauliSet:
                 break
         span = _span_with(span, v)
         chosen.append(v)
+        # one more constraint: the last vector with an odd dot becomes a
+        # pivot, is added to the other odd ones and dropped; the echelon
+        # basis is unique, so gf2.nullspace would return the same
+        u = _swap_halves(v, n)
+        *odd, top = [i for i, b in enumerate(basis) if (b & u).bit_count() & 1]
+        for i in odd:
+            basis[i] ^= basis[top]
+        del basis[top]
     return PauliSet.from_labels(n, sorted(chosen))
 
 
@@ -303,9 +312,9 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
         report.counts = {"forms": len(sets), "pairs": pairs,
                          "self_pairs": len(sets)}
     elif mode == "sampled":
-        if n > 4:
+        if n > _SAMPLED_CAP:
             raise FeasibilityRefusalError(
-                f"sampled distinctness capped at 4 qubits, got {n}")
+                f"sampled distinctness capped at {_SAMPLED_CAP} qubits, got {n}")
         rng = random.Random(seed)
         report.seed = seed
         pairs = 0
@@ -429,9 +438,9 @@ def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
                 if got != m:
                     report.failures.append(f"t-count {got} != {m} for {s!r}")
     elif mode == "sampled":
-        if n > 4:
+        if n > _SAMPLED_CAP:
             raise FeasibilityRefusalError(
-                f"sampled spectrum capped at 4 qubits, got {n}")
+                f"sampled spectrum capped at {_SAMPLED_CAP} qubits, got {n}")
         rng = random.Random(seed)
         report.seed = seed
         for _ in range(trials):

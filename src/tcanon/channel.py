@@ -10,13 +10,14 @@ signed permutation exactly when the unitary is Clifford.
 Channels are stored as sparse columns.  Exponentials exp(i*pi*P/8) act on
 a column as plane rotations: an entry at a row R commuting with P is
 fixed; an anticommuting row splits into 1/sqrt2 at R and +-1/sqrt2 at the
-row of i*P*R.  Building a canonical form's channel therefore costs a
-signed permutation plus m sparse column updates, never a dense product;
-a column of a form's channel holds 2^w nonzero entries, w the number of
-set elements anticommuting with the column's image under the Clifford.
+row of i*P*R.  A canonical form's factors commute and are independent,
+so its column that starts as +-1 at row R0 needs no rotation: it ends as
+2^w entries of +-2^(-w/2) at the rows R0 ^ XOR(B), B running over the
+subsets of the w set elements anticommuting with R0, and only the signs
+are computed.  The rotation kernel serves products of channels.
 Everything here works on unsigned int labels: the Clifford's column Q
-is the (label, phase) pair conjugate_pauli returns for Q, and a rotation
-reads its signs off label_product_phase.
+is the (label, phase) pair conjugate_pauli returns for Q, and both
+kernels read their signs off label_product_phase.
 """
 
 from __future__ import annotations
@@ -189,14 +190,44 @@ def channel_of_exponential(p: PauliOperator, inverse: bool = False) -> ChannelRe
     return _rotate_columns(ChannelRep.identity(p.n), [p.label], inverse)
 
 
+def _form_signs(r0: int, positive: bool, labels, n: int) -> dict:
+    """{row: entry > 0} of channel(exp(i*pi*P_1/8) ... exp(i*pi*P_m/8))
+    applied to +-1 at row r0, for commuting independent labels P_j.  Every
+    row r0 ^ XOR(B) anticommutes with the P_j that r0 does, and each of
+    them doubles the column by _rotate's forward rule; by independence no
+    two rows meet, so every entry is +-2^(-w/2)."""
+    signs = {r0: positive}
+    for p in labels:
+        if not label_commutes(r0, p, n):
+            for r, pos in list(signs.items()):
+                signs[p ^ r] = pos == (label_product_phase(p, r, n) == 3)
+    return signs
+
+
+@lru_cache(maxsize=None)
+def _form_entries(w: int) -> tuple:
+    """(+2^(-w/2), -2^(-w/2))."""
+    v = DYADIC_ONE
+    for _ in range(w):
+        v = v.times_inv_sqrt2()
+    return v, -v
+
+
 def channel_of_canonical(form) -> ChannelRep:
     """Channel of exp(i*pi*P_1/8) ... exp(i*pi*P_m/8) * C.
 
-    form needs .paulis (a PauliSet) and .clifford (a CliffordTableau); the
-    exponential factors commute, so their order never changes the result.
+    form needs .paulis (a PauliSet) and .clifford (a CliffordTableau);
+    each signed unit column of channel(C) becomes one _form_signs column.
     """
-    return _rotate_columns(channel_of_clifford(form.clifford),
-                           form.paulis.labels)
+    n = form.clifford.n
+    labels = form.paulis.labels
+    cols = []
+    for col in channel_of_clifford(form.clifford).cols:
+        (r0, v), = col.items()
+        signs = _form_signs(r0, v == DYADIC_ONE, labels, n)
+        pos, neg = _form_entries(len(signs).bit_length() - 1)
+        cols.append({r: pos if s else neg for r, s in signs.items()})
+    return ChannelRep(n, cols)
 
 
 @lru_cache(maxsize=None)
@@ -239,26 +270,19 @@ def exponential_transfer_is_signed_permutation(set_a: PauliSet,
     """Whether channel(A)^T channel(B) is a signed permutation, for the
     exponential products A and B of two Pauli sets (identity Cliffords).
 
-    Columns are evaluated lazily with an early exit, so no full matrix is
-    ever built; the product is orthogonal, so checking that every column
-    is a signed unit vector is a complete test.
+    Channels are orthogonal, so column q of the product is a signed unit
+    vector exactly when column b_q of channel(B) is +-a_q' for some q';
+    a_q' has an entry at q', so q' ranges over the support of b_q (q
+    first), and a_q' is started with b_q's sign there to compare sign
+    dicts.  The scan stops at the first unmatched column; no scalar is made.
     """
     if set_a.n != set_b.n:
         raise ValueError(f"qubit counts differ: {set_a.n} vs {set_b.n}")
     n = set_a.n
     labels_a, labels_b = set_a.labels, set_b.labels
     for q in range(1 << (2 * n)):
-        col = {q: DYADIC_ONE}
-        for p in reversed(labels_b):
-            col = _rotate(col, p, n, inverse=False)
-        # channel(A)^T = transpose of exp factors applied in reverse order:
-        # (E1...Em)^T = Em^T ... E1^T, and each transpose is the inverse
-        # rotation
-        for p in labels_a:
-            col = _rotate(col, p, n, inverse=True)
-        if len(col) != 1:
-            return False
-        (v,) = col.values()
-        if v != DYADIC_ONE and v != DYADIC_MINUS_ONE:
+        b = _form_signs(q, True, labels_b, n)
+        if not any(_form_signs(r, pos, labels_a, n) == b
+                   for r, pos in b.items()):
             return False
     return True

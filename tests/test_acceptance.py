@@ -112,7 +112,7 @@ def test_c02_enumeration_agrees_with_the_formula():
     assert large_elapsed < 300.0, f"n = 4 took {large_elapsed:.1f}s"
 
 
-@criterion("c03", "pairwise channel distinctness, exhaustive n <= 2 and sampled n = 3, 4")
+@criterion("c03", "pairwise channel distinctness, exhaustive n <= 2 and sampled n = 3, 4, 5")
 def test_c03_distinct_sets_give_distinct_channels():
     start = time.perf_counter()
     r1 = verify_distinctness(1, mode="exhaustive")
@@ -129,14 +129,17 @@ def test_c03_distinct_sets_give_distinct_channels():
     r4 = verify_distinctness(4, mode="sampled", trials=1_000,
                              seed=DEFAULT_SEED)
     assert r4.passed and r4.counts == {"pairs": 1_000}, r4.failures
+    r5 = verify_distinctness(5, mode="sampled", trials=500,
+                             seed=DEFAULT_SEED)
+    assert r5.passed and r5.counts == {"pairs": 500}, r5.failures
 
 
-@criterion("c04", "unit channel rows equal the set commutant, 100 pairs per n in 1..3")
+@criterion("c04", "unit channel rows equal the set commutant, 100 pairs per n in 1..3, 20 at n = 5")
 def test_c04_unit_rows_are_the_commutant():
-    for n in (1, 2, 3):
-        report = verify_unit_rows(n, trials=100, seed=DEFAULT_SEED + n)
+    for n, trials in ((1, 100), (2, 100), (3, 100), (5, 20)):
+        report = verify_unit_rows(n, trials=trials, seed=DEFAULT_SEED + n)
         assert report.passed, report.failures
-        assert report.counts == {"trials": 100}
+        assert report.counts == {"trials": trials}
 
 
 @criterion("c05", "conjugated X support is 2^w for every independent family, n <= 3")
@@ -150,7 +153,7 @@ def test_c05_hamming_weight_support():
         assert report.counts == expected_counts[n]
 
 
-@criterion("c06", "spectrum T-count reader recovers m on every form")
+@criterion("c06", "spectrum T-count reader recovers m, every form at n <= 2, sampled n = 3, 5")
 def test_c06_t_count_inference():
     r1 = verify_spectrum(1, mode="exhaustive")
     assert r1.passed and r1.counts == {"forms": 3}, r1.failures
@@ -158,6 +161,8 @@ def test_c06_t_count_inference():
     assert r2.passed and r2.counts == {"forms": 60}, r2.failures
     r3 = verify_spectrum(3, mode="sampled", trials=500, seed=DEFAULT_SEED)
     assert r3.passed and r3.counts == {"forms": 500}, r3.failures
+    r5 = verify_spectrum(5, mode="sampled", trials=20, seed=DEFAULT_SEED)
+    assert r5.passed and r5.counts == {"forms": 20}, r5.failures
 
 
 @criterion("c07", "structured channels equal the dense-matrix oracle")

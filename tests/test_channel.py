@@ -12,6 +12,8 @@ from tcanon.channel import (
     IdentityPauliError,
     NonPositivePauliError,
     SpectrumMismatchError,
+    _form_signs,
+    _rotate_columns,
     channel_of_canonical,
     channel_of_clifford,
     channel_of_exponential,
@@ -20,7 +22,7 @@ from tcanon.channel import (
     reference_spectrum,
 )
 from tcanon.clifford import CliffordTableau, from_gate_word, random_clifford
-from tcanon.census import random_gate_word, random_pauli_set
+from tcanon.census import _all_sets, random_gate_word, random_pauli_set
 from tcanon.exactnum import DYADIC_ONE, DYADIC_ZERO, DyadicSqrt2Scalar
 from tcanon.oracle import channel_bruteforce, dense_of_exponential, dense_of_gate_word
 from tcanon.pauli import PauliOperator, PauliSet, commutant, parse_pauli, validate_set
@@ -254,3 +256,55 @@ def test_transfer_agrees_with_dense_product_on_two_qubits():
         assert (exponential_transfer_is_signed_permutation(a, b)
                 == dense.is_signed_permutation())
 
+
+def _rotated(s):
+    """channel(exp(i*pi*P_1/8) ... exp(i*pi*P_m/8)) by the rotation kernel."""
+    return _rotate_columns(ChannelRep.identity(s.n), s.labels)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_form_columns_match_the_rotation_kernel(n):
+    # every set (4,788 at n = 3) and every start row: started at +1
+    # through channel_of_canonical, at -1 against the negated column
+    ident = CliffordTableau.identity(n)
+    for s in _all_sets(n):
+        rotated = _rotated(s)
+        assert channel_of_canonical(CanonicalForm(s, ident)) == rotated
+        for q, col in enumerate(rotated.cols):
+            assert _form_signs(q, False, s.labels, n) == {
+                r: v.sign() < 0 for r, v in col.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_form_channel_matches_the_rotated_clifford_channel(n):
+    rng = random.Random(58 + n)
+    for _ in range(20):
+        s = random_pauli_set(n, rng.randint(1, n), rng)
+        c = random_clifford(n, rng)
+        assert (channel_of_canonical(CanonicalForm(s, c))
+                == _rotate_columns(channel_of_clifford(c), s.labels))
+
+
+def _transfer_by_rotation(a, b):
+    return _rotated(a).transpose().multiply(_rotated(b)).is_signed_permutation()
+
+
+def test_transfer_matches_the_rotated_product_on_every_pair_up_to_two_qubits():
+    pairs = 0
+    for n in (1, 2):
+        sets = _all_sets(n)
+        for a, b in itertools.product(sets, repeat=2):
+            pairs += 1
+            assert (exponential_transfer_is_signed_permutation(a, b)
+                    == _transfer_by_rotation(a, b)), (a, b)
+    assert pairs == 3 ** 2 + 60 ** 2
+
+
+def test_transfer_matches_the_rotated_product_on_sampled_three_qubit_pairs():
+    # one pair in three is a self-pair; only equal sets reconcile
+    rng = random.Random(59)
+    for k in range(150):
+        a = random_pauli_set(3, rng.randint(1, 3), rng)
+        b = a if k % 3 == 0 else random_pauli_set(3, rng.randint(1, 3), rng)
+        got = exponential_transfer_is_signed_permutation(a, b)
+        assert got == _transfer_by_rotation(a, b) == (a == b), (a, b)

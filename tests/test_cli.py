@@ -164,6 +164,15 @@ def test_enumerate_width_guard_is_a_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("check", ["spectrum", "distinctness"])
+def test_sampled_checks_refuse_six_qubits(capsys, check):
+    code, out, err = run_cli(capsys, "verify", check, "--qubits", "6",
+                             "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: sampled {check} capped at 5 qubits, got 6\n"
+
+
 def test_verify_json_report_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "unit-rows", "--qubits", "1",
                            "--trials", "5", "--seed", "7", "--json")
