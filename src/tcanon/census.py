@@ -196,7 +196,7 @@ def random_pauli_set(n: int, m: int, rng) -> PauliSet:
     _check_nm(n, m)
     chosen: list[int] = []
     span = 1
-    # the commutant of the prefix, in gf2.nullspace's echelon form
+    # the commutant of the prefix, in gf2's echelon form
     basis = [1 << f for f in range(2 * n)]
     while len(chosen) < m:
         while True:
@@ -210,14 +210,7 @@ def random_pauli_set(n: int, m: int, rng) -> PauliSet:
                 break
         span = _span_with(span, v)
         chosen.append(v)
-        # one more constraint: the last vector with an odd dot becomes a
-        # pivot, is added to the other odd ones and dropped; the echelon
-        # basis is unique, so gf2.nullspace would return the same
-        u = _swap_halves(v, n)
-        *odd, top = [i for i, b in enumerate(basis) if (b & u).bit_count() & 1]
-        for i in odd:
-            basis[i] ^= basis[top]
-        del basis[top]
+        gf2.add_constraint(basis, _swap_halves(v, n))
     return PauliSet.from_labels(n, sorted(chosen))
 
 

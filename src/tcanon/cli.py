@@ -13,9 +13,8 @@ import sys
 
 from . import canonical
 from .canonical import parse_circuit
-from .census import (DEFAULT_SEED, VerificationReport,
-                     count_sets, count_tdepth_one, count_tuples,
-                     emit_table, enumerate_sets, growth_check,
+from .census import (VerificationReport, count_sets, count_tdepth_one,
+                     count_tuples, emit_table, enumerate_sets, growth_check,
                      verify_distinctness, verify_hamming_weight,
                      verify_oracle, verify_spectrum, verify_unit_rows)
 from .clifford import group_order, parse_index
@@ -71,9 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "hamming-weight", "spectrum", "oracle"])
     p.add_argument("--qubits", type=_int_arg, required=True)
     p.add_argument("--trials", type=_int_arg, default=None)
-    p.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--kmax", type=_int_arg, default=3,
+    p.add_argument("--kmax", type=_int_arg, default=None,
                    help="largest family size for hamming-weight")
     p.add_argument("--json", action="store_true")
 
@@ -151,25 +150,30 @@ def _report_out(report: VerificationReport, as_json: bool) -> int:
     return 0 if report.passed else 1
 
 
+_VERIFIERS = {"distinctness": verify_distinctness, "unit-rows": verify_unit_rows,
+              "hamming-weight": verify_hamming_weight,
+              "spectrum": verify_spectrum, "oracle": verify_oracle}
+
+
 def _cmd_verify(args) -> int:
-    n = args.qubits
-    mode = "exhaustive" if args.exhaustive else "sampled"
-    if args.check == "distinctness":
-        trials = 1000 if args.trials is None else args.trials
-        report = verify_distinctness(n, mode=mode, trials=trials,
-                                     seed=args.seed)
-    elif args.check == "unit-rows":
-        trials = 100 if args.trials is None else args.trials
-        report = verify_unit_rows(n, trials=trials, seed=args.seed)
-    elif args.check == "hamming-weight":
-        report = verify_hamming_weight(n, k_max=args.kmax)
-    elif args.check == "spectrum":
-        trials = 500 if args.trials is None else args.trials
-        report = verify_spectrum(n, mode=mode, trials=trials, seed=args.seed)
-    else:
-        trials = 100 if args.trials is None else args.trials
-        report = verify_oracle(n, trials=trials, seed=args.seed)
-    return _report_out(report, args.json)
+    """Run one check.  A flag the check would not read is refused, not
+    ignored, and only the flags given are passed on, so the defaults for
+    trials, seed and family size live in census."""
+    check = args.check
+    if args.exhaustive and check not in ("distinctness", "spectrum"):
+        raise ValueError(f"--exhaustive applies to distinctness and "
+                         f"spectrum, not {check}")
+    given = {name: value for name, value in (("trials", args.trials),
+             ("seed", args.seed), ("k_max", args.kmax)) if value is not None}
+    reads = ({"k_max"} if check == "hamming-weight"
+             else set() if args.exhaustive else {"trials", "seed"})
+    for name in given:
+        if name not in reads:
+            run = f"exhaustive {check}" if args.exhaustive else check
+            raise ValueError(f"--{name.replace('_', '')} is not read by {run}")
+    if check in ("distinctness", "spectrum"):
+        given["mode"] = "exhaustive" if args.exhaustive else "sampled"
+    return _report_out(_VERIFIERS[check](args.qubits, **given), args.json)
 
 
 def _cmd_canonicalize(args) -> int:

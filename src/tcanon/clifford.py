@@ -203,22 +203,20 @@ def _gate_tableau(name: str, qubits: tuple, n: int) -> CliffordTableau:
     return CliffordTableau(n, tuple(xim), tuple(zim))
 
 
-def quarter_exponential_tableau(p: int, n: int, sign: int = -1) -> CliffordTableau:
-    """Tableau of the Clifford exp(sign * i*pi*P/4) for the positive Pauli
-    P of a non-identity label p.
+def quarter_exponential_tableau(p: int, n: int) -> CliffordTableau:
+    """Tableau of the Clifford exp(-i*pi*P/4) for the positive Pauli P of
+    a non-identity label p.
 
     Conjugation fixes commuting Paulis and sends an anticommuting Q to
-    sign * i * P * Q.
+    -i * P * Q.
     """
     if not 0 < p < 1 << (2 * n):
         raise ValueError(f"need a non-identity label, got {p} for n={n}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-    extra = 1 if sign > 0 else 3  # multiply by +-i
 
     def images(gens: tuple) -> tuple:
+        # i^3 = -i
         return tuple(g if label_commutes(g[0], p, n)
-                     else (p ^ g[0], (label_product_phase(p, g[0], n) + extra) & 3)
+                     else (p ^ g[0], (label_product_phase(p, g[0], n) + 3) & 3)
                      for g in gens)
 
     return CliffordTableau(n, *map(images, _generators(n)))
@@ -283,26 +281,18 @@ def random_clifford(n: int, seed=None) -> CliffordTableau:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    dim = 2 * n
+    # the labels commuting with every pair so far, in gf2's echelon form
+    basis = [1 << f for f in range(2 * n)]
     chosen: list[int] = []  # alternating p_1, q_1, p_2, q_2, ...
-
-    def sample_solution(target: int | None) -> int:
-        # constraints: commute with every chosen label, and if target is
-        # given, anticommute with it
-        eqs = [(_swap_halves(lab, n), 0) for lab in chosen]
-        if target is not None:
-            eqs.append((_swap_halves(target, n), 1))
-        solved = gf2.solve_affine(eqs, dim)
-        assert solved is not None
-        part, basis = solved
-        while True:
-            v = part ^ gf2.combine(basis, rng.getrandbits(len(basis)))
-            if target is not None or v:
-                return v
-
     for _ in range(n):
-        p = sample_solution(None)
-        q = sample_solution(p)
+        p = 0
+        while not p:
+            p = gf2.combine(basis, rng.getrandbits(len(basis)))
+        # the removed vector anticommutes with p: it represents the coset
+        # of labels that do, within the commutant of the earlier pairs
+        q = gf2.add_constraint(basis, _swap_halves(p, n))
+        q ^= gf2.combine(basis, rng.getrandbits(len(basis)))
+        gf2.add_constraint(basis, _swap_halves(q, n))
         chosen += (p, q)
     signed = [(lab, 2 * rng.getrandbits(1)) for lab in chosen]
     return CliffordTableau(n, tuple(signed[0::2]), tuple(signed[1::2]))

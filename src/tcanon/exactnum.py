@@ -137,8 +137,6 @@ class DyadicSqrt2Scalar:
 DYADIC_ZERO = DyadicSqrt2Scalar(0)
 DYADIC_ONE = DyadicSqrt2Scalar(1)
 DYADIC_MINUS_ONE = DyadicSqrt2Scalar(-1)
-DYADIC_SQRT2 = DyadicSqrt2Scalar(0, 1)
-DYADIC_INV_SQRT2 = DyadicSqrt2Scalar(0, 1, 1)
 
 
 def _convolve_into(out: list, a: tuple, b: tuple, shift: int) -> None:
@@ -254,7 +252,6 @@ CYC_ZERO = Cyclotomic16Scalar.from_int(0)
 CYC_ONE = Cyclotomic16Scalar.from_int(1)
 CYC_I = Cyclotomic16Scalar.zeta_power(4)
 # sqrt2 = zeta^2 - zeta^6, hence 1/sqrt2 = (zeta^2 - zeta^6)/2
-CYC_SQRT2 = Cyclotomic16Scalar((0, 0, 1, 0, 0, 0, -1, 0))
 CYC_INV_SQRT2 = Cyclotomic16Scalar((0, 0, 1, 0, 0, 0, -1, 0), 1)
 
 

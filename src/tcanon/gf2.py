@@ -3,14 +3,14 @@
 A vector is a Python int; bit i is coordinate i.  A matrix is a list of
 row ints, and the image of v is the XOR of the rows selected by the set
 bits of v (row-vector convention).
+
+Every solver is add_constraint applied once per equation <v, u> = b,
+<v, u> = |v & u| mod 2, to an echelon basis of the solutions so far:
+vector j holds the j-th free coordinate and no other.  That basis is
+unique, so it does not depend on the order of the equations.
 """
 
 from __future__ import annotations
-
-
-def pivot_bit(v: int) -> int:
-    # highest set bit; v must be nonzero
-    return v.bit_length() - 1
 
 
 def combine(rows: list[int], bits: int) -> int:
@@ -24,66 +24,47 @@ def combine(rows: list[int], bits: int) -> int:
     return v
 
 
-def reduce_vector(basis: list[int], v: int) -> int:
-    """Reduce v against an echelon basis; 0 means v lies in the span."""
-    for b in basis:
-        if (v >> pivot_bit(b)) & 1:
-            v ^= b
-    return v
-
-
-def row_basis(vectors) -> list[int]:
-    """Echelon basis (descending pivots) of the span of the inputs."""
-    basis: list[int] = []
-    for v in vectors:
-        v = reduce_vector(basis, v)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+def add_constraint(basis: list[int], u: int) -> int | None:
+    """Cut the echelon basis, which starts as the unit vectors in order,
+    down in place to <v, u> = 0.  The last vector with an odd dot is XORed
+    into the other odd ones, removed and returned; None if there is none."""
+    odd = [i for i, v in enumerate(basis) if (v & u).bit_count() & 1]
+    if not odd:
+        return None
+    p = basis.pop(odd.pop())
+    for i in odd:
+        basis[i] ^= p
+    return p
 
 
 def rank(vectors) -> int:
-    return len(row_basis(vectors))
+    """Dimension of the span; min(v, v ^ b) clears b's top bit from v."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 def solve_affine(equations, dim: int):
-    """Solve the system <v, u_i> = b_i over GF(2), <v, u> = |v & u| mod 2.
+    """Solve the system <v, u_i> = b_i over GF(2).
 
     equations is an iterable of (u_i, b_i) pairs.  Returns a pair
     (particular, nullspace_basis), or None when inconsistent.  The full
-    solution set is particular XOR any combination of basis vectors.
+    solution set is particular XOR any combination of basis vectors;
+    particular is the solution that is zero on every free coordinate.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    for vec, rhs in equations:
-        for p, (pvec, prhs) in pivots.items():
-            if (vec >> p) & 1:
-                vec ^= pvec
-                rhs ^= prhs
-        if vec == 0:
-            if rhs:
-                return None
-            continue
-        p = pivot_bit(vec)
-        # keep rows mutually reduced so every pivot column is exclusive
-        for q in list(pivots):
-            qvec, qrhs = pivots[q]
-            if (qvec >> p) & 1:
-                pivots[q] = (qvec ^ vec, qrhs ^ rhs)
-        pivots[p] = (vec, rhs)
     particular = 0
-    for p, (_vec, rhs) in pivots.items():
-        if rhs:
-            particular |= 1 << p
-    basis = []
-    for f in range(dim):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for p, (pvec, _rhs) in pivots.items():
-            if (pvec >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
+    basis = [1 << f for f in range(dim)]
+    for u, b in equations:
+        p = add_constraint(basis, u)
+        if (particular & u).bit_count() & 1 != b:
+            if p is None:
+                return None
+            particular ^= p
     return particular, basis
 
 

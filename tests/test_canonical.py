@@ -148,22 +148,20 @@ def test_quarter_exponential_matches_dense_conjugation():
     for n in (1, 2):
         for label in range(1, 1 << (2 * n)):
             p = PauliOperator.from_label(n, label)
-            for sign in (1, -1):
-                tab = quarter_exponential_tableau(label, n, sign=sign)
-                u = dense_of_quarter_exponential(p, sign=sign)
-                udag = u.dagger()
-                for glabel in range(1, 1 << (2 * n)):
-                    g = PauliOperator.from_label(n, glabel)
-                    got = dense_of_pauli(conjugate(tab, g))
-                    assert got == u.multiply(dense_of_pauli(g)).multiply(udag)
+            tab = quarter_exponential_tableau(label, n)
+            u = dense_of_quarter_exponential(p, sign=-1)
+            udag = u.dagger()
+            for glabel in range(1, 1 << (2 * n)):
+                g = PauliOperator.from_label(n, glabel)
+                got = dense_of_pauli(conjugate(tab, g))
+                assert got == u.multiply(dense_of_pauli(g)).multiply(udag)
 
 
 def test_quarter_exponential_rejects_bad_input_with_value_error():
-    # the identity label, labels outside the width, and a zero sign
-    for label, n, sign in ((0, 2, 1), (16, 2, -1), (-1, 1, -1),
-                           (parse_pauli("XZ").label, 2, 0)):
+    # the identity label and labels outside the width
+    for label, n in ((0, 2), (16, 2), (-1, 1)):
         with pytest.raises(ValueError):
-            quarter_exponential_tableau(label, n, sign=sign)
+            quarter_exponential_tableau(label, n)
 
 
 class TestFormText:

@@ -6,6 +6,7 @@ import random
 import pytest
 from conftest import inverse_word
 
+from tcanon import channel as channel_mod
 from tcanon.canonical import CanonicalForm, channel_of_decomposition
 from tcanon.channel import (
     ChannelRep,
@@ -255,6 +256,48 @@ def test_transfer_agrees_with_dense_product_on_two_qubits():
         dense = channel_of_canonical(fa).transpose().multiply(channel_of_canonical(fb))
         assert (exponential_transfer_is_signed_permutation(a, b)
                 == dense.is_signed_permutation())
+
+
+@pytest.mark.parametrize("fake, expected", [
+    # row YI has 4 entries in channel(A); flipping it in every column keeps
+    # every support, and A^T B = I - 2 a a^T is no signed permutation
+    ("flip_row_YI", False),
+    # B = A times a column swap, so A^T B is that swap; B's column XI
+    # matches A's column IX only, so the scan must reach q' != q
+    ("swap_columns_XI_IX", True),
+])
+def test_transfer_reads_signs_and_scans_other_columns(monkeypatch, fake, expected):
+    n = 2
+    a = validate_set([parse_pauli("ZZ"), parse_pauli("XX")])
+    b = PauliSet.from_labels(n, list(a.labels))  # equal labels, own tuple
+    assert b.labels == a.labels and b.labels is not a.labels
+    yi, xi, ix = (parse_pauli(t).label for t in ("YI", "XI", "IX"))
+    rep_a = channel_of_canonical(CanonicalForm(a, CliffordTableau.identity(n)))
+    assert len([col for col in rep_a.cols if yi in col]) == 4
+    real = channel_mod._form_signs
+    if fake == "flip_row_YI":
+        def fake_signs(q, positive, labels, n):
+            signs = real(q, positive, labels, n)
+            if labels is b.labels and yi in signs:
+                signs[yi] = not signs[yi]
+            return signs
+        cols_b = [{r: -v if r == yi else v for r, v in col.items()}
+                  for col in rep_a.cols]
+    else:
+        swap = {xi: ix, ix: xi}
+
+        def fake_signs(q, positive, labels, n):
+            if labels is b.labels:
+                q = swap.get(q, q)
+            return real(q, positive, labels, n)
+        cols_b = [rep_a.cols[swap.get(q, q)] for q in range(len(rep_a.cols))]
+    monkeypatch.setattr(channel_mod, "_form_signs", fake_signs)
+    for q, col in enumerate(cols_b):
+        assert fake_signs(q, True, b.labels, n) == {
+            r: DYADIC_ZERO < v for r, v in col.items()}
+    product = rep_a.transpose().multiply(ChannelRep(n, cols_b))
+    assert product.is_signed_permutation() == expected
+    assert exponential_transfer_is_signed_permutation(a, b) == expected
 
 
 def _rotated(s):

@@ -227,6 +227,26 @@ def test_verify_rejects_bad_width_or_trials(capsys, argv):
     assert "randrange" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("oracle", "--qubits", "1", "--exhaustive"), "--exhaustive"),
+    (("unit-rows", "--qubits", "1", "--exhaustive"), "--exhaustive"),
+    (("hamming-weight", "--qubits", "1", "--exhaustive"), "--exhaustive"),
+    (("oracle", "--qubits", "1", "--kmax", "2"), "--kmax"),
+    (("spectrum", "--qubits", "1", "--exhaustive", "--kmax", "1"), "--kmax"),
+    (("hamming-weight", "--qubits", "2", "--trials", "7", "--seed", "3"),
+     "--trials"),
+    (("hamming-weight", "--qubits", "2", "--seed", "random"), "--seed"),
+    (("distinctness", "--qubits", "1", "--exhaustive", "--trials", "5"),
+     "--trials"),
+    (("spectrum", "--qubits", "1", "--exhaustive", "--seed", "4"), "--seed"),
+])
+def test_verify_refuses_flags_its_check_does_not_read(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
 def test_enumerate_has_no_workers_flag():
     with pytest.raises(SystemExit) as info:
         main(["enumerate", "--qubits", "2", "--tcount", "1", "--workers", "2"])

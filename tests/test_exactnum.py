@@ -10,13 +10,10 @@ from tcanon.exactnum import (
     CYC_I,
     CYC_INV_SQRT2,
     CYC_ONE,
-    CYC_SQRT2,
     CYC_ZERO,
     Cyclotomic16Scalar,
-    DYADIC_INV_SQRT2,
     DYADIC_MINUS_ONE,
     DYADIC_ONE,
-    DYADIC_SQRT2,
     DYADIC_ZERO,
     DyadicSqrt2Scalar,
     cyclotomic_dot,
@@ -24,6 +21,10 @@ from tcanon.exactnum import (
 
 D = DyadicSqrt2Scalar
 C = Cyclotomic16Scalar
+
+DYADIC_SQRT2 = D(0, 1)
+DYADIC_INV_SQRT2 = D(0, 1, 1)
+CYC_SQRT2 = C((0, 0, 1, 0, 0, 0, -1, 0))  # zeta^2 - zeta^6
 
 
 def to_float(x):

@@ -1,14 +1,15 @@
-"""Every function, class and method in src/tcanon is used by the program.
+"""Every function, class, method and module-level name in src/tcanon is
+used by the program.
 
-A module-level function or class, or a method other than a dunder, must be
-referenced somewhere in src/ or bench/ outside its own definition.  The
-package's __init__ re-exports and the tests do not count: a helper that
-only its own unit test calls is code no command, verifier or benchmark
-runs.  A reference is an identifier, or a word in a string that is not a
-docstring (the benchmark's tracer names its spans in strings); one made
-inside an unreached definition does not count either.  Names are matched
-without their class, so a method shares its references with every other
-method of the same name.
+A module-level function, class or assigned name, or a method other than a
+dunder, must be referenced somewhere in src/ or bench/ outside its own
+definition.  The package's __init__ re-exports and the tests do not
+count: a helper or constant that only its own unit test uses is code no
+command, verifier or benchmark runs.  A reference is an identifier, or a
+word in a string that is not a docstring (the benchmark's tracer names
+its spans in strings); one made inside an unreached definition does not
+count either.  Names are matched without their class, so a method shares
+its references with every other method of the same name.
 """
 
 import ast
@@ -51,10 +52,17 @@ def references(tree):
 
 def definitions(tree, module):
     """(qualified name, first line, last line) of the module-level
-    functions and classes and the classes' non-dunder methods."""
+    functions, classes and assigned non-dunder names, and the classes'
+    non-dunder methods."""
     for node in tree.body:
         if isinstance(node, SCOPES[1:]):
             yield f"{module}.{node.name}", node.lineno, node.end_lineno
+        for target in node.targets if isinstance(node, ast.Assign) else ():
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name)
+                        and not re.fullmatch(r"__\w+__", name.id)):
+                    yield (f"{module}.{name.id}", node.lineno,
+                           node.end_lineno)
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
