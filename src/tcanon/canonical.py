@@ -345,16 +345,26 @@ def parse_circuit(text: str) -> TLayerCircuit:
     return TLayerCircuit(cliffords, layers)
 
 
-def _parse_tlayer(payload: str, n: int) -> TLayer:
-    t: list[int] = []
-    tdg: list[int] = []
+def _layer_items(payload: str):
+    """(key, index fields) of each key=i,j,... item of a TLAYER line.  A
+    t or tdg item with an empty field, as in "tdg", "t=" or "t=0,,1", is
+    refused; any other key is left to the caller."""
     for item in payload.split():
         key, _, val = item.partition("=")
         key = key.lower()
+        fields = val.split(",")
+        if key in ("t", "tdg") and "" in fields:
+            raise ValueError(f"empty qubit index in T layer item {item!r}")
+        yield key, fields
+
+
+def _parse_tlayer(payload: str, n: int) -> TLayer:
+    t: list[int] = []
+    tdg: list[int] = []
+    for key, fields in _layer_items(payload):
         if key not in ("t", "tdg"):
             raise ValueError(f"bad T layer key {key!r}")
-        qubits = [parse_index(v) for v in val.split(",") if v.strip() != ""]
-        (t if key == "t" else tdg).extend(qubits)
+        (t if key == "t" else tdg).extend(map(parse_index, fields))
     return TLayer(n, t=t, tdg=tdg)
 
 
@@ -368,10 +378,13 @@ def _infer_width(entries) -> int:
                 if len(parts) > 1 and parts[0].upper() in GATE_ARITY:
                     fields += parts[1:]
         else:
-            for item in payload.split():
-                fields += item.partition("=")[2].split(",")
+            try:
+                for _, item_fields in _layer_items(payload):
+                    fields += item_fields
+            except ValueError as e:
+                raise ParseError(str(e), at) from None
         for field in fields:
-            if not field:
+            if not field:  # only under a bad key, which the parse reports
                 continue
             try:
                 q = parse_index(field)

@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 a verification found a counterexample,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -43,7 +44,10 @@ def _seed_arg(value: str) -> int:
             f"seed must be an integer or 'random', got {value!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args returns a fresh namespace each
+    call, and prog is fixed rather than read from sys.argv."""
     top = argparse.ArgumentParser(
         prog="tcanon",
         description="Exact census and canonical forms of T-depth-one "
@@ -204,8 +208,7 @@ def _cmd_canonicalize(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "count":
             _write(_count_text(args), None)

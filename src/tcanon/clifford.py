@@ -236,28 +236,32 @@ def parse_gate_word(text: str, n: int) -> list[tuple[str, tuple]]:
     """Tokenize a gate word: tokens split on ';' or newlines, each a gate
     name followed by qubit indices, e.g. "H 0; CX 0 1".  Empty text is the
     identity word."""
-    tokens = []
-    for raw in text.replace("\n", ";").split(";"):
-        parts = raw.split()
-        if not parts:
-            continue
-        name = parts[0].upper()
-        if name not in GATE_ARITY:
-            raise BadTokenError(f"unknown gate {parts[0]!r}")
-        arity = GATE_ARITY[name]
-        if len(parts) - 1 != arity:
-            raise BadTokenError(f"gate {name} expects {arity} qubit(s): {raw.strip()!r}")
-        try:
-            qubits = tuple(parse_index(p) for p in parts[1:])
-        except ValueError:
-            raise BadTokenError(f"bad qubit index in {raw.strip()!r}") from None
-        for q in qubits:
-            if not 0 <= q < n:
-                raise IndexOutOfRangeError(f"qubit {q} out of range for n={n}")
-        if arity == 2 and qubits[0] == qubits[1]:
-            raise BadTokenError(f"repeated qubit in {raw.strip()!r}")
-        tokens.append((name, qubits))
-    return tokens
+    tokens = [raw.strip() for raw in text.replace("\n", ";").split(";")]
+    return [_parse_token(token, n) for token in tokens if token]
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse_token(token: str, n: int) -> tuple[str, tuple]:
+    """(name, qubits) of one stripped gate token; words reuse a few
+    tokens, so each distinct (token, n) is parsed once.  A refused token
+    raises afresh on every call: lru_cache keeps no exceptions."""
+    parts = token.split()
+    name = parts[0].upper()
+    if name not in GATE_ARITY:
+        raise BadTokenError(f"unknown gate {parts[0]!r}")
+    arity = GATE_ARITY[name]
+    if len(parts) - 1 != arity:
+        raise BadTokenError(f"gate {name} expects {arity} qubit(s): {token!r}")
+    try:
+        qubits = tuple(parse_index(p) for p in parts[1:])
+    except ValueError:
+        raise BadTokenError(f"bad qubit index in {token!r}") from None
+    for q in qubits:
+        if not 0 <= q < n:
+            raise IndexOutOfRangeError(f"qubit {q} out of range for n={n}")
+    if arity == 2 and qubits[0] == qubits[1]:
+        raise BadTokenError(f"repeated qubit in {token!r}")
+    return name, qubits
 
 
 def from_gate_word(text: str, n: int) -> CliffordTableau:

@@ -370,6 +370,21 @@ def test_canonicalize_rejects_a_repeated_qubit_in_a_layer(capsys, monkeypatch,
     assert f"(at offset {text.index('TLAYER')})" in err
 
 
+# each dropped an item or an empty field and canonicalized what was left
+@pytest.mark.parametrize("header", ["QUBITS: 2\n", ""],
+                         ids=["declared", "inferred"])
+@pytest.mark.parametrize("layer", ["tdg t=0", "t=0 tdg=", "t=0,,1", "t=0,"])
+def test_canonicalize_rejects_a_layer_item_without_indices(
+        capsys, monkeypatch, header, layer):
+    text = f"{header}CLIFFORD: H 1\nTLAYER: {layer}\nCLIFFORD:\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "canonicalize")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: empty qubit index in T layer item ")
+    assert f"(at offset {text.index('TLAYER')})" in err
+
+
 # "+1", "1_0" and Arabic-Indic one are widths int() would misread
 @pytest.mark.parametrize("width", ["0", "-2", "+1", "1_0", "\u0661"])
 def test_canonicalize_rejects_a_width_below_one(capsys, monkeypatch, width):
@@ -428,6 +443,60 @@ def test_missing_input_file_exits_two(capsys):
                              "/nonexistent/circuit.txt")
     assert code == 2
     assert "error:" in err
+
+
+def _main_in_this_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _main_in_a_fresh_process(argv):
+    package_root = str(Path(tcanon.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tcanon.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _without_elapsed(result):
+    code, out, err = result
+    if out.startswith("{"):
+        report = json.loads(out)
+        report.pop("elapsed_seconds")
+        out = report
+    return code, out, err
+
+
+def test_calls_in_one_process_read_and_report_as_fresh_processes(
+        capsys, tmp_path):
+    """The parser is built once per process; no call's flags, defaults or
+    errors may carry over into the next call."""
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("CLIFFORD: H 0; CX 0 1\nTLAYER: t=0 tdg=1\n"
+                       "CLIFFORD: S 1\n", encoding="utf-8")
+    calls = [
+        ["count", "--qubits", "two"],
+        ["count", "--qubits", "2"],
+        ["verify", "spectrum", "--qubits", "2", "--seed", "5", "--json"],
+        ["verify", "spectrum", "--qubits", "2", "--json"],
+        ["canonicalize", "--in", str(circuit)],
+        ["canonicalize", "--in", str(circuit)],
+    ]
+    here = [_main_in_this_process(capsys, argv) for argv in calls]
+    assert [r[0] for r in here] == [2, 0, 0, 0, 0, 0]
+    assert "usage: tcanon count" in here[0][2]
+    assert [json.loads(here[k][1])["seed"] for k in (2, 3)] == [5, 1729]
+    assert here[4] == here[5]
+    for argv, result in zip(calls, here):
+        assert (_without_elapsed(result)
+                == _without_elapsed(_main_in_a_fresh_process(argv))), argv
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -11,11 +11,13 @@ from tcanon.clifford import (
     CliffordTableau,
     IndexOutOfRangeError,
     _gate_tableau,
+    _parse_token,
     from_gate_word,
     group_order,
     parse_gate_word,
     random_clifford,
 )
+from tcanon.canonical import ParseError, parse_circuit
 from tcanon.census import random_gate_word, random_pauli_set
 from tcanon.oracle import dense_of_gate_word, dense_of_pauli
 from tcanon.pauli import PauliOperator, label_commutes, parse_pauli
@@ -95,8 +97,37 @@ def test_parse_gate_word_token_structure():
     ],
 )
 def test_parse_gate_word_rejects(word, err):
-    with pytest.raises(err):
-        parse_gate_word(word, 2)
+    # a refused token is parsed afresh each time, with the same message
+    messages = []
+    for _ in range(2):
+        with pytest.raises(err) as info:
+            parse_gate_word(word, 2)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_parse_gate_word_memo_hands_out_fresh_lists_per_width():
+    word = "H 1; CX 0 1"
+    first = parse_gate_word(word, 2)
+    first[0] = ("Z", (0,))
+    first.append(("X", (1,)))
+    assert parse_gate_word(word, 2) == [("H", (1,)), ("CX", (0, 1))]
+    with pytest.raises(IndexOutOfRangeError):
+        parse_gate_word(word, 1)
+    maxsize = _parse_token.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+@pytest.mark.parametrize("bad", ["CX 1 1", "H 7", "FOO 0"])
+def test_a_refused_token_gives_the_same_parse_error_each_parse(bad):
+    text = f"QUBITS: 2\nCLIFFORD: H 0\nTLAYER: t=0\nCLIFFORD: H 0; {bad}\n"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            parse_circuit(text)
+        errors.append((str(info.value), info.value.position))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == text.index(f"CLIFFORD: H 0; {bad}")
 
 
 def test_compose_inverse_round_trip():
