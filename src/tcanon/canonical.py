@@ -326,12 +326,13 @@ def parse_circuit(text: str) -> TLayerCircuit:
             raise ParseError("CLIFFORD and TLAYER lines must alternate",
                              entries[i][2])
 
+    stop, error = len(entries), None
     if declared is None:
-        declared = _infer_width(entries)
+        declared, stop, error = _infer_width(entries)
 
     cliffords = []
     layers = []
-    for kind, payload, at in entries:
+    for kind, payload, at in entries[:stop]:
         if kind == "c":
             try:
                 cliffords.append(from_gate_word(payload, declared))
@@ -342,6 +343,8 @@ def parse_circuit(text: str) -> TLayerCircuit:
                 layers.append(_parse_tlayer(payload, declared))
             except ValueError as e:
                 raise ParseError(str(e), at) from None
+    if error is not None:
+        raise error
     return TLayerCircuit(cliffords, layers)
 
 
@@ -368,32 +371,34 @@ def _parse_tlayer(payload: str, n: int) -> TLayer:
     return TLayer(n, t=t, tdg=tdg)
 
 
-def _infer_width(entries) -> int:
+def _infer_width(entries) -> tuple:
+    """(width, stop, error) for a circuit without a QUBITS line.  error is
+    the ParseError of the first line with a bad index and stop its
+    position, so the lines before it are parsed first, at one more than
+    their largest index (or 1); with no bad index, stop is past the last
+    line and a circuit that names no qubit cannot be sized."""
     top = -1
-    for kind, payload, at in entries:
-        fields = []
-        if kind == "c":
-            for tok in payload.replace("\n", ";").split(";"):
-                parts = tok.split()
-                if len(parts) > 1 and parts[0].upper() in GATE_ARITY:
-                    fields += parts[1:]
-        else:
-            try:
+    for pos, (kind, payload, at) in enumerate(entries):
+        try:
+            fields = []
+            if kind == "c":
+                for tok in payload.replace("\n", ";").split(";"):
+                    parts = tok.split()
+                    if len(parts) > 1 and parts[0].upper() in GATE_ARITY:
+                        fields += parts[1:]
+            else:
                 for _, item_fields in _layer_items(payload):
                     fields += item_fields
-            except ValueError as e:
-                raise ParseError(str(e), at) from None
-        for field in fields:
-            if not field:  # only under a bad key, which the parse reports
-                continue
-            try:
+            for field in fields:
+                if not field:  # only under a bad key, which the parse reports
+                    continue
                 q = parse_index(field)
-            except ValueError as e:
-                raise ParseError(str(e), at) from None
-            if q < 0:
-                raise ParseError(f"qubit {q} out of range; indices start at 0",
-                                 at)
-            top = max(top, q)
+                if q < 0:
+                    raise ValueError(
+                        f"qubit {q} out of range; indices start at 0")
+                top = max(top, q)
+        except ValueError as e:
+            return max(top, 0) + 1, pos, ParseError(str(e), at)
     if top < 0:
         raise ParseError("cannot infer width; add a QUBITS line", 0)
-    return top + 1
+    return top + 1, len(entries), None

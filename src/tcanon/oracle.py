@@ -5,10 +5,13 @@ entries in Z[zeta, 1/2], zeta = exp(i*pi/8), sharing nothing with the
 tableau or channel machinery beyond the gate-word tokenizer.  That makes
 it slow and size-limited but trustworthy: agreement between a structured
 channel and channel_bruteforce checks the fast path end to end.
-pauli_expand and channel_bruteforce run on raw rows, each entry an 8-int
-coefficient list over one 2^k shared by the matrix.  Every Pauli trace
-is read off an integer Walsh-Hadamard transform of those entries, times
-a unit i^t; a scalar is built only per nonzero trace.
+A gate word is built in place, one gate at a time, as an operation on
+the running matrix's columns.  pauli_expand and channel_bruteforce run
+on raw rows, each entry its nonzero zeta-coefficients over one 2^k
+shared by the matrix.  Products go straight into integer coefficient
+planes, one per power of zeta and only where one is hit; every Pauli
+trace is read off an integer Walsh-Hadamard transform of those planes,
+times a unit i^t, and a scalar is built only per nonzero trace.
 
 Matrices above three qubits are refused with SizeRefusalError; a channel
 costs 16^n entry products and 16^n transform outputs, which stops being
@@ -17,11 +20,14 @@ interactive from four qubits on.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import add, sub
+
 from .canonical import TLayer
 from .channel import ChannelRep
 from .clifford import parse_gate_word
 from .exactnum import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO,
-                       Cyclotomic16Scalar, _convolve_into, cyclotomic_dot)
+                       Cyclotomic16Scalar, cyclotomic_dot)
 from .pauli import PauliOperator
 
 
@@ -141,60 +147,60 @@ def _qubit_mask(n: int, q: int) -> int:
     return 1 << (n - 1 - q)
 
 
-def _dense_gate(name: str, qubits: tuple, n: int) -> DenseUnitary:
+def _apply_gate(cols: list, name: str, qubits: tuple, n: int) -> None:
+    """cols <- cols * G for one gate G, on the running matrix's columns of
+    8-int entries; H is applied as sqrt2 * H, all integer."""
     dim = 1 << n
-    mat = [[CYC_ZERO] * dim for _ in range(dim)]
+    m = _qubit_mask(n, qubits[0])
     if name == "H":
-        m = _qubit_mask(n, qubits[0])
         for c in range(dim):
-            mat[c & ~m][c] = CYC_INV_SQRT2
-            v = CYC_INV_SQRT2 if not (c & m) else -CYC_INV_SQRT2
-            mat[c | m][c] = v
-    elif name == "S":
-        m = _qubit_mask(n, qubits[0])
+            if not c & m:
+                lo, hi = cols[c], cols[c | m]
+                cols[c] = [[*map(add, a, b)] for a, b in zip(lo, hi)]
+                cols[c | m] = [[*map(sub, a, b)] for a, b in zip(lo, hi)]
+    elif name in ("S", "Z", "CZ"):
+        if name == "CZ":
+            m |= _qubit_mask(n, qubits[1])
         for c in range(dim):
-            mat[c][c] = CYC_I if c & m else CYC_ONE
-    elif name == "X":
-        m = _qubit_mask(n, qubits[0])
-        for c in range(dim):
-            mat[c ^ m][c] = CYC_ONE
-    elif name == "Z":
-        m = _qubit_mask(n, qubits[0])
-        for c in range(dim):
-            mat[c][c] = -CYC_ONE if c & m else CYC_ONE
-    elif name == "CX":
-        cm = _qubit_mask(n, qubits[0])
-        tm = _qubit_mask(n, qubits[1])
-        for c in range(dim):
-            mat[c ^ tm if c & cm else c][c] = CYC_ONE
-    elif name == "CZ":
-        am = _qubit_mask(n, qubits[0])
-        bm = _qubit_mask(n, qubits[1])
-        for c in range(dim):
-            neg = (c & am) and (c & bm)
-            mat[c][c] = -CYC_ONE if neg else CYC_ONE
-    elif name == "SWAP":
-        am = _qubit_mask(n, qubits[0])
-        bm = _qubit_mask(n, qubits[1])
-        for c in range(dim):
-            a_bit = 1 if c & am else 0
-            b_bit = 1 if c & bm else 0
-            r = c
-            if a_bit != b_bit:
-                r = c ^ am ^ bm
-            mat[r][c] = CYC_ONE
+            if c & m == m:
+                cols[c] = [_times_zeta(v, 4 if name == "S" else 8)
+                           for v in cols[c]]
     else:
-        raise AssertionError(f"unhandled gate {name}")
-    return DenseUnitary(n, mat)
+        # a permutation gate has G[src][c] = 1: new column c is column src
+        b = _qubit_mask(n, qubits[-1])
+        if name == "X":
+            src = [c ^ m for c in range(dim)]
+        elif name == "CX":
+            src = [c ^ b if c & m else c for c in range(dim)]
+        elif name == "SWAP":
+            src = [c ^ m ^ b if bool(c & m) != bool(c & b) else c
+                   for c in range(dim)]
+        else:
+            raise AssertionError(f"unhandled gate {name}")
+        cols[:] = [cols[c] for c in src]
 
 
 def dense_of_gate_word(text: str, n: int) -> DenseUnitary:
-    """Matrix of a gate word, leftmost factor applied last (product order)."""
+    """Matrix of a gate word, leftmost factor applied last (product order).
+
+    Each gate multiplies the running matrix from the right, in place: H
+    mixes pairs of columns, S, Z and CZ phase columns, and X, CX and SWAP
+    permute them, all on 8-int entries.  The 1/sqrt2 of each of the h H
+    gates comes in at the end, as 2^-(h // 2) and one more 1/sqrt2 if h
+    is odd.
+    """
     _guard(n)
-    acc = DenseUnitary.identity(n)
+    dim = 1 << n
+    cols = [[[int(r == c)] + [0] * 7 for r in range(dim)] for c in range(dim)]
+    h = 0
     for name, qubits in parse_gate_word(text, n):
-        acc = acc.multiply(_dense_gate(name, qubits, n))
-    return acc
+        _apply_gate(cols, name, qubits, n)
+        h += name == "H"
+    if h & 1:  # sqrt2 = zeta^2 - zeta^6, and 1/sqrt2 = sqrt2 / 2
+        cols = [[[*map(sub, _times_zeta(v, 2), _times_zeta(v, 6))]
+                 for v in col] for col in cols]
+    return DenseUnitary(n, [[Cyclotomic16Scalar(v, (h + 1) // 2) for v in row]
+                            for row in zip(*cols)])
 
 
 def dense_of_t_layer(layer: TLayer) -> DenseUnitary:
@@ -212,57 +218,44 @@ def dense_of_t_layer(layer: TLayer) -> DenseUnitary:
     return DenseUnitary(n, mat)
 
 
-def _rotate(c: list, t: int) -> list:
-    """i^t * c on 8 coefficients: i = zeta^4 and zeta^8 = -1."""
-    t &= 3
-    if t == 0:
-        return c
-    if t == 2:
-        return [-v for v in c]
-    if t == 1:
-        return [-v for v in c[4:]] + c[:4]
-    return c[4:] + [-v for v in c[:4]]
+def _times_zeta(c: list, j: int) -> list:
+    """zeta^j * c on 8 coefficients, using zeta^8 = -1."""
+    j %= 16
+    if j >= 8:
+        c, j = [-v for v in c], j - 8
+    return [-v for v in c[8 - j:]] + c[:8 - j]
 
 
 def _raw(u: DenseUnitary) -> tuple:
-    """(rows, k): every nonzero entry of u as an 8-int list over one
-    shared 2^k, and None for each zero entry so products can skip it."""
+    """(rows, k): every entry of u as its (j, c_j) pairs with c_j != 0,
+    over one 2^k shared by the matrix; a zero entry has no pairs."""
     k = max(v.k for row in u.mat for v in row)
-    return [[[c << (k - v.k) for c in v.c] if any(v.c) else None
+    return [[tuple((j, c << (k - v.k)) for j, c in enumerate(v.c) if c)
              for v in row] for row in u.mat], k
 
 
-def _conjugate_raw(rows: list) -> list:
-    """Per raw row, (column, conjugate) for each nonzero entry, with the
-    complex conjugate taken as zeta^j -> -zeta^(8-j)."""
-    return [[(j, [c[0], -c[7], -c[6], -c[5], -c[4], -c[3], -c[2], -c[1]])
-             for j, c in enumerate(row) if c is not None] for row in rows]
+def _transform(planes: dict, bits: int):
+    """Yield (j, c) for every nonzero out[j] = sum_i (-1)^|i & j| in[i],
+    c its 8 coefficients; planes[t] holds coefficient t of every in[i],
+    and a missing plane is all zero.
 
-
-_ZERO = (0,) * 8
-
-
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
-def _walsh_hadamard(entries: list, bits: int) -> list:
-    """out[j] = sum_i (-1)^|i & j| entries[i] over 8-int entries.
-
-    Each coefficient plane that is not all zero runs `bits` integer
-    butterfly stages; a stage pairs the entries that differ in the lowest
-    index bit and writes sums then differences, which rotates the index
-    bits, so after `bits` stages every index is back in place.
+    Each plane runs `bits` integer butterfly stages; a stage pairs the
+    entries that differ in the lowest index bit and writes sums then
+    differences, which rotates the index bits, so after `bits` stages
+    every index is back in place.
     """
-    planes = []
-    for plane in zip(*entries):
-        if any(plane):
-            for _ in range(bits):
-                lo, hi = plane[0::2], plane[1::2]
-                plane = ([a + b for a, b in zip(lo, hi)]
-                         + [a - b for a, b in zip(lo, hi)])
-        planes.append(plane)
-    return list(zip(*planes))
+    outs = []
+    for plane in planes.values():
+        for _ in range(bits):
+            lo, hi = plane[0::2], plane[1::2]
+            plane = [*map(add, lo, hi), *map(sub, lo, hi)]
+        outs.append(plane)
+    for j, values in enumerate(zip(*outs)):
+        if any(values):
+            c = [0] * 8
+            for t, v in zip(planes, values):
+                c[t] = v
+            yield j, c
 
 
 def pauli_expand(u: DenseUnitary) -> dict:
@@ -277,11 +270,13 @@ def pauli_expand(u: DenseUnitary) -> dict:
     rows, k = _raw(u)
     out = {}
     for x in range(dim):
-        diagonal = [rows[r ^ x][r] or _ZERO for r in range(dim)]
-        for z, v in enumerate(_walsh_hadamard(diagonal, n)):
-            if any(v):
-                out[x << n | z] = Cyclotomic16Scalar(
-                    _rotate(list(v), 3 * _popcount(x & z)), k + n)
+        planes = defaultdict(lambda: [0] * dim)
+        for r in range(dim):
+            for j, c in rows[r ^ x][r]:
+                planes[j][r] = c
+        for z, v in _transform(planes, n):
+            out[x << n | z] = Cyclotomic16Scalar(
+                _times_zeta(v, 12 * (x & z).bit_count()), k + n)
     return out
 
 
@@ -289,34 +284,38 @@ def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     """Channel matrix by raw traces: entry[P, Q] = Tr(P U Q U') / 2^n.
 
     For X-parts (xp, xq), A[r][c] = U[r ^ xp][c ^ xq] conj(U[r][c]) is one
-    grid; its transform over the 2n bits of r * 2^n + c holds at
-    (zp, zq) the trace for P = (xp, zp), Q = (xq, zq), up to the unit
-    i^(3|xp&zp| + |xq&zq|).  Raises NonRealEntryError if any trace falls
-    outside the real dyadic sqrt2 ring, which cannot happen for an actual
-    unitary's channel.
+    grid, accumulated straight into coefficient planes (zeta^8 = -1, and
+    conj zeta^j = -zeta^(8-j)); its transform over the 2n bits of
+    r * 2^n + c holds at (zp, zq) the trace for P = (xp, zp),
+    Q = (xq, zq), up to the unit i^(3|xp&zp| + |xq&zq|).  Raises
+    NonRealEntryError if any trace falls outside the real dyadic sqrt2
+    ring, which cannot happen for an actual unitary's channel.
     """
     _guard(u.n)
     n = u.n
     dim = 1 << n
     rows, k = _raw(u)
-    conj_rows = _conjugate_raw(rows)
+    conj_rows = [[(c, tuple((8 - j, -v) if j else (0, v) for j, v in e))
+                  for c, e in enumerate(row) if e] for row in rows]
     cols = [{} for _ in range(dim * dim)]
     for xp in range(dim):
         for xq in range(dim):
-            grid = [_ZERO] * (dim * dim)
+            planes = defaultdict(lambda: [0] * (dim * dim))
             for r, conj_row in enumerate(conj_rows):
                 row = rows[r ^ xp]
                 for c, b in conj_row:
-                    if (a := row[c ^ xq]) is not None:
-                        acc = grid[r << n | c] = [0] * 8
-                        _convolve_into(acc, a, b, 0)
-            for j, v in enumerate(_walsh_hadamard(grid, 2 * n)):
-                if not any(v):
-                    continue
+                    index = r << n | c
+                    for i, ai in row[c ^ xq]:
+                        for j, bj in b:
+                            if i + j < 8:
+                                planes[i + j][index] += ai * bj
+                            else:
+                                planes[i + j - 8][index] -= ai * bj
+            for j, v in _transform(planes, 2 * n):
                 zp, zq = j >> n, j & (dim - 1)
                 p, q = xp << n | zp, xq << n | zq
-                trace = Cyclotomic16Scalar(_rotate(
-                    list(v), 3 * _popcount(xp & zp) + _popcount(xq & zq)),
+                trace = Cyclotomic16Scalar(_times_zeta(
+                    v, 12 * (xp & zp).bit_count() + 4 * (xq & zq).bit_count()),
                     2 * k + n)
                 try:
                     cols[q][p] = trace.to_dyadic()

@@ -430,6 +430,26 @@ def test_canonicalize_names_a_negative_index_when_inferring_width(
     assert f"(at offset {text.index(line)})" in err
 
 
+# the gate error comes first, then the two bad lines swap places
+@pytest.mark.parametrize("body, message, line", [
+    ("CLIFFORD: FOO 0\nTLAYER: t=-3\nCLIFFORD:\n", "unknown gate 'FOO'",
+     "CLIFFORD: FOO"),
+    ("CLIFFORD:\nTLAYER: t=-3\nCLIFFORD: FOO 0\n", "qubit -3 out of range",
+     "TLAYER"),
+], ids=["gate-first", "index-first"])
+@pytest.mark.parametrize("header", ["QUBITS: 1\n", ""],
+                         ids=["declared", "inferred"])
+def test_canonicalize_reports_the_first_bad_line_of_the_file(
+        capsys, monkeypatch, header, body, message, line):
+    text = header + body
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "canonicalize")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert f"(at offset {text.index(line)})" in err
+
+
 @pytest.mark.parametrize("width", ["0", "-3"])
 def test_growth_rejects_widths_below_one(capsys, width):
     code, out, err = run_cli(capsys, "growth", "--max-qubits", width)

@@ -9,6 +9,7 @@ import pytest
 
 from tcanon.canonical import TLayer
 from tcanon.exactnum import (
+    CYC_I,
     CYC_INV_SQRT2,
     CYC_ONE,
     CYC_ZERO,
@@ -124,6 +125,65 @@ def test_gate_words_multiply_left_to_right():
     assert hs == dense_of_gate_word("H 0", 1).multiply(dense_of_gate_word("S 0", 1))
     assert hs.multiply(hs.dagger()) == DenseUnitary.identity(1)
     assert dense_of_gate_word("", 2) == DenseUnitary.identity(2)
+
+
+def _gate_on_basis(name, qubits, bits):
+    """(amplitude, bits') pairs of G|bits>, bits[q] the value of qubit q."""
+    a = qubits[0]
+    out = list(bits)
+    if name == "H":
+        low, high = list(bits), list(bits)
+        low[a], high[a] = 0, 1
+        return [(CYC_INV_SQRT2, low),
+                (-CYC_INV_SQRT2 if bits[a] else CYC_INV_SQRT2, high)]
+    if name == "S":
+        return [(CYC_I if bits[a] else CYC_ONE, out)]
+    if name == "Z":
+        return [(-CYC_ONE if bits[a] else CYC_ONE, out)]
+    if name == "CZ":
+        both = bits[a] and bits[qubits[1]]
+        return [(-CYC_ONE if both else CYC_ONE, out)]
+    if name == "X":
+        out[a] ^= 1
+    elif name == "CX":
+        out[qubits[1]] ^= bits[a]
+    else:
+        assert name == "SWAP"
+        b = qubits[1]
+        out[a], out[b] = bits[b], bits[a]
+    return [(CYC_ONE, out)]
+
+
+def _matrix_from_basis_action(token, n):
+    # column c holds G|c>; qubit 0 is the most significant bit of c
+    name, *qubits = token.split()
+    qubits = tuple(int(q) for q in qubits)
+    dim = 1 << n
+    mat = [[CYC_ZERO] * dim for _ in range(dim)]
+    for c in range(dim):
+        bits = [c >> (n - 1 - q) & 1 for q in range(n)]
+        for amplitude, out in _gate_on_basis(name, qubits, bits):
+            r = int("".join(map(str, out)), 2)
+            mat[r][c] = mat[r][c] + amplitude
+    return mat
+
+
+def test_every_gate_matrix_is_the_gate_on_basis_states():
+    for n in (1, 2, 3):
+        for token in _generator_words(n):
+            assert (dense_of_gate_word(token, n).mat
+                    == _matrix_from_basis_action(token, n)), token
+
+
+def test_a_word_matrix_is_the_product_of_its_gate_matrices():
+    rng = random.Random(1531)
+    for i in range(30):
+        n = 1 + i % 3
+        word = random_gate_word(n, rng, length=rng.randint(0, 30))
+        product = DenseUnitary.identity(n)
+        for token in filter(None, (t.strip() for t in word.split(";"))):
+            product = product.multiply(dense_of_gate_word(token, n))
+        assert dense_of_gate_word(word, n) == product, word
 
 
 def test_size_guard():
@@ -339,3 +399,38 @@ def test_the_kernel_phase_rule_rebuilds_every_pauli_matrix():
                 mat[r][r ^ x] = C.zeta_power(4 * t)
             p = PauliOperator.from_label(n, label)
             assert dense_of_pauli(p).mat == mat
+
+
+def _dense_scalar(rng):
+    # every zeta-coefficient nonzero, over a random 2^k
+    c = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(8)]
+    return C(c, rng.randint(0, 5))
+
+
+def test_pauli_expand_matches_the_scalar_construction_on_full_planes():
+    # unitary inputs leave most coefficient planes empty; these fill all
+    # eight, at mixed 2^k, with a few zero entries for the skips
+    rng = random.Random(4409)
+    for n, count in ((1, 20), (2, 20), (3, 5)):
+        dim = 1 << n
+        for _ in range(count):
+            u = DenseUnitary(n, [[CYC_ZERO if rng.random() < 0.1
+                                  else _dense_scalar(rng)
+                                  for _ in range(dim)] for _ in range(dim)])
+            assert pauli_expand(u) == _reference_expand(u)
+
+
+def test_channel_bruteforce_matches_the_scalar_construction_on_scaled_forms():
+    # a form times zeta^j (a + b i + (c + d i) sqrt2) / 2^k: most products
+    # pair several coefficients and wrap past zeta^8, while the squared
+    # modulus keeps each trace in the real dyadic sqrt2 ring
+    rng = random.Random(4410)
+    for n, count in ((1, 10), (2, 10), (3, 2)):
+        for _ in range(count):
+            b = [rng.randint(-5, 5) if j % 2 == 0 else 0 for j in range(8)]
+            if not any(b):
+                b[0] = 1
+            scale = C.zeta_power(rng.randrange(16)) * C(b, rng.randint(0, 3))
+            form = _random_form(n, rng)
+            u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])
+            assert channel_bruteforce(u) == _reference_channel(u)
