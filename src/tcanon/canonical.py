@@ -288,6 +288,8 @@ def parse_circuit(text: str) -> TLayerCircuit:
     entries = []  # (kind, payload, offset)
     declared = None
     seen_qubits = False
+    error = None  # the first structural error; the lines before it go first
+    ends = "circuit must start and end with CLIFFORD lines"
     offset = 0
     for raw in text.splitlines(keepends=True):
         line = raw.split("#", 1)[0]
@@ -298,7 +300,8 @@ def parse_circuit(text: str) -> TLayerCircuit:
             continue
         if stripped.upper().startswith("QUBITS:"):
             if entries:
-                raise ParseError("QUBITS must come first", at)
+                error = ParseError("QUBITS must come first", at)
+                break
             if seen_qubits:
                 raise ParseError("repeated QUBITS line", at)
             seen_qubits = True
@@ -310,25 +313,25 @@ def parse_circuit(text: str) -> TLayerCircuit:
                 raise ParseError(f"need QUBITS >= 1, got {declared}", at)
             continue
         if stripped.upper().startswith("CLIFFORD:"):
-            entries.append(("c", stripped.split(":", 1)[1], at))
+            kind = "c"
         elif stripped.upper().startswith("TLAYER:"):
-            entries.append(("t", stripped.split(":", 1)[1], at))
+            kind = "t"
         else:
-            raise ParseError(f"unrecognized line {stripped!r}", at)
+            error = ParseError(f"unrecognized line {stripped!r}", at)
+            break
+        if kind != "ct"[len(entries) & 1]:
+            error = ParseError("CLIFFORD and TLAYER lines must alternate"
+                               if entries else ends, at)
+            break
+        entries.append((kind, stripped.split(":", 1)[1], at))
+    if error is None and entries and not len(entries) & 1:  # TLAYER last
+        error = ParseError(ends, entries.pop()[2])
     if not entries:
-        raise ParseError("empty circuit", 0)
-    kinds = [k for k, _, _ in entries]
-    if kinds[0] != "c" or kinds[-1] != "c":
-        raise ParseError("circuit must start and end with CLIFFORD lines",
-                         entries[0][2] if kinds[0] != "c" else entries[-1][2])
-    for i in range(1, len(kinds)):
-        if kinds[i] == kinds[i - 1]:
-            raise ParseError("CLIFFORD and TLAYER lines must alternate",
-                             entries[i][2])
+        raise error or ParseError("empty circuit", 0)
 
-    stop, error = len(entries), None
+    stop = len(entries)
     if declared is None:
-        declared, stop, error = _infer_width(entries)
+        declared, stop, error = _infer_width(entries, error)
 
     cliffords = []
     layers = []
@@ -371,12 +374,13 @@ def _parse_tlayer(payload: str, n: int) -> TLayer:
     return TLayer(n, t=t, tdg=tdg)
 
 
-def _infer_width(entries) -> tuple:
+def _infer_width(entries, error) -> tuple:
     """(width, stop, error) for a circuit without a QUBITS line.  error is
     the ParseError of the first line with a bad index and stop its
     position, so the lines before it are parsed first, at one more than
-    their largest index (or 1); with no bad index, stop is past the last
-    line and a circuit that names no qubit cannot be sized."""
+    their largest index (or 1); with none, stop is past the last line,
+    the structural error given is kept, or, if there is none, a circuit
+    that names no qubit cannot be sized."""
     top = -1
     for pos, (kind, payload, at) in enumerate(entries):
         try:
@@ -399,6 +403,6 @@ def _infer_width(entries) -> tuple:
                 top = max(top, q)
         except ValueError as e:
             return max(top, 0) + 1, pos, ParseError(str(e), at)
-    if top < 0:
+    if top < 0 and error is None:
         raise ParseError("cannot infer width; add a QUBITS line", 0)
-    return top + 1, len(entries), None
+    return max(top, 0) + 1, len(entries), error

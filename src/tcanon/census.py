@@ -198,19 +198,20 @@ def random_pauli_set(n: int, m: int, rng) -> PauliSet:
     span = 1
     # the commutant of the prefix, in gf2's echelon form
     basis = [1 << f for f in range(2 * n)]
-    while len(chosen) < m:
+    for k in range(m):
         while True:
-            bits = 0
-            # one getrandbits(1) per vector, in order: the seeded streams
-            # depend on it
-            for i in range(len(basis)):
-                bits |= rng.getrandbits(1) << i
-            v = gf2.combine(basis, bits)
+            # one getrandbits(1) per vector, in order, and nothing else
+            # drawn: the seeded streams depend on it
+            v = 0
+            for b in basis:
+                if rng.getrandbits(1):
+                    v ^= b
             if not (span >> v) & 1:
                 break
-        span = _span_with(span, v)
         chosen.append(v)
-        gf2.add_constraint(basis, _swap_halves(v, n))
+        if k < m - 1:
+            span = _span_with(span, v)
+            gf2.add_constraint(basis, _swap_halves(v, n))
     return PauliSet.from_labels(n, sorted(chosen))
 
 

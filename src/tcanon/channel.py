@@ -14,10 +14,13 @@ row of i*P*R.  A canonical form's factors commute and are independent,
 so its column that starts as +-1 at row R0 needs no rotation: it ends as
 2^w entries of +-2^(-w/2) at the rows R0 ^ XOR(B), B running over the
 subsets of the w set elements anticommuting with R0, and only the signs
-are computed.  The rotation kernel serves products of channels.
-Everything here works on unsigned int labels: the Clifford's column Q
-is the (label, phase) pair conjugate_pauli returns for Q, and both
-kernels read their signs off label_product_phase.
+are computed; each label P is prepared once per set as (P, P with its
+halves swapped), as R anticommutes with P exactly when |R & that| is
+odd.  The rotation kernel serves products of channels; the readers
+unit_rows and pauli_spectrum make no scalar per stored entry.  All of
+it works on unsigned int labels: the Clifford's column Q is the (label,
+phase) pair conjugate_pauli returns for Q, and both kernels read their
+signs off label_product_phase.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 from .clifford import CliffordTableau
 from .exactnum import (DYADIC_MINUS_ONE, DYADIC_ONE, DYADIC_ZERO,
                        DyadicSqrt2Scalar)
-from .pauli import (PauliOperator, PauliSet, label_commutes,
+from .pauli import (PauliOperator, PauliSet, _swap_halves, label_commutes,
                     label_product_phase)
 
 
@@ -112,14 +115,16 @@ class ChannelRep:
         return len(rows_seen) == self.dim
 
     def unit_rows(self) -> list[int]:
-        """Row labels holding a +-1 entry, ascending."""
+        """Row labels holding a +-1 entry, the triple (+-1, 0, 0), ascending."""
         return sorted({r for col in self.cols for r, v in col.items()
-                       if v == DYADIC_ONE or v == DYADIC_MINUS_ONE})
+                       if not v.k and not v.b and v.a in (1, -1)})
 
     def pauli_spectrum(self) -> Counter:
-        """Multiset of entry magnitudes over the whole matrix; the zero
-        count is dim^2 minus the number of stored entries."""
-        spec = Counter(abs(v) for col in self.cols for v in col.values())
+        """Multiset of entry magnitudes over the whole matrix, folded from
+        the counts of the stored values; zeros are the entries not stored."""
+        spec = Counter()
+        for v, k in Counter(v for c in self.cols for v in c.values()).items():
+            spec[abs(v)] += k
         zeros = self.dim * self.dim - sum(spec.values())
         if zeros:
             spec[DYADIC_ZERO] = zeros
@@ -190,15 +195,20 @@ def channel_of_exponential(p: PauliOperator, inverse: bool = False) -> ChannelRe
     return _rotate_columns(ChannelRep.identity(p.n), [p.label], inverse)
 
 
-def _form_signs(r0: int, positive: bool, labels, n: int) -> dict:
+def _prepared(labels, n: int) -> list:
+    """(P, P with its halves swapped) for each label P, for _form_signs."""
+    return [(p, _swap_halves(p, n)) for p in labels]
+
+
+def _form_signs(r0: int, positive: bool, prepared, n: int) -> dict:
     """{row: entry > 0} of channel(exp(i*pi*P_1/8) ... exp(i*pi*P_m/8))
-    applied to +-1 at row r0, for commuting independent labels P_j.  Every
-    row r0 ^ XOR(B) anticommutes with the P_j that r0 does, and each of
-    them doubles the column by _rotate's forward rule; by independence no
-    two rows meet, so every entry is +-2^(-w/2)."""
+    applied to +-1 at row r0, for commuting independent labels P_j given
+    by _prepared.  Every row r0 ^ XOR(B) anticommutes with the P_j that r0
+    does, and each of them doubles the column by _rotate's forward rule;
+    by independence no two rows meet, so every entry is +-2^(-w/2)."""
     signs = {r0: positive}
-    for p in labels:
-        if not label_commutes(r0, p, n):
+    for p, swapped in prepared:
+        if (r0 & swapped).bit_count() & 1:
             for r, pos in list(signs.items()):
                 signs[p ^ r] = pos == (label_product_phase(p, r, n) == 3)
     return signs
@@ -220,11 +230,11 @@ def channel_of_canonical(form) -> ChannelRep:
     each signed unit column of channel(C) becomes one _form_signs column.
     """
     n = form.clifford.n
-    labels = form.paulis.labels
+    prepared = _prepared(form.paulis.labels, n)
     cols = []
     for col in channel_of_clifford(form.clifford).cols:
         (r0, v), = col.items()
-        signs = _form_signs(r0, v == DYADIC_ONE, labels, n)
+        signs = _form_signs(r0, v == DYADIC_ONE, prepared, n)
         pos, neg = _form_entries(len(signs).bit_length() - 1)
         cols.append({r: pos if s else neg for r, s in signs.items()})
     return ChannelRep(n, cols)
@@ -279,10 +289,10 @@ def exponential_transfer_is_signed_permutation(set_a: PauliSet,
     if set_a.n != set_b.n:
         raise ValueError(f"qubit counts differ: {set_a.n} vs {set_b.n}")
     n = set_a.n
-    labels_a, labels_b = set_a.labels, set_b.labels
+    prep_a, prep_b = _prepared(set_a.labels, n), _prepared(set_b.labels, n)
     for q in range(1 << (2 * n)):
-        b = _form_signs(q, True, labels_b, n)
-        if not any(_form_signs(r, pos, labels_a, n) == b
+        b = _form_signs(q, True, prep_b, n)
+        if not any(_form_signs(r, pos, prep_a, n) == b
                    for r, pos in b.items()):
             return False
     return True

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+from tcanon import gf2
 from tcanon.census import (
     DEFAULT_SEED,
     FeasibilityRefusalError,
     VerificationReport,
+    _span_with,
     count_sets,
     count_tdepth_one,
     count_tuples,
@@ -25,7 +27,27 @@ from tcanon.census import (
     verify_unit_rows,
 )
 from tcanon.clifford import group_order, parse_gate_word
-from tcanon.pauli import PauliSet, validate_set
+from tcanon.pauli import PauliSet, _swap_halves, validate_set
+
+
+def _reference_pauli_set(n, m, rng):
+    """random_pauli_set's earlier loop: each attempt's bits gathered, then
+    combined, and the span and commutant cut after every element."""
+    chosen = []
+    span = 1
+    basis = [1 << f for f in range(2 * n)]
+    while len(chosen) < m:
+        while True:
+            bits = 0
+            for i in range(len(basis)):
+                bits |= rng.getrandbits(1) << i
+            v = gf2.combine(basis, bits)
+            if not (span >> v) & 1:
+                break
+        span = _span_with(span, v)
+        chosen.append(v)
+        gf2.add_constraint(basis, _swap_halves(v, n))
+    return PauliSet.from_labels(n, sorted(chosen))
 
 
 class TestCounting:
@@ -130,6 +152,21 @@ class TestSampling:
         expected = draws / 45
         chi2 = sum((v - expected) ** 2 / expected for v in counts.values())
         assert chi2 < 91.0, chi2
+
+    def test_random_pauli_set_keeps_the_reference_stream(self):
+        # same labels and same generator state after every draw, so every
+        # seeded stream that follows a draw is unmoved
+        draws = 0
+        for seed in (0, 7, DEFAULT_SEED, 4099):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for n in range(1, 6):
+                for m in range(1, n + 1):
+                    for _ in range(40):
+                        want = _reference_pauli_set(n, m, ref)
+                        assert random_pauli_set(n, m, rng).labels == want.labels
+                        assert rng.getstate() == ref.getstate()
+                        draws += 1
+        assert draws == 2400
 
     def test_random_gate_word_stays_in_range(self):
         rng = random.Random(20)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from conftest import inverse_word
@@ -14,6 +15,7 @@ from tcanon.channel import (
     NonPositivePauliError,
     SpectrumMismatchError,
     _form_signs,
+    _prepared,
     _rotate_columns,
     channel_of_canonical,
     channel_of_clifford,
@@ -158,6 +160,52 @@ def test_pauli_spectrum_counts_magnitudes():
     assert reference_spectrum(1, 1) == spec
 
 
+# the readers as first defined, one scalar comparison or abs per entry
+def _unit_rows_by_definition(rep):
+    return sorted({r for col in rep.cols for r, v in col.items()
+                   if v == ONE or v == -ONE})
+
+
+def _spectrum_by_definition(rep):
+    spec = Counter(abs(v) for col in rep.cols for v in col.values())
+    zeros = rep.dim * rep.dim - sum(spec.values())
+    if zeros:
+        spec[ZERO] = zeros
+    return spec
+
+
+# (1 - sqrt2)/2 < 0 and its negation fold to one magnitude; +-2, +-sqrt2,
+# 1/2, 3/4 and +-(1 + sqrt2) are no units; 2/2 and -4/4 normalize to +-1
+# as fresh objects
+_READER_VALUES = [DyadicSqrt2Scalar(*t) for t in (
+    (1, -1, 1), (-1, 1, 1), (1, 1), (2,), (-2,), (0, 1), (0, -1), (1, 0, 1),
+    (-1, -1), (3, 0, 2), (2, 0, 1), (-4, 0, 2), (1,), (-1,))]
+
+
+def test_readers_match_their_definitions_on_hand_built_matrices():
+    h = DyadicSqrt2Scalar(1, -1, 1)
+    assert h.sign() < 0
+    rep = ChannelRep(1, [
+        {0: DyadicSqrt2Scalar(2, 0, 1), 1: h, 3: -h},  # +1 beside others
+        {1: -h, 2: DyadicSqrt2Scalar(1, 1)},
+        {3: DyadicSqrt2Scalar(2)},
+        {2: -ONE, 3: h},
+    ])
+    assert rep.unit_rows() == _unit_rows_by_definition(rep) == [0, 2]
+    assert rep.pauli_spectrum() == _spectrum_by_definition(rep) == Counter({
+        -h: 4, ONE: 2, DyadicSqrt2Scalar(1, 1): 1, DyadicSqrt2Scalar(2): 1,
+        ZERO: 8})
+    rng = random.Random(61)
+    for n in (1, 2):
+        for _ in range(100):
+            rep = ChannelRep(n, [
+                {r: rng.choice(_READER_VALUES)
+                 for r in rng.sample(range(4 ** n), rng.randint(0, 4))}
+                for _ in range(4 ** n)])
+            assert rep.unit_rows() == _unit_rows_by_definition(rep)
+            assert rep.pauli_spectrum() == _spectrum_by_definition(rep)
+
+
 def test_reference_spectrum_rejects_m_outside_zero_to_n():
     for n, m in ((2, 3), (2, -1)):
         with pytest.raises(ValueError):
@@ -274,11 +322,19 @@ def test_transfer_reads_signs_and_scans_other_columns(monkeypatch, fake, expecte
     yi, xi, ix = (parse_pauli(t).label for t in ("YI", "XI", "IX"))
     rep_a = channel_of_canonical(CanonicalForm(a, CliffordTableau.identity(n)))
     assert len([col for col in rep_a.cols if yi in col]) == 4
-    real = channel_mod._form_signs
+    real, real_prepared = channel_mod._form_signs, channel_mod._prepared
+
+    class PreparedB(list):  # b's prepared labels, told apart from a's
+        pass
+
+    def fake_prepared(labels, n):
+        prepared = real_prepared(labels, n)
+        return PreparedB(prepared) if labels is b.labels else prepared
+
     if fake == "flip_row_YI":
-        def fake_signs(q, positive, labels, n):
-            signs = real(q, positive, labels, n)
-            if labels is b.labels and yi in signs:
+        def fake_signs(q, positive, prepared, n):
+            signs = real(q, positive, prepared, n)
+            if isinstance(prepared, PreparedB) and yi in signs:
                 signs[yi] = not signs[yi]
             return signs
         cols_b = [{r: -v if r == yi else v for r, v in col.items()}
@@ -286,14 +342,16 @@ def test_transfer_reads_signs_and_scans_other_columns(monkeypatch, fake, expecte
     else:
         swap = {xi: ix, ix: xi}
 
-        def fake_signs(q, positive, labels, n):
-            if labels is b.labels:
+        def fake_signs(q, positive, prepared, n):
+            if isinstance(prepared, PreparedB):
                 q = swap.get(q, q)
-            return real(q, positive, labels, n)
+            return real(q, positive, prepared, n)
         cols_b = [rep_a.cols[swap.get(q, q)] for q in range(len(rep_a.cols))]
+    monkeypatch.setattr(channel_mod, "_prepared", fake_prepared)
     monkeypatch.setattr(channel_mod, "_form_signs", fake_signs)
+    prep_b = fake_prepared(b.labels, n)
     for q, col in enumerate(cols_b):
-        assert fake_signs(q, True, b.labels, n) == {
+        assert fake_signs(q, True, prep_b, n) == {
             r: DYADIC_ZERO < v for r, v in col.items()}
     product = rep_a.transpose().multiply(ChannelRep(n, cols_b))
     assert product.is_signed_permutation() == expected
@@ -313,8 +371,9 @@ def test_form_columns_match_the_rotation_kernel(n):
     for s in _all_sets(n):
         rotated = _rotated(s)
         assert channel_of_canonical(CanonicalForm(s, ident)) == rotated
+        prepared = _prepared(s.labels, n)
         for q, col in enumerate(rotated.cols):
-            assert _form_signs(q, False, s.labels, n) == {
+            assert _form_signs(q, False, prepared, n) == {
                 r: v.sign() < 0 for r, v in col.items()}
 
 

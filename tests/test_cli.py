@@ -430,13 +430,24 @@ def test_canonicalize_names_a_negative_index_when_inferring_width(
     assert f"(at offset {text.index(line)})" in err
 
 
-# the gate error comes first, then the two bad lines swap places
+# the gate error comes first, then the two bad lines swap places; a
+# line-structure error neither hides an earlier bad gate nor is hidden by
+# a later one
 @pytest.mark.parametrize("body, message, line", [
     ("CLIFFORD: FOO 0\nTLAYER: t=-3\nCLIFFORD:\n", "unknown gate 'FOO'",
      "CLIFFORD: FOO"),
     ("CLIFFORD:\nTLAYER: t=-3\nCLIFFORD: FOO 0\n", "qubit -3 out of range",
      "TLAYER"),
-], ids=["gate-first", "index-first"])
+    ("CLIFFORD: FOO 0\nCLIFFORD:\n", "unknown gate 'FOO'", "CLIFFORD: FOO"),
+    ("CLIFFORD: FOO 0\nTLAYER: t=0\n", "unknown gate 'FOO'", "CLIFFORD: FOO"),
+    ("CLIFFORD: FOO 0\nHELLO\n", "unknown gate 'FOO'", "CLIFFORD: FOO"),
+    ("CLIFFORD: H 0\nHELLO\nCLIFFORD: FOO 0\n", "unrecognized line 'HELLO'",
+     "HELLO"),
+    ("CLIFFORD: H 0\nCLIFFORD: FOO 0\n",
+     "CLIFFORD and TLAYER lines must alternate", "CLIFFORD: FOO"),
+], ids=["gate-first", "index-first", "gate-before-alternation",
+        "gate-before-trailing-layer", "gate-before-unknown-line",
+        "unknown-line-first", "alternation-first"])
 @pytest.mark.parametrize("header", ["QUBITS: 1\n", ""],
                          ids=["declared", "inferred"])
 def test_canonicalize_reports_the_first_bad_line_of_the_file(
