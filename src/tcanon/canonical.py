@@ -15,10 +15,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .channel import ChannelRep, _rotate_columns, channel_of_clifford
-from .clifford import (GATE_ARITY, CliffordTableau, from_gate_word,
-                       parse_index, quarter_exponential_tableau)
-from .pauli import (LabelNames, PauliOperator, PauliSet, parse_pauli,
-                    validate_labels, validate_set)
+from .clifford import (CliffordTableau, check_index, from_gate_word,
+                       parse_gate_word, parse_index,
+                       quarter_exponential_tableau)
+from .pauli import (LabelNames, PauliSet, parse_pauli, validate_labels,
+                    validate_set)
 
 
 class WidthMismatchError(ValueError):
@@ -35,11 +36,13 @@ class ParseError(ValueError):
 
 class TLayer:
     """One parallel layer of T and Tdg gates; at least one qubit is marked,
-    and none twice."""
+    and none twice.  n=None, a width still to be inferred, runs every
+    check but the upper end of the index range."""
 
     __slots__ = ("n", "t_qubits", "tdg_qubits")
 
-    def __init__(self, n: int, t: Iterable[int] = (), tdg: Iterable[int] = ()):
+    def __init__(self, n: int | None, t: Iterable[int] = (),
+                 tdg: Iterable[int] = ()):
         t = list(t)
         tdg = list(tdg)
         for marks in (t, tdg):
@@ -48,8 +51,7 @@ class TLayer:
         t_set = frozenset(t)
         tdg_set = frozenset(tdg)
         for q in t_set | tdg_set:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for n={n}")
+            check_index(q, n)
         if t_set & tdg_set:
             raise ValueError(f"qubits marked both t and tdg: {sorted(t_set & tdg_set)}")
         if not (t_set or tdg_set):
@@ -206,8 +208,8 @@ def channel_of_circuit(circ: TLayerCircuit) -> ChannelRep:
     rep = channel_of_clifford(circ.cliffords[-1])
     for k in range(circ.depth - 1, -1, -1):
         for qubit, is_tdg in circ.layers[k].marked:
-            z = PauliOperator.single(n, qubit, "Z").label
-            rep = _rotate_columns(rep, [z], inverse=not is_tdg)
+            rep = _rotate_columns(rep, [1 << (n - 1 - qubit)],
+                                  inverse=not is_tdg)
         rep = channel_of_clifford(circ.cliffords[k]).multiply(rep)
     return rep
 
@@ -283,12 +285,15 @@ def parse_circuit(text: str) -> TLayerCircuit:
         CLIFFORD:
 
     The word starts and ends with a CLIFFORD line; an empty gate word is
-    the identity.
+    the identity.  Each line is checked as it is read, by the same
+    tokenizer whether or not the width is declared, so the first bad
+    line raises.  A declared width builds each line as it is read; an
+    inferred one builds them all once the largest index is known.
     """
-    entries = []  # (kind, payload, offset)
-    declared = None
-    seen_qubits = False
-    error = None  # the first structural error; the lines before it go first
+    n = None
+    payloads = []  # (payload, offset) of each CLIFFORD and TLAYER line
+    built = []  # their tableaux and layers, once n is known
+    top = -1  # the largest index, while n is not known
     ends = "circuit must start and end with CLIFFORD lines"
     offset = 0
     for raw in text.splitlines(keepends=True):
@@ -298,111 +303,63 @@ def parse_circuit(text: str) -> TLayerCircuit:
         offset += len(raw)
         if not stripped:
             continue
-        if stripped.upper().startswith("QUBITS:"):
-            if entries:
-                error = ParseError("QUBITS must come first", at)
-                break
-            if seen_qubits:
+        head = stripped.upper()
+        if head.startswith("QUBITS:"):
+            if payloads:
+                raise ParseError("QUBITS must come first", at)
+            if n is not None:
                 raise ParseError("repeated QUBITS line", at)
-            seen_qubits = True
             try:
-                declared = parse_index(stripped.split(":", 1)[1].strip())
+                n = parse_index(stripped.split(":", 1)[1].strip())
             except ValueError:
                 raise ParseError("bad QUBITS value", at) from None
-            if declared < 1:
-                raise ParseError(f"need QUBITS >= 1, got {declared}", at)
+            if n < 1:
+                raise ParseError(f"need QUBITS >= 1, got {n}", at)
             continue
-        if stripped.upper().startswith("CLIFFORD:"):
-            kind = "c"
-        elif stripped.upper().startswith("TLAYER:"):
-            kind = "t"
-        else:
-            error = ParseError(f"unrecognized line {stripped!r}", at)
-            break
-        if kind != "ct"[len(entries) & 1]:
-            error = ParseError("CLIFFORD and TLAYER lines must alternate"
-                               if entries else ends, at)
-            break
-        entries.append((kind, stripped.split(":", 1)[1], at))
-    if error is None and entries and not len(entries) & 1:  # TLAYER last
-        error = ParseError(ends, entries.pop()[2])
-    if not entries:
-        raise error or ParseError("empty circuit", 0)
-
-    stop = len(entries)
-    if declared is None:
-        declared, stop, error = _infer_width(entries, error)
-
-    cliffords = []
-    layers = []
-    for kind, payload, at in entries[:stop]:
-        if kind == "c":
-            try:
-                cliffords.append(from_gate_word(payload, declared))
-            except ValueError as e:
-                raise ParseError(str(e), at) from None
-        else:
-            try:
-                layers.append(_parse_tlayer(payload, declared))
-            except ValueError as e:
-                raise ParseError(str(e), at) from None
-    if error is not None:
-        raise error
-    return TLayerCircuit(cliffords, layers)
+        is_layer = head.startswith("TLAYER:")
+        if not (is_layer or head.startswith("CLIFFORD:")):
+            raise ParseError(f"unrecognized line {stripped!r}", at)
+        if is_layer != len(payloads) & 1:
+            raise ParseError("CLIFFORD and TLAYER lines must alternate"
+                             if payloads else ends, at)
+        payload = stripped.split(":", 1)[1]
+        try:
+            if n is not None:
+                built.append(_parse_tlayer(payload, n) if is_layer
+                             else from_gate_word(payload, n))
+            elif is_layer:
+                layer = _parse_tlayer(payload, None)
+                top = max(top, *layer.t_qubits, *layer.tdg_qubits)
+            else:
+                for _, qubits in parse_gate_word(payload, None):
+                    top = max(top, *qubits)
+        except ValueError as e:
+            raise ParseError(str(e), at) from None
+        payloads.append((payload, at))
+    if not payloads:
+        raise ParseError("empty circuit", 0)
+    if not len(payloads) & 1:  # a TLAYER line last
+        raise ParseError(ends, payloads[-1][1])
+    if n is None:
+        if top < 0:
+            raise ParseError("cannot infer width; add a QUBITS line", 0)
+        built = [_parse_tlayer(payload, top + 1) if k & 1
+                 else from_gate_word(payload, top + 1)
+                 for k, (payload, _) in enumerate(payloads)]
+    return TLayerCircuit(built[0::2], built[1::2])
 
 
-def _layer_items(payload: str):
-    """(key, index fields) of each key=i,j,... item of a TLAYER line.  A
-    t or tdg item with an empty field, as in "tdg", "t=" or "t=0,,1", is
-    refused; any other key is left to the caller."""
+def _parse_tlayer(payload: str, n: int | None) -> TLayer:
+    """The layer of a TLAYER payload of key=i,j,... items, each key t or
+    tdg; n=None is a width still to be inferred."""
+    marks = {"t": [], "tdg": []}
     for item in payload.split():
         key, _, val = item.partition("=")
         key = key.lower()
-        fields = val.split(",")
-        if key in ("t", "tdg") and "" in fields:
-            raise ValueError(f"empty qubit index in T layer item {item!r}")
-        yield key, fields
-
-
-def _parse_tlayer(payload: str, n: int) -> TLayer:
-    t: list[int] = []
-    tdg: list[int] = []
-    for key, fields in _layer_items(payload):
-        if key not in ("t", "tdg"):
+        if key not in marks:
             raise ValueError(f"bad T layer key {key!r}")
-        (t if key == "t" else tdg).extend(map(parse_index, fields))
-    return TLayer(n, t=t, tdg=tdg)
-
-
-def _infer_width(entries, error) -> tuple:
-    """(width, stop, error) for a circuit without a QUBITS line.  error is
-    the ParseError of the first line with a bad index and stop its
-    position, so the lines before it are parsed first, at one more than
-    their largest index (or 1); with none, stop is past the last line,
-    the structural error given is kept, or, if there is none, a circuit
-    that names no qubit cannot be sized."""
-    top = -1
-    for pos, (kind, payload, at) in enumerate(entries):
-        try:
-            fields = []
-            if kind == "c":
-                for tok in payload.replace("\n", ";").split(";"):
-                    parts = tok.split()
-                    if len(parts) > 1 and parts[0].upper() in GATE_ARITY:
-                        fields += parts[1:]
-            else:
-                for _, item_fields in _layer_items(payload):
-                    fields += item_fields
-            for field in fields:
-                if not field:  # only under a bad key, which the parse reports
-                    continue
-                q = parse_index(field)
-                if q < 0:
-                    raise ValueError(
-                        f"qubit {q} out of range; indices start at 0")
-                top = max(top, q)
-        except ValueError as e:
-            return max(top, 0) + 1, pos, ParseError(str(e), at)
-    if top < 0 and error is None:
-        raise ParseError("cannot infer width; add a QUBITS line", 0)
-    return max(top, 0) + 1, len(entries), error
+        fields = val.split(",")
+        if "" in fields:
+            raise ValueError(f"empty qubit index in T layer item {item!r}")
+        marks[key] += map(parse_index, fields)
+    return TLayer(n, marks["t"], marks["tdg"])

@@ -354,25 +354,6 @@ def verify_unit_rows(n: int, trials: int = 100,
     return report
 
 
-def _independent_families(n: int, k_max: int) -> Iterator[tuple]:
-    """Ascending tuples of linearly independent nonzero n-bit strings."""
-    top = 1 << n
-
-    def extend(chosen: list, span: int, start: int) -> Iterator[tuple]:
-        if chosen:
-            yield tuple(chosen)
-        if len(chosen) == k_max:
-            return
-        for v in range(start, top):
-            if (span >> v) & 1:
-                continue
-            chosen.append(v)
-            yield from extend(chosen, _span_with(span, v), v + 1)
-            chosen.pop()
-
-    yield from extend([], 1, 1)
-
-
 def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
     """Pauli support of E X_j E' is exactly 2^w.
 
@@ -390,7 +371,10 @@ def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
     report = VerificationReport("hamming-weight")
     families = 0
     instances = 0
-    for family in _independent_families(n, min(k_max, n)):
+    top = 1 << n  # a label below it is Z-type: its x half is zero
+    for family in (labels for m in range(1, min(k_max, n) + 1)
+                   for labels in _iter_label_tuples(n, m)
+                   if labels[-1] < top):
         families += 1
         e = DenseUnitary.identity(n)
         for a in family:

@@ -245,7 +245,7 @@ def reference_spectrum(n: int, m: int) -> Counter:
     """Spectrum of the form ({Z on the first m qubits}, identity)."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    zs = [PauliOperator.single(n, j, "Z").label for j in range(m)]
+    zs = [1 << (n - 1 - j) for j in range(m)]
     return _rotate_columns(ChannelRep.identity(n), zs).pauli_spectrum()
 
 

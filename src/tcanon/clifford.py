@@ -232,16 +232,26 @@ def parse_index(text: str) -> int:
     return int(text)
 
 
-def parse_gate_word(text: str, n: int) -> list[tuple[str, tuple]]:
+def check_index(q: int, n: int | None) -> None:
+    """Refuse a qubit index outside 0..n-1; n=None, a width still to be
+    inferred, refuses only a negative one."""
+    if q < 0 or n is not None and q >= n:
+        raise IndexOutOfRangeError(
+            f"qubit {q} out of range for n={n}" if n is not None
+            else f"qubit {q} out of range; indices start at 0")
+
+
+def parse_gate_word(text: str, n: int | None) -> list[tuple[str, tuple]]:
     """Tokenize a gate word: tokens split on ';' or newlines, each a gate
     name followed by qubit indices, e.g. "H 0; CX 0 1".  Empty text is the
-    identity word."""
+    identity word.  n=None runs every check but the upper end of the
+    index range."""
     tokens = [raw.strip() for raw in text.replace("\n", ";").split(";")]
     return [_parse_token(token, n) for token in tokens if token]
 
 
 @functools.lru_cache(maxsize=4096)
-def _parse_token(token: str, n: int) -> tuple[str, tuple]:
+def _parse_token(token: str, n: int | None) -> tuple[str, tuple]:
     """(name, qubits) of one stripped gate token; words reuse a few
     tokens, so each distinct (token, n) is parsed once.  A refused token
     raises afresh on every call: lru_cache keeps no exceptions."""
@@ -253,12 +263,11 @@ def _parse_token(token: str, n: int) -> tuple[str, tuple]:
     if len(parts) - 1 != arity:
         raise BadTokenError(f"gate {name} expects {arity} qubit(s): {token!r}")
     try:
-        qubits = tuple(parse_index(p) for p in parts[1:])
-    except ValueError:
-        raise BadTokenError(f"bad qubit index in {token!r}") from None
+        qubits = tuple(map(parse_index, parts[1:]))
+    except ValueError as e:
+        raise BadTokenError(f"{e} in {token!r}") from None
     for q in qubits:
-        if not 0 <= q < n:
-            raise IndexOutOfRangeError(f"qubit {q} out of range for n={n}")
+        check_index(q, n)
     if arity == 2 and qubits[0] == qubits[1]:
         raise BadTokenError(f"repeated qubit in {token!r}")
     return name, qubits

@@ -1,9 +1,11 @@
 """Layer sweep, canonical forms, and the two text formats."""
 
 import random
+import re
 
 import pytest
 from conftest import conjugate
+from hypothesis import given, settings, strategies as st
 
 from tcanon.canonical import (
     CanonicalForm,
@@ -277,3 +279,81 @@ class TestCircuitText:
         form = canonicalize_depth_one(circ.cliffords[0], circ.layers[0],
                                       circ.cliffords[1])
         assert channel_of_canonical(form) == channel_of_circuit(circ)
+
+
+# Circuit text with indices below 4, good and bad, mostly alternating
+# CLIFFORD and TLAYER lines; shrinking leads to the alternating form.
+INDEX_FIELDS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "x", "+1",
+                                "1_0", ""])
+GATE_TOKENS = st.builds(lambda name, fields: " ".join([name, *fields]),
+                        st.sampled_from(["H", "s", "CX", "cz", "SWAP", "FOO"]),
+                        st.lists(INDEX_FIELDS, max_size=3))
+LAYER_ITEMS = st.builds(lambda key, fields: f"{key}={','.join(fields)}",
+                        st.sampled_from(["t", "tdg", "T", "foo"]),
+                        st.lists(INDEX_FIELDS, min_size=1, max_size=3))
+
+
+@st.composite
+def circuit_texts(draw):
+    lines = []
+    for k in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["ct"[k & 1]] * 4 + ["c", "t", "other"]))
+        if kind == "c":
+            tokens = draw(st.lists(GATE_TOKENS, max_size=3))
+            lines.append("CLIFFORD: " + "; ".join(tokens))
+        elif kind == "t":
+            items = draw(st.lists(LAYER_ITEMS, max_size=3))
+            lines.append("TLAYER: " + " ".join(items))
+        else:
+            lines.append(draw(st.sampled_from(["HELLO", "# note", "  "])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True,
+                             database=None, deadline=None)
+
+
+def _parsed(text):
+    """(n, cliffords, layers) of a circuit, or its ParseError."""
+    try:
+        circ = parse_circuit(text)
+    except ParseError as e:
+        return e
+    return circ.n, circ.cliffords, circ.layers
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(
+    st.text(max_size=60),
+    circuit_texts(),
+    st.builds(lambda w, text: f"QUBITS: {w}\n{text}",
+              st.sampled_from(["1", "2", "4", "0", "-1", "x", ""]),
+              circuit_texts()),
+    st.builds(str.__add__, circuit_texts(), st.text(max_size=20))))
+def test_circuit_text_raises_nothing_but_parse_error(text):
+    _parsed(text)
+
+
+@PROPERTY_SETTINGS
+@given(circuit_texts())
+def test_a_declared_width_changes_nothing_but_the_range_check(text):
+    header = "QUBITS: 4\n"
+    inferred = _parsed(text)
+    declared = _parsed(header + text)
+    if not isinstance(inferred, ParseError):
+        assert not isinstance(declared, ParseError)
+        assert inferred == _parsed(f"QUBITS: {inferred[0]}\n{text}")
+        return
+    message = str(inferred).rsplit(" (at offset", 1)[0]
+    if message == "cannot infer width; add a QUBITS line":
+        assert not isinstance(declared, ParseError)  # no qubit named
+        return
+    assert isinstance(declared, ParseError)
+
+    def wording(error):
+        return re.sub(r"out of range( for n=\d+|; indices start at 0)",
+                      "out of range", str(error).rsplit(" (at offset", 1)[0])
+
+    assert wording(declared) == wording(inferred)
+    shift = 0 if message == "empty circuit" else len(header)
+    assert declared.position == inferred.position + shift

@@ -445,9 +445,18 @@ def test_canonicalize_names_a_negative_index_when_inferring_width(
      "HELLO"),
     ("CLIFFORD: H 0\nCLIFFORD: FOO 0\n",
      "CLIFFORD and TLAYER lines must alternate", "CLIFFORD: FOO"),
+    # the same error whether the width is declared or inferred; a bad
+    # trailing layer names its own error before the missing CLIFFORD line
+    ("CLIFFORD: CX 0 x\n", "bad qubit index 'x' in 'CX 0 x'", "CLIFFORD"),
+    ("CLIFFORD:\nTLAYER: t=0 foo=x\nCLIFFORD:\n", "bad T layer key 'foo'",
+     "TLAYER"),
+    ("CLIFFORD: h\n", "gate H expects 1 qubit(s): 'h'", "CLIFFORD"),
+    ("CLIFFORD:\nTLAYER: t=0,0\n",
+     "qubit marked twice in one layer: [0, 0]", "TLAYER"),
 ], ids=["gate-first", "index-first", "gate-before-alternation",
         "gate-before-trailing-layer", "gate-before-unknown-line",
-        "unknown-line-first", "alternation-first"])
+        "unknown-line-first", "alternation-first", "bad-gate-index",
+        "bad-layer-key", "gate-without-index", "bad-trailing-layer"])
 @pytest.mark.parametrize("header", ["QUBITS: 1\n", ""],
                          ids=["declared", "inferred"])
 def test_canonicalize_reports_the_first_bad_line_of_the_file(
