@@ -22,6 +22,11 @@ from .pauli import (LabelNames, PauliSet, parse_pauli, validate_labels,
                     validate_set)
 
 
+# the widest circuit file read: the identity tableau alone holds 2n labels
+# of 2n bits, and one dense Clifford line prints 2.1 MB at n = 1024
+MAX_QUBITS = 1024
+
+
 class WidthMismatchError(ValueError):
     pass
 
@@ -279,7 +284,8 @@ def parse_circuit(text: str) -> TLayerCircuit:
     Lines (after stripping '#' comments) alternate strictly:
 
         QUBITS: 2            optional first line; otherwise the width is
-                             inferred from the largest index used
+                             inferred from the largest index used; either
+                             way at most MAX_QUBITS
         CLIFFORD: H 0; CX 0 1
         TLAYER: t=0 tdg=1
         CLIFFORD:
@@ -315,6 +321,8 @@ def parse_circuit(text: str) -> TLayerCircuit:
                 raise ParseError("bad QUBITS value", at) from None
             if n < 1:
                 raise ParseError(f"need QUBITS >= 1, got {n}", at)
+            if n > MAX_QUBITS:
+                raise ParseError(f"need QUBITS <= {MAX_QUBITS}, got {n}", at)
             continue
         is_layer = head.startswith("TLAYER:")
         if not (is_layer or head.startswith("CLIFFORD:")):
@@ -333,6 +341,9 @@ def parse_circuit(text: str) -> TLayerCircuit:
             else:
                 for _, qubits in parse_gate_word(payload, None):
                     top = max(top, *qubits)
+            if top >= MAX_QUBITS:
+                raise ValueError(f"qubit {top} out of range; widths are "
+                                 f"capped at {MAX_QUBITS} qubits")
         except ValueError as e:
             raise ParseError(str(e), at) from None
         payloads.append((payload, at))

@@ -6,28 +6,38 @@ tableau or channel machinery beyond the gate-word tokenizer.  That makes
 it slow and size-limited but trustworthy: agreement between a structured
 channel and channel_bruteforce checks the fast path end to end.
 A gate word is built in place, one gate at a time, as an operation on
-the running matrix's columns.  pauli_expand and channel_bruteforce run
-on raw rows, each entry its nonzero zeta-coefficients over one 2^k
-shared by the matrix.  Products go straight into integer coefficient
-planes, one per power of zeta and only where one is hit; every Pauli
-trace is read off an integer Walsh-Hadamard transform of those planes,
-times a unit i^t, and a scalar is built only per nonzero trace.
+the running matrix's columns.
+
+pauli_expand and channel_bruteforce pack every entry, over one 2^k
+shared by the matrix, into one integer sum_j c_j 2^(w j) (Kronecker
+substitution), so Python's big-int product and add do the negacyclic
+8 x 8 convolutions and the Walsh-Hadamard butterflies.  The digit width
+comes from the input: with A a bound on every |c_j| over 2^k,
+w = bitlen(32 A^2 4^n) + 2.  A digit of a product sums at most 8 terms,
+the transform adds 4^n of those, and each of the two folds by
+zeta^8 = -1 at most doubles it, so every digit stays under 2^(w-2);
+every packed value therefore splits back into its balanced digits, each
+in [-2^(w-1), 2^(w-1)), exactly.  All X-parts of the second Pauli ride in
+slots of one int, so a channel costs one integer product per grid cell
+and one transform per X-part of the first; each nonzero trace is read
+off its slot, times a unit i^t, and checked real before its one
+DyadicSqrt2Scalar is built.
 
 Matrices above three qubits are refused with SizeRefusalError; a channel
-costs 16^n entry products and 16^n transform outputs, which stops being
-interactive from four qubits on.
+costs 8^n products of 2^n-slot ints and 16^n transform outputs, which
+stops being interactive from four qubits on.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from operator import add, sub
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, lshift, mul, sub, xor
 
 from .canonical import TLayer
 from .channel import ChannelRep
 from .clifford import parse_gate_word
 from .exactnum import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO,
-                       Cyclotomic16Scalar, cyclotomic_dot)
+                       Cyclotomic16Scalar, DyadicSqrt2Scalar, cyclotomic_dot)
 from .pauli import PauliOperator
 
 
@@ -226,36 +236,81 @@ def _times_zeta(c: list, j: int) -> list:
     return [-v for v in c[8 - j:]] + c[:8 - j]
 
 
-def _raw(u: DenseUnitary) -> tuple:
-    """(rows, k): every entry of u as its (j, c_j) pairs with c_j != 0,
-    over one 2^k shared by the matrix; a zero entry has no pairs."""
-    k = max(v.k for row in u.mat for v in row)
-    return [[tuple((j, c << (k - v.k)) for j, c in enumerate(v.c) if c)
-             for v in row] for row in u.mat], k
+def _pack(u: DenseUnitary) -> tuple:
+    """(k, w, rows, conj_rows): every entry of u and of its conjugate over
+    one 2^k, as one int each; a zero entry packs as 0.
 
-
-def _transform(planes: dict, bits: int):
-    """Yield (j, c) for every nonzero out[j] = sum_i (-1)^|i & j| in[i],
-    c its 8 coefficients; planes[t] holds coefficient t of every in[i],
-    and a missing plane is all zero.
-
-    Each plane runs `bits` integer butterfly stages; a stage pairs the
-    entries that differ in the lowest index bit and writes sums then
-    differences, which rotates the index bits, so after `bits` stages
-    every index is back in place.
+    c_j zeta^j packs as c_j 2^(w j).  As conj zeta^j = -zeta^(8-j), the
+    conjugate packs as -sum_j c_j 2^(w (8 - j)), in digits 1 to 8; the
+    fold after the product brings digit 8 back to 0.  w is the digit width
+    of the module docstring, for A = (largest |c_j|) * 2^(k - smallest k)
+    over the nonzero entries, a bound on every |c_j| over 2^k.
     """
-    outs = []
-    for plane in planes.values():
-        for _ in range(bits):
-            lo, hi = plane[0::2], plane[1::2]
-            plane = [*map(add, lo, hi), *map(sub, lo, hi)]
-        outs.append(plane)
-    for j, values in enumerate(zip(*outs)):
-        if any(values):
-            c = [0] * 8
-            for t, v in zip(planes, values):
-                c[t] = v
-            yield j, c
+    dim = 1 << u.n
+    entries = [*chain.from_iterable(u.mat)]
+    at = [*compress(count(), map(any, map(attrgetter("c"), entries)))]
+    nonzero = [*map(entries.__getitem__, at)]
+    ks = [*map(attrgetter("k"), nonzero)]
+    cs = [*chain.from_iterable(map(attrgetter("c"), nonzero))]
+    k = max(ks, default=0)
+    a = (max(max(cs, default=0), -min(cs, default=0))
+         << (k - min(ks, default=0)))
+    w = (32 * a * a << 2 * u.n).bit_length() + 2
+    digits, conj_digits = range(0, 8 * w, w), range(8 * w, 0, -w)
+    rows, conj_rows = [0] * (dim * dim), [0] * (dim * dim)
+    for i, v in zip(at, nonzero):
+        rows[i] = sum(map(lshift, v.c, digits)) << (k - v.k)
+        conj_rows[i] = -sum(map(lshift, v.c, conj_digits)) << (k - v.k)
+    starts = range(0, dim * dim, dim)
+    return (k, w, [rows[i:i + dim] for i in starts],
+            [conj_rows[i:i + dim] for i in starts])
+
+
+def _split(v: int, bits: int) -> tuple:
+    """(low, high) with v = low + high 2^bits, low in
+    [-2^(bits-1), 2^(bits-1))."""
+    half = 1 << (bits - 1)
+    low = ((v + half) & ((half << 1) - 1)) - half
+    return low, (v - low) >> bits
+
+
+def _times_unit(v: int, t: int, w: int) -> int:
+    """i^t v for a packed 8-digit v: i = zeta^4 shifts by 4 digits and
+    folds the top 4 back by zeta^8 = -1, and i^2 = -1 flips the sign."""
+    if t & 1:
+        low, high = _split(v << 4 * w, 8 * w)
+        v = low - high
+    return -v if t & 2 else v
+
+
+def _digits(v: int, w: int) -> list:
+    """The 8 balanced w-bit digits of a packed v: adding 2^(w-1) to every
+    digit makes them plain base-2^w digits, with no carries."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    v += half * ((1 << 8 * w) - 1) // mask
+    return [(v >> s & mask) - half for s in range(0, 8 * w, w)]
+
+
+def _butterflies(v: list, bits: int) -> list:
+    """out[j] = sum_i (-1)^|i & j| v[i] over a list of 2^bits ints.
+
+    A stage pairs the entries that differ in the lowest index bit and
+    writes sums then differences, which rotates the index bits, so after
+    `bits` stages every index is back in place.
+    """
+    for _ in range(bits):
+        lo, hi = v[0::2], v[1::2]
+        v = [*map(add, lo, hi), *map(sub, lo, hi)]
+    return v
+
+
+def _slots(values: list, c: int, slot: int) -> int:
+    """sum_x values[c ^ x] 2^(slot x) over x < len(values): every X-part
+    in a slot of its own."""
+    dim = len(values)
+    return sum(map(lshift, map(values.__getitem__,
+                               map(xor, repeat(c), range(dim))),
+                   range(0, slot * dim, slot)))
 
 
 def pauli_expand(u: DenseUnitary) -> dict:
@@ -263,63 +318,71 @@ def pauli_expand(u: DenseUnitary) -> dict:
 
     m_P = Tr(P M) / 2^n, exact in the cyclotomic ring.  P = (x, z) has
     P[r][r ^ x] = i^|x&z| (-1)^(z.(r ^ x)), so Tr(P M) is i^(3|x&z|) times
-    the transform of v[r] = M[r ^ x][r] at z.
+    the transform of v[r] = M[r ^ x][r] at z; every x rides in slot x of
+    one int per r, so one transform serves them all.
     """
     n = u.n
-    dim = 1 << n
-    rows, k = _raw(u)
+    k, w, rows, _ = _pack(u)
+    slot = 8 * w
+    v = [_slots(col, r, slot) for r, col in enumerate(zip(*rows))]
     out = {}
-    for x in range(dim):
-        planes = defaultdict(lambda: [0] * dim)
-        for r in range(dim):
-            for j, c in rows[r ^ x][r]:
-                planes[j][r] = c
-        for z, v in _transform(planes, n):
-            out[x << n | z] = Cyclotomic16Scalar(
-                _times_zeta(v, 12 * (x & z).bit_count()), k + n)
+    for z, t in enumerate(_butterflies(v, n)):
+        x = 0
+        while t:
+            d, t = _split(t, slot)
+            if d:
+                out[x << n | z] = Cyclotomic16Scalar(_digits(
+                    _times_unit(d, 3 * (x & z).bit_count(), w), w), k + n)
+            x += 1
     return out
 
 
 def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     """Channel matrix by raw traces: entry[P, Q] = Tr(P U Q U') / 2^n.
 
-    For X-parts (xp, xq), A[r][c] = U[r ^ xp][c ^ xq] conj(U[r][c]) is one
-    grid, accumulated straight into coefficient planes (zeta^8 = -1, and
-    conj zeta^j = -zeta^(8-j)); its transform over the 2n bits of
-    r * 2^n + c holds at (zp, zq) the trace for P = (xp, zp),
-    Q = (xq, zq), up to the unit i^(3|xp&zp| + |xq&zq|).  Raises
-    NonRealEntryError if any trace falls outside the real dyadic sqrt2
-    ring, which cannot happen for an actual unitary's channel.
+    For X-parts (xp, xq), the transform of the grid
+    A[r][c] = U[r ^ xp][c ^ xq] conj(U[r][c]) over the 2n bits of
+    r * 2^n + c holds at (zp, zq) the trace for P = (xp, zp), Q = (xq, zq),
+    up to the unit i^(3|xp&zp| + |xq&zq|).  With every xq in a 16-digit
+    slot of S[a][c] = sum_xq U[a][c ^ xq] 2^(16 w xq), each cell of an xp
+    is the one product S[r ^ xp][c] conj(U[r][c]) and one transform serves
+    every xq.  Raises NonRealEntryError if a trace is not
+    d0 + d2 (zeta^2 - zeta^6), that is, not in the real dyadic sqrt2 ring,
+    which cannot happen for an actual unitary's channel.
     """
     _guard(u.n)
     n = u.n
     dim = 1 << n
-    rows, k = _raw(u)
-    conj_rows = [[(c, tuple((8 - j, -v) if j else (0, v) for j, v in e))
-                  for c, e in enumerate(row) if e] for row in rows]
+    k, w, rows, conj_rows = _pack(u)
+    slot = 16 * w
+    s = [[_slots(row, c, slot) for c in range(dim)] for row in rows]
+    # _split inlined: low = ((v + half) & mask) - half
+    half, mask = 1 << (slot - 1), (1 << slot) - 1
+    half8, mask8 = 1 << (8 * w - 1), (1 << 8 * w) - 1
+    half1, mask1 = 1 << (w - 1), (1 << w) - 1
+    real = (1 << 2 * w) - (1 << 6 * w)  # zeta^2 - zeta^6 = sqrt2
     cols = [{} for _ in range(dim * dim)]
     for xp in range(dim):
-        for xq in range(dim):
-            planes = defaultdict(lambda: [0] * (dim * dim))
-            for r, conj_row in enumerate(conj_rows):
-                row = rows[r ^ xp]
-                for c, b in conj_row:
-                    index = r << n | c
-                    for i, ai in row[c ^ xq]:
-                        for j, bj in b:
-                            if i + j < 8:
-                                planes[i + j][index] += ai * bj
-                            else:
-                                planes[i + j - 8][index] -= ai * bj
-            for j, v in _transform(planes, 2 * n):
-                zp, zq = j >> n, j & (dim - 1)
-                p, q = xp << n | zp, xq << n | zq
-                trace = Cyclotomic16Scalar(_times_zeta(
-                    v, 12 * (xp & zp).bit_count() + 4 * (xq & zq).bit_count()),
-                    2 * k + n)
-                try:
-                    cols[q][p] = trace.to_dyadic()
-                except ValueError:
-                    raise NonRealEntryError(
-                        f"entry ({p}, {q}) is not real dyadic: {trace!r}") from None
+        grid = [g for r, conj_row in enumerate(conj_rows)
+                for g in map(mul, s[r ^ xp], conj_row)]
+        for j, v in enumerate(_butterflies(grid, 2 * n)):
+            zp, zq = j >> n, j & (dim - 1)
+            xq = 0
+            while v:  # slot xq, then the rest
+                t = ((v + half) & mask) - half
+                v = (v - t) >> slot
+                low = ((t + half8) & mask8) - half8  # fold zeta^8 = -1
+                t = low - ((t - low) >> 8 * w)
+                if t:
+                    p, q = xp << n | zp, xq << n | zq
+                    t = _times_unit(t, 3 * (xp & zp).bit_count()
+                                    + (xq & zq).bit_count(), w)
+                    d0 = ((t + half1) & mask1) - half1
+                    d2 = ((((t - d0) >> 2 * w) + half1) & mask1) - half1
+                    if t != d0 + d2 * real:
+                        raise NonRealEntryError(
+                            f"entry ({p}, {q}) is not real dyadic: "
+                            f"{Cyclotomic16Scalar(_digits(t, w), 2 * k + n)!r}")
+                    cols[q][p] = DyadicSqrt2Scalar(d0, d2, 2 * k + n)
+                xq += 1
     return ChannelRep(n, cols)

@@ -268,6 +268,23 @@ class TestCircuitText:
             parse_circuit(text)
         assert info.value.position == text.index("QUBITS")
 
+    @pytest.mark.parametrize("header", ["QUBITS: 1024\n", ""],
+                             ids=["declared", "inferred"])
+    def test_a_width_of_1024_qubits_is_read(self, header):
+        circ = parse_circuit(header + "CLIFFORD:\nTLAYER: t=1023\nCLIFFORD:")
+        assert circ.n == 1024
+
+    @pytest.mark.parametrize("text, line", [
+        ("QUBITS: 1025\nCLIFFORD:\nTLAYER: t=0\nCLIFFORD:", "QUBITS"),
+        ("CLIFFORD: H 0\nTLAYER: t=1024\nCLIFFORD:", "TLAYER"),
+        ("CLIFFORD: H 3\nTLAYER: t=0\nCLIFFORD: CX 1024 0", "CLIFFORD: CX"),
+    ], ids=["declared", "inferred-layer", "inferred-gate"])
+    def test_a_width_above_1024_qubits_is_refused_at_its_line(self, text,
+                                                              line):
+        with pytest.raises(ParseError, match="1024") as info:
+            parse_circuit(text)
+        assert info.value.position == text.index(line)
+
     def test_depth_zero_line(self):
         circ = parse_circuit("QUBITS: 1\nCLIFFORD: S 0; S 0")
         assert circ.depth == 0

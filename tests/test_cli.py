@@ -397,6 +397,21 @@ def test_canonicalize_rejects_a_width_below_one(capsys, monkeypatch, width):
     assert f"(at offset {text.index('QUBITS')})" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("QUBITS: 100000\nCLIFFORD:\n", "QUBITS"),
+    ("QUBITS: 1025\nCLIFFORD:\n", "QUBITS"),
+    ("CLIFFORD:\nTLAYER: t=0,1024\nCLIFFORD:\n", "TLAYER"),
+], ids=["declared-100000", "declared-1025", "inferred-1025"])
+def test_canonicalize_refuses_a_width_above_1024(capsys, monkeypatch, text,
+                                                 line):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "canonicalize")
+    assert code == 2
+    assert out == ""
+    assert "1024" in err
+    assert f"(at offset {text.index(line)})" in err
+
+
 @pytest.mark.parametrize("text, message, line", [
     ("CLIFFORD: H -1\n", "qubit -1 out of range", "CLIFFORD: H -1"),
     ("# no width\nCLIFFORD: H 0\nTLAYER: t=0\nCLIFFORD: CX 1 -1\n",

@@ -263,8 +263,10 @@ def test_exponential_rejects_a_sign_other_than_plus_or_minus_one():
 
 
 def test_channel_bruteforce_rejects_values_outside_the_ring():
+    # the message names the entry and shows its trace as a scalar
     u = DenseUnitary(1, [[CYC_ONE, C.zeta_power(1)], [CYC_ZERO, CYC_ONE]])
-    with pytest.raises(NonRealEntryError):
+    with pytest.raises(NonRealEntryError,
+                       match=r"entry \(\d+, \d+\) .*Cyclotomic16Scalar\(\("):
         channel_bruteforce(u)
 
 
@@ -431,6 +433,32 @@ def test_channel_bruteforce_matches_the_scalar_construction_on_scaled_forms():
             if not any(b):
                 b[0] = 1
             scale = C.zeta_power(rng.randrange(16)) * C(b, rng.randint(0, 3))
+            form = _random_form(n, rng)
+            u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])
+            assert channel_bruteforce(u) == _reference_channel(u)
+
+
+def _wide_coefficients(rng, odd=True):
+    # up to +-2^40 each, far past any fixed digit width
+    return [rng.randint(-(1 << 40), 1 << 40) if odd or j % 2 == 0 else 0
+            for j in range(8)]
+
+
+def test_packed_digit_widths_follow_the_input():
+    # the packed kernels size their digits from the entries: coefficients
+    # up to +-2^40 over per-entry 2^k up to 2^20 must still read back
+    # exactly; the scale's squared modulus keeps each trace real
+    rng = random.Random(4412)
+    for n, count in ((1, 8), (2, 4), (3, 1)):
+        dim = 1 << n
+        for _ in range(count):
+            u = DenseUnitary(n, [[CYC_ZERO if rng.random() < 0.1
+                                  else C(_wide_coefficients(rng),
+                                         rng.randint(0, 20))
+                                  for _ in range(dim)] for _ in range(dim)])
+            assert pauli_expand(u) == _reference_expand(u)
+            scale = C.zeta_power(rng.randrange(16)) * C(
+                _wide_coefficients(rng, odd=False), rng.randint(0, 20))
             form = _random_form(n, rng)
             u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])
             assert channel_bruteforce(u) == _reference_channel(u)
