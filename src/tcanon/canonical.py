@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 
 from .channel import ChannelRep, _rotate_columns, channel_of_clifford
 from .clifford import (CliffordTableau, check_index, from_gate_word,
-                       parse_gate_word, parse_index,
-                       quarter_exponential_tableau)
+                       parse_gate_word, parse_index, quarter_exponential)
 from .pauli import (LabelNames, PauliSet, parse_pauli, validate_labels,
                     validate_set)
 
@@ -162,17 +161,15 @@ def _sweep(cliffords: Sequence[CliffordTableau],
     sets = []
     for layer, tail in zip(layers, cliffords[1:]):
         factors = []
-        corrections = []
         for qubit, is_tdg in layer.marked:
             # T contributes exp(-i*pi*Z/8), Tdg exp(+i*pi*Z/8), up to phase;
-            # a negative image of Z flips the exponent's sign
+            # a negative image of Z flips the exponent's sign.  A layer's
+            # factors commute, so a correction fixes the images still to come
             label, phase = prefix.conjugate_pauli(1 << (n - 1 - qubit))
             factors.append(label)
             if (phase == 2) == is_tdg:
-                corrections.append(label)
+                prefix = quarter_exponential(label, prefix)
         sets.append(validate_labels(n, factors))
-        for label in corrections:
-            prefix = quarter_exponential_tableau(label, n).compose(prefix)
         prefix = prefix.compose(tail)
     return tuple(sets), prefix
 

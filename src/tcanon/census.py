@@ -455,8 +455,9 @@ def verify_oracle(n: int, trials: int = 100,
     """Structured channels match dense-trace channels exactly.
 
     Covers every gate generator, every single-Pauli exponential, and
-    random forms whose Clifford part is built twice from one gate word
-    (tableau path vs dense path).
+    random forms whose Clifford part is built twice from one gate word:
+    as the compose of the tableaux of the word's two halves, and as one
+    dense matrix of the whole word.
     """
     _check_run(n, trials)
     if n > 3:
@@ -483,7 +484,10 @@ def verify_oracle(n: int, trials: int = 100,
         m = rng.randint(1, n)
         s = random_pauli_set(n, m, rng)
         word = random_gate_word(n, rng)
-        tableau = from_gate_word(word, n)
+        tokens = word.split(";")
+        half = len(tokens) // 2
+        tableau = from_gate_word(";".join(tokens[:half]), n).compose(
+            from_gate_word(";".join(tokens[half:]), n))
         structured = channel_of_canonical(CanonicalForm(s, tableau))
         dense = dense_of_gate_word(word, n)
         for p in reversed(s.elements):

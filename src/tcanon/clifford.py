@@ -168,58 +168,25 @@ def _generators(n: int) -> tuple[tuple, tuple]:
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2, "SWAP": 2}
 
 
-def _gate_tableau(name: str, qubits: tuple, n: int) -> CliffordTableau:
-    xgen, zgen = _generators(n)
-    xim = list(xgen)
-    zim = list(zgen)
-    if name == "H":
-        q = qubits[0]
-        xim[q], zim[q] = zgen[q], xgen[q]
-    elif name == "S":
-        q = qubits[0]
-        xim[q] = (xgen[q][0] | zgen[q][0], 0)  # +Y
-    elif name == "X":
-        q = qubits[0]
-        zim[q] = (zgen[q][0], 2)
-    elif name == "Z":
-        q = qubits[0]
-        xim[q] = (xgen[q][0], 2)
-    elif name == "CX":
-        # X_c -> X_c X_t and Z_t -> Z_c Z_t
-        c, tq = qubits
-        xim[c] = (xgen[c][0] | xgen[tq][0], 0)
-        zim[tq] = (zgen[c][0] | zgen[tq][0], 0)
-    elif name == "CZ":
-        # X_a -> X_a Z_b and X_b -> Z_a X_b
-        a, b = qubits
-        xim[a] = (xgen[a][0] | zgen[b][0], 0)
-        xim[b] = (zgen[a][0] | xgen[b][0], 0)
-    elif name == "SWAP":
-        a, b = qubits
-        xim[a], xim[b] = xim[b], xim[a]
-        zim[a], zim[b] = zim[b], zim[a]
-    else:
-        raise BadTokenError(f"unknown gate {name!r}")
-    return CliffordTableau(n, tuple(xim), tuple(zim))
-
-
-def quarter_exponential_tableau(p: int, n: int) -> CliffordTableau:
-    """Tableau of the Clifford exp(-i*pi*P/4) for the positive Pauli P of
-    a non-identity label p.
+def quarter_exponential(p: int, c: CliffordTableau) -> CliffordTableau:
+    """Tableau of exp(-i*pi*P/4) * c for the positive Pauli P of a
+    non-identity label p; c the identity gives the exponential's own.
 
     Conjugation fixes commuting Paulis and sends an anticommuting Q to
-    -i * P * Q.
+    -i * P * Q, so each of c's images is mapped on its own.
     """
+    n = c.n
     if not 0 < p < 1 << (2 * n):
         raise ValueError(f"need a non-identity label, got {p} for n={n}")
 
-    def images(gens: tuple) -> tuple:
+    def images(ims: tuple) -> tuple:
         # i^3 = -i
         return tuple(g if label_commutes(g[0], p, n)
-                     else (p ^ g[0], (label_product_phase(p, g[0], n) + 3) & 3)
-                     for g in gens)
+                     else (p ^ g[0],
+                           (g[1] + label_product_phase(p, g[0], n) + 3) & 3)
+                     for g in ims)
 
-    return CliffordTableau(n, *map(images, _generators(n)))
+    return CliffordTableau(n, images(c.xim), images(c.zim))
 
 
 def parse_index(text: str) -> int:
@@ -275,11 +242,42 @@ def _parse_token(token: str, n: int | None) -> tuple[str, tuple]:
 
 def from_gate_word(text: str, n: int) -> CliffordTableau:
     """Tableau of a gate word; the leftmost factor is applied last.
-    CliffordTableau.identity raises ValueError for n < 1."""
-    c = CliffordTableau.identity(n)
+
+    Each gate G right-multiplies the running images in place: the new
+    image of a generator g is the old image of G g G^dagger, a product
+    of at most two old images.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    xim, zim = map(list, _generators(n))
+
+    def product(a: tuple, b: tuple, k: int = 0) -> tuple:
+        # i^k times image a times image b
+        return (a[0] ^ b[0],
+                (k + a[1] + b[1] + label_product_phase(a[0], b[0], n)) & 3)
+
     for name, qubits in parse_gate_word(text, n):
-        c = c.compose(_gate_tableau(name, qubits, n))
-    return c
+        a, b = qubits[0], qubits[-1]
+        if name == "H":
+            xim[a], zim[a] = zim[a], xim[a]
+        elif name == "S":  # X -> Y = iXZ
+            xim[a] = product(xim[a], zim[a], 1)
+        elif name == "X":  # Z -> -Z
+            zim[a] = zim[a][0], (zim[a][1] + 2) & 3
+        elif name == "Z":  # X -> -X
+            xim[a] = xim[a][0], (xim[a][1] + 2) & 3
+        elif name == "CX":  # X_c -> X_c X_t and Z_t -> Z_c Z_t
+            xim[a] = product(xim[a], xim[b])
+            zim[b] = product(zim[a], zim[b])
+        elif name == "CZ":  # X_a -> X_a Z_b and X_b -> Z_a X_b
+            xim[a] = product(xim[a], zim[b])
+            xim[b] = product(zim[a], xim[b])
+        elif name == "SWAP":
+            xim[a], xim[b] = xim[b], xim[a]
+            zim[a], zim[b] = zim[b], zim[a]
+        else:
+            raise BadTokenError(f"unknown gate {name!r}")
+    return CliffordTableau(n, tuple(xim), tuple(zim))
 
 
 def random_clifford(n: int, seed=None) -> CliffordTableau:

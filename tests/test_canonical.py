@@ -13,6 +13,7 @@ from tcanon.canonical import (
     TLayer,
     TLayerCircuit,
     WidthMismatchError,
+    _sweep,
     canonicalize_depth_d,
     canonicalize_depth_one,
     channel_of_circuit,
@@ -22,17 +23,18 @@ from tcanon.canonical import (
 )
 from tcanon.channel import channel_of_canonical
 from tcanon.clifford import (CliffordTableau, from_gate_word,
-                             quarter_exponential_tableau)
+                             quarter_exponential)
 from tcanon.census import random_gate_word
 from tcanon.oracle import dense_of_pauli, dense_of_quarter_exponential
-from tcanon.pauli import PauliOperator, PauliSet, parse_pauli, validate_set
+from tcanon.pauli import (PauliOperator, PauliSet, parse_pauli, validate_labels,
+                          validate_set)
 
 ID1 = CliffordTableau.identity(1)
 ID2 = CliffordTableau.identity(2)
 
 
-def random_circuit(n, depth, rng):
-    cliffords = [from_gate_word(random_gate_word(n, rng), n)
+def random_circuit(n, depth, rng, length=24):
+    cliffords = [from_gate_word(random_gate_word(n, rng, length), n)
                  for _ in range(depth + 1)]
     layers = []
     for _ in range(depth):
@@ -150,7 +152,7 @@ def test_quarter_exponential_matches_dense_conjugation():
     for n in (1, 2):
         for label in range(1, 1 << (2 * n)):
             p = PauliOperator.from_label(n, label)
-            tab = quarter_exponential_tableau(label, n)
+            tab = quarter_exponential(label, CliffordTableau.identity(n))
             u = dense_of_quarter_exponential(p, sign=-1)
             udag = u.dagger()
             for glabel in range(1, 1 << (2 * n)):
@@ -163,7 +165,39 @@ def test_quarter_exponential_rejects_bad_input_with_value_error():
     # the identity label and labels outside the width
     for label, n in ((0, 2), (16, 2), (-1, 1)):
         with pytest.raises(ValueError):
-            quarter_exponential_tableau(label, n)
+            quarter_exponential(label, CliffordTableau.identity(n))
+
+
+def _sweep_by_products(cliffords, layers):
+    """The layer sweep with the sign corrections made after the whole
+    layer is read, each built as a whole quarter-exponential tableau and
+    composed into the prefix."""
+    prefix = cliffords[0]
+    n = prefix.n
+    ident = CliffordTableau.identity(n)
+    sets = []
+    for layer, tail in zip(layers, cliffords[1:]):
+        factors = []
+        corrections = []
+        for qubit, is_tdg in layer.marked:
+            label, phase = prefix.conjugate_pauli(1 << (n - 1 - qubit))
+            factors.append(label)
+            if (phase == 2) == is_tdg:
+                corrections.append(label)
+        for label in corrections:
+            prefix = quarter_exponential(label, ident).compose(prefix)
+        sets.append(validate_labels(n, factors))
+        prefix = prefix.compose(tail)
+    return tuple(sets), prefix
+
+
+def test_sweep_matches_composed_quarter_tableaux_at_64_qubits():
+    rng = random.Random(8010)
+    for depth in (1, 2, 3):
+        for _ in range(2):
+            circ = random_circuit(64, depth, rng, length=400)
+            want = _sweep_by_products(circ.cliffords, circ.layers)
+            assert _sweep(circ.cliffords, circ.layers) == want
 
 
 class TestFormText:

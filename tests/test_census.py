@@ -26,7 +26,7 @@ from tcanon.census import (
     verify_spectrum,
     verify_unit_rows,
 )
-from tcanon.clifford import group_order, parse_gate_word
+from tcanon.clifford import CliffordTableau, group_order, parse_gate_word
 from tcanon.pauli import PauliSet, _swap_halves, validate_set
 
 
@@ -220,6 +220,14 @@ class TestVerifiers:
         r = verify_oracle(1, trials=5, seed=31)
         assert r.passed
         assert r.counts == {"generators": 7, "forms": 5}
+
+    def test_oracle_catches_a_compose_in_the_wrong_order(self, monkeypatch):
+        compose = CliffordTableau.compose
+        monkeypatch.setattr(CliffordTableau, "compose",
+                            lambda self, other: compose(other, self))
+        r = verify_oracle(2, trials=5, seed=31)
+        assert not r.passed
+        assert all(f.startswith("form (") for f in r.failures)
 
     def test_growth(self):
         r = growth_check(16)

@@ -10,7 +10,6 @@ from tcanon.clifford import (
     BadTokenError,
     CliffordTableau,
     IndexOutOfRangeError,
-    _gate_tableau,
     _parse_token,
     from_gate_word,
     group_order,
@@ -206,9 +205,20 @@ def test_from_gate_word_equals_the_reversed_fold(n):
     for length in (0, 1, 2, 5) + (24,) * 3:
         word = random_gate_word(n, rng, length)
         want = CliffordTableau.identity(n)
-        for name, qubits in reversed(parse_gate_word(word, n)):
-            want = _gate_tableau(name, qubits, n).compose(want)
+        for token in reversed(word.split(";")):
+            want = from_gate_word(token, n).compose(want)
         assert from_gate_word(word, n) == want, word
+
+
+def test_from_gate_word_composes_no_tableau(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("compose called")
+
+    word = random_gate_word(4, random.Random(615))
+    want = from_gate_word(word, 4)
+    monkeypatch.setattr(CliffordTableau, "compose", refuse)
+    assert len(parse_gate_word(word, 4)) == 24
+    assert from_gate_word(word, 4) == want
 
 
 def _gate_tableau_by_products(name, qubits, n):
@@ -236,7 +246,7 @@ def _gate_tableau_by_products(name, qubits, n):
 def test_two_qubit_gate_images_equal_the_product_construction(n):
     for a, b in itertools.permutations(range(n), 2):
         for name in ("CX", "CZ", "SWAP"):
-            got = _gate_tableau(name, (a, b), n)
+            got = from_gate_word(f"{name} {a} {b}", n)
             assert got == _gate_tableau_by_products(name, (a, b), n), (name, a, b)
             assert all(phase == 0 for _, phase in got.xim + got.zim)
 

@@ -22,7 +22,7 @@ PACKAGE = ROOT / "src" / "tcanon"
 # defined names no program path reaches yet, each with why it stays
 KEEP = {
     "oracle.dense_of_quarter_exponential":
-        "dense reference the tests check quarter_exponential_tableau against",
+        "dense reference the tests check quarter_exponential against",
     "oracle.dense_of_t_layer":
         "dense reference for true T/Tdg layers; ROADMAP G gives it a caller",
     "canonical.parse_form":
