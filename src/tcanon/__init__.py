@@ -21,8 +21,7 @@ from .clifford import (CliffordTableau, from_gate_word, group_order,
                        random_clifford)
 from .exactnum import Cyclotomic16Scalar, DyadicSqrt2Scalar
 from .oracle import (DenseUnitary, channel_bruteforce, dense_of_exponential,
-                     dense_of_gate_word, dense_of_pauli, dense_of_t_layer,
-                     pauli_expand)
+                     dense_of_gate_word, dense_of_pauli, dense_of_t_layer)
 from .pauli import (PauliOperator, PauliSet, commutant, parse_pauli,
                     validate_set)
 

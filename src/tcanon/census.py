@@ -11,8 +11,9 @@ positive Paulis:
 Enumeration walks label-ascending extensions with precomputed commutation
 bitmasks, so the stream both reproduces the formula and feeds the lemma
 checks: distinctness of forms, unit rows vs commutant, Pauli-support
-growth under diagonal exponentials, spectral T-count, and agreement of
-the structured channels with the dense-trace oracle.
+growth under diagonal exponentials (read off the X_j columns of the
+dense-trace channel of E), spectral T-count, and agreement of the
+structured channels with the dense-trace oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .channel import (channel_of_canonical, channel_of_clifford,
 from .clifford import (CliffordTableau, from_gate_word, group_order,
                        random_clifford)
 from .oracle import (DenseUnitary, channel_bruteforce, dense_of_exponential,
-                     dense_of_gate_word, dense_of_pauli, pauli_expand)
+                     dense_of_gate_word)
 from .pauli import (PauliOperator, PauliSet, _swap_halves, commutant,
                     label_commutes)
 
@@ -179,7 +180,7 @@ def enumerate_sets(n: int, m: int,
         raise FeasibilityRefusalError(
             f"enumeration capped at {_ENUM_CAP} qubits "
             f"({count_sets(n, m)} sets at n={n}, m={m}); "
-            "pass allow_large=True to force")
+            "pass --allow-large (allow_large=True in Python) to force")
     for labels in _iter_label_tuples(n, m):
         yield PauliSet.from_labels(n, labels)
 
@@ -332,6 +333,9 @@ def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Rows of a form's channel holding a +-1 entry = commutant of the set."""
     _check_run(n, trials)
+    if n > _SAMPLED_CAP:
+        raise FeasibilityRefusalError(
+            f"sampled unit-rows capped at {_SAMPLED_CAP} qubits, got {n}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = VerificationReport("unit-rows", seed=seed)
@@ -359,7 +363,10 @@ def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
 
     E is the product of exp(i*pi*Z^a/8) over an independent family of
     bit-strings and w counts the family members with bit j set.  Runs the
-    dense oracle exhaustively over every family of size <= k_max.
+    dense oracle exhaustively over every family of size <= k_max: each
+    family builds E once and its channel_bruteforce, whose column X_j is
+    the Pauli expansion of E X_j E', so the support is that column's
+    entry count.
     """
     _check_run(n)
     if k_max < 1:
@@ -380,13 +387,12 @@ def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
         for a in family:
             p = PauliOperator(n, 0, a, 0)
             e = e.multiply(dense_of_exponential(p, 1))
-        ed = e.dagger()
+        cols = channel_bruteforce(e).cols
         for j in range(n):
             instances += 1
-            xj = dense_of_pauli(PauliOperator.single(n, j, "X"))
-            m_mat = e.multiply(xj).multiply(ed)
-            support = len(pauli_expand(m_mat))
             bit = 1 << (n - 1 - j)
+            # column X_j holds Tr(P E X_j E') / 2^n for every P
+            support = len(cols[bit << n])
             w = sum(1 for a in family if a & bit)
             if support != 1 << w:
                 report.failures.append(

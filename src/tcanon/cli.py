@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 
 from . import canonical
 from .canonical import parse_circuit
-from .census import (VerificationReport, count_sets, count_tdepth_one,
-                     count_tuples, emit_table, enumerate_sets, growth_check,
+from .census import (VerificationReport, count_sets, count_tuples,
+                     emit_table, enumerate_sets, growth_check,
                      verify_distinctness, verify_hamming_weight,
                      verify_oracle, verify_spectrum, verify_unit_rows)
 from .clifford import group_order, parse_index
@@ -100,28 +101,38 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _count_text(args) -> str:
-    """The whole output of count, built before any of it is written."""
-    n = args.qubits
-    if args.tcount is not None:
-        m = args.tcount
-        row = {"n": n, "m": m, "tuples": count_tuples(n, m),
-               "sets": count_sets(n, m), "clifford_order": group_order(n),
-               "unitaries": count_sets(n, m) * group_order(n)}
+    """The whole output of count, built before any of it is written.
+
+    Each value is computed once, in output order, and turned into text at
+    once, so the first one past CPython's digit limit stops the command
+    before the rest are computed.
+    """
+    n, m = args.qubits, args.tcount
+    row: dict = {}
+
+    def put(key, value, into=row):
+        str(value)  # raises here, past the digit limit
+        into[key] = value
+        return value
+
+    put("n", n)
+    if m is not None:
+        put("m", m)
+        tuples = put("tuples", count_tuples(n, m))
+        sets = put("sets", tuples // math.factorial(m))
+        order = put("clifford_order", group_order(n))
+        put("unitaries", sets * order)
     else:
-        g, total = count_tdepth_one(n)
-        row = {"n": n, "clifford_order": group_order(n),
-               "sets_per_tcount": {str(m): count_sets(n, m)
-                                   for m in range(1, n + 1)},
-               "total_classes": g, "total_unitaries": total}
+        order = put("clifford_order", group_order(n))
+        per_m = row["sets_per_tcount"] = {}
+        g = put("total_classes", sum(put(str(k), count_sets(n, k), per_m)
+                                     for k in range(1, n + 1)))
+        put("total_unitaries", g * order)
     if args.json:
         return json.dumps(row, indent=2) + "\n"
-    lines = []
-    for k, v in row.items():
-        if k == "sets_per_tcount":
-            lines += [f"tcount_{m}\t{c}\n" for m, c in v.items()]
-        else:
-            lines.append(f"{k}\t{v}\n")
-    return "".join(lines)
+    return "".join("".join(f"tcount_{j}\t{c}\n" for j, c in v.items())
+                   if isinstance(v, dict) else f"{k}\t{v}\n"
+                   for k, v in row.items())
 
 
 def _cmd_enumerate(args) -> int:

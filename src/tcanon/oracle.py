@@ -8,20 +8,21 @@ channel and channel_bruteforce checks the fast path end to end.
 A gate word is built in place, one gate at a time, as an operation on
 the running matrix's columns.
 
-pauli_expand and channel_bruteforce pack every entry, over one 2^k
-shared by the matrix, into one integer sum_j c_j 2^(w j) (Kronecker
-substitution), so Python's big-int product and add do the negacyclic
-8 x 8 convolutions and the Walsh-Hadamard butterflies.  The digit width
-comes from the input: with A a bound on every |c_j| over 2^k,
-w = bitlen(32 A^2 4^n) + 2.  A digit of a product sums at most 8 terms,
-the transform adds 4^n of those, and each of the two folds by
-zeta^8 = -1 at most doubles it, so every digit stays under 2^(w-2);
-every packed value therefore splits back into its balanced digits, each
-in [-2^(w-1), 2^(w-1)), exactly.  All X-parts of the second Pauli ride in
-slots of one int, so a channel costs one integer product per grid cell
-and one transform per X-part of the first; each nonzero trace is read
-off its slot, times a unit i^t, and checked real before its one
-DyadicSqrt2Scalar is built.
+channel_bruteforce is the one trace kernel: its column Q is the Pauli
+expansion of U Q U', which is also where the Hamming-weight check reads
+its supports.  It packs every entry, over one 2^k shared by the matrix,
+into one integer sum_j c_j 2^(w j) (Kronecker substitution), so Python's
+big-int product and add do the negacyclic 8 x 8 convolutions and the
+Walsh-Hadamard butterflies.  The digit width comes from the input: with
+A a bound on every |c_j| over 2^k, w = bitlen(32 A^2 4^n) + 2.  A digit
+of a product sums at most 8 terms, the transform adds 4^n of those, and
+each of the two folds by zeta^8 = -1 at most doubles it, so every digit
+stays under 2^(w-2); every packed value therefore splits back into its
+balanced digits, each in [-2^(w-1), 2^(w-1)), exactly.  All X-parts of
+the second Pauli ride in slots of one int, so a channel costs one
+integer product per grid cell and one transform per X-part of the first;
+each nonzero trace is read off its slot, times a unit i^t, and checked
+real before its one DyadicSqrt2Scalar is built.
 
 Matrices above three qubits are refused with SizeRefusalError; a channel
 costs 8^n products of 2^n-slot ints and 16^n transform outputs, which
@@ -311,30 +312,6 @@ def _slots(values: list, c: int, slot: int) -> int:
     return sum(map(lshift, map(values.__getitem__,
                                map(xor, repeat(c), range(dim))),
                    range(0, slot * dim, slot)))
-
-
-def pauli_expand(u: DenseUnitary) -> dict:
-    """Nonzero coefficients of M = sum_P m_P P over positive Pauli labels.
-
-    m_P = Tr(P M) / 2^n, exact in the cyclotomic ring.  P = (x, z) has
-    P[r][r ^ x] = i^|x&z| (-1)^(z.(r ^ x)), so Tr(P M) is i^(3|x&z|) times
-    the transform of v[r] = M[r ^ x][r] at z; every x rides in slot x of
-    one int per r, so one transform serves them all.
-    """
-    n = u.n
-    k, w, rows, _ = _pack(u)
-    slot = 8 * w
-    v = [_slots(col, r, slot) for r, col in enumerate(zip(*rows))]
-    out = {}
-    for z, t in enumerate(_butterflies(v, n)):
-        x = 0
-        while t:
-            d, t = _split(t, slot)
-            if d:
-                out[x << n | z] = Cyclotomic16Scalar(_digits(
-                    _times_unit(d, 3 * (x & z).bit_count(), w), w), k + n)
-            x += 1
-    return out
 
 
 def channel_bruteforce(u: DenseUnitary) -> ChannelRep:

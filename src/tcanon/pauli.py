@@ -49,15 +49,6 @@ class PauliOperator:
             raise ValueError(f"label {label} out of range for n={n}")
         return cls(n, label >> n, label & ((1 << n) - 1), 0)
 
-    @classmethod
-    def single(cls, n: int, qubit: int, letter: str) -> "PauliOperator":
-        """X, Y or Z on one qubit, identity elsewhere."""
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} out of range for n={n}")
-        xb, zb = _BITS[letter]
-        bit = 1 << (n - 1 - qubit)
-        return cls(n, xb * bit, zb * bit, 0)
-
     @property
     def label(self) -> int:
         """Unsigned label (x << n) | z; ignores the phase."""

@@ -38,7 +38,7 @@ from tcanon.census import (
 )
 from tcanon.cli import main
 from tcanon.clifford import CliffordTableau, from_gate_word, random_clifford
-from tcanon.pauli import PauliOperator, validate_set
+from tcanon.pauli import parse_pauli, validate_set
 
 TABLE_EXPECTED = {
     # n: (clifford_order, per-tcount class counts, total classes, total unitaries)
@@ -191,7 +191,7 @@ def test_c08_canonicalizer_soundness():
     one = CliffordTableau.identity(1)
     flagship = canonicalize_depth_one(one, TLayer(1, t=[0]), one)
     assert flagship == CanonicalForm(
-        validate_set([PauliOperator.single(1, 0, "Z")]),
+        validate_set([parse_pauli("Z")]),
         from_gate_word("S 0", 1))
 
     rng = random.Random(DEFAULT_SEED)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tcanon import gf2
+from tcanon import census, gf2
 from tcanon.census import (
     DEFAULT_SEED,
     FeasibilityRefusalError,
@@ -205,6 +205,23 @@ class TestVerifiers:
         r = verify_hamming_weight(3)
         assert r.passed
         assert r.counts == {"families": 56, "instances": 168}
+
+    def test_hamming_weight_catches_a_lost_entry(self, monkeypatch):
+        # every column of E's channel is nonempty, so dropping one entry
+        # leaves a support of 2^w - 1 at every qubit of every family
+        channel_bruteforce = census.channel_bruteforce
+
+        def lossy(u):
+            rep = channel_bruteforce(u)
+            for col in rep.cols:
+                del col[next(iter(col))]
+            return rep
+
+        monkeypatch.setattr(census, "channel_bruteforce", lossy)
+        r = verify_hamming_weight(2)
+        assert not r.passed
+        assert len(r.failures) == r.counts["instances"] == 12
+        assert all(f.startswith("support ") for f in r.failures)
 
     def test_spectrum_exhaustive(self):
         r = verify_spectrum(1, mode="exhaustive")

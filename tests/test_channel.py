@@ -63,7 +63,7 @@ def test_hadamard_channel_fixture():
 
 def test_exponential_channel_fixture():
     # exp(+i*pi*Z/8): X -> (X - Y)/sqrt2, Y -> (X + Y)/sqrt2
-    rep = channel_of_exponential(PauliOperator.single(1, 0, "Z"))
+    rep = channel_of_exponential(parse_pauli("Z"))
     want = [
         [ONE, ZERO, ZERO, ZERO],
         [ZERO, ONE, ZERO, ZERO],
@@ -152,7 +152,7 @@ def test_unit_rows_equal_commutant_labels():
 
 
 def test_pauli_spectrum_counts_magnitudes():
-    rep = channel_of_exponential(PauliOperator.single(1, 0, "Z"))
+    rep = channel_of_exponential(parse_pauli("Z"))
     spec = rep.pauli_spectrum()
     assert spec[ONE] == 2
     assert spec[ZERO] == 10
@@ -216,7 +216,8 @@ def test_infer_t_count_on_reference_forms():
     for n in (1, 2, 3):
         for m in range(n + 1):
             s = (PauliSet.empty(n) if m == 0 else
-                 validate_set([PauliOperator.single(n, j, "Z") for j in range(m)]))
+                 validate_set([PauliOperator.from_label(n, 1 << (n - 1 - j))
+                               for j in range(m)]))
             form = CanonicalForm(s, CliffordTableau.identity(n))
             assert infer_t_count(channel_of_canonical(form)) == m
 

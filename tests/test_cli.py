@@ -19,6 +19,7 @@ import jsonschema
 import pytest
 
 import tcanon
+from tcanon import census, cli, clifford
 from tcanon.census import VerificationReport, emit_table
 from tcanon.cli import _report_out, main
 
@@ -84,6 +85,34 @@ def test_count_single_tcount_json(capsys):
     assert row == {"n": 3, "m": 2, "tuples": 1890, "sets": 945,
                    "clifford_order": 92897280,
                    "unitaries": 945 * 92897280}
+
+
+@pytest.mark.parametrize("argv, tuples, orders", [
+    (["--qubits", "5"], 5, 1),
+    (["--qubits", "5", "--json"], 5, 1),
+    (["--qubits", "5", "--tcount", "3"], 1, 1),
+    (["--qubits", "5", "--tcount", "3", "--json"], 1, 1),
+], ids=["all", "all-json", "tcount", "tcount-json"])
+def test_count_computes_each_value_once(capsys, monkeypatch, argv, tuples,
+                                        orders):
+    # each name is patched in every module that binds it, so calls made
+    # through count_sets or count_tdepth_one are counted too
+    calls = {"count_tuples": 0, "group_order": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, home in (("count_tuples", census), ("group_order", clifford)):
+        wrapper = counted(name, getattr(home, name))
+        for mod in (census, cli, clifford):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+    code, _, _ = run_cli(capsys, "count", *argv)
+    assert code == 0
+    assert calls == {"count_tuples": tuples, "group_order": orders}
 
 
 # sha256 of the widest outputs whose counts CPython still prints
@@ -162,9 +191,10 @@ def test_enumerate_width_guard_is_a_usage_error(capsys):
                              "--tcount", "1")
     assert code == 2
     assert "error:" in err
+    assert "--allow-large" in err
 
 
-@pytest.mark.parametrize("check", ["spectrum", "distinctness"])
+@pytest.mark.parametrize("check", ["spectrum", "distinctness", "unit-rows"])
 def test_sampled_checks_refuse_six_qubits(capsys, check):
     code, out, err = run_cli(capsys, "verify", check, "--qubits", "6",
                              "--trials", "1")

@@ -27,7 +27,6 @@ from tcanon.oracle import (
     dense_of_pauli,
     dense_of_quarter_exponential,
     dense_of_t_layer,
-    pauli_expand,
 )
 from tcanon.census import _generator_words, random_gate_word, random_pauli_set
 from tcanon.channel import (ChannelRep, channel_of_clifford,
@@ -36,7 +35,7 @@ from tcanon.clifford import from_gate_word
 from tcanon.pauli import PauliOperator, parse_pauli
 
 C = Cyclotomic16Scalar
-Z1 = PauliOperator.single(1, 0, "Z")
+Z1 = parse_pauli("Z")
 
 
 def test_identity_and_pauli_matrices():
@@ -187,7 +186,7 @@ def test_a_word_matrix_is_the_product_of_its_gate_matrices():
 
 
 def test_size_guard():
-    p4 = PauliOperator.single(4, 0, "Z")
+    p4 = parse_pauli("ZIII")
     with pytest.raises(SizeRefusalError):
         dense_of_pauli(p4)
     with pytest.raises(SizeRefusalError):
@@ -234,22 +233,33 @@ def test_channel_bruteforce_matches_structured_channels():
         assert got == channel_of_exponential(p)
 
 
+def _z_family_unitary(n, rng):
+    # c05's E: the product of exp(i*pi*Z^a/8) over distinct Z-type
+    # labels a, independent as there are at most n of them and n <= 2
+    e = DenseUnitary.identity(n)
+    for a in rng.sample(range(1, 1 << n), rng.randint(1, n)):
+        e = e.multiply(dense_of_exponential(PauliOperator(n, 0, a), 1))
+    return e
+
+
 def test_channel_bruteforce_columns_match_two_product_conjugation():
     # channel_bruteforce reads every trace off one transform per pair of
-    # X-parts; the plain U Q U' must give the same
+    # X-parts; the scalar expansion of the plain U Q U' must give the
+    # same, and c05 reads its supports off these columns
     rng = random.Random(2207)
     for n in (1, 2):
         for _ in range(3):
             p = PauliOperator.from_label(n, rng.randrange(1, 1 << (2 * n)))
             word = dense_of_gate_word(random_gate_word(n, rng), n)
             for u in (word, dense_of_exponential(p, rng.choice((1, -1))),
-                      dense_of_exponential(p, 1).multiply(word)):
+                      dense_of_exponential(p, 1).multiply(word),
+                      _z_family_unitary(n, rng)):
                 rep = channel_bruteforce(u)
                 for q in range(1 << (2 * n)):
                     pq = dense_of_pauli(PauliOperator.from_label(n, q))
                     m = u.multiply(pq).multiply(u.dagger())
                     want = {label: v.to_dyadic()
-                            for label, v in pauli_expand(m).items()}
+                            for label, v in _reference_expand(m).items()}
                     assert rep.cols[q] == want
 
 
@@ -268,33 +278,6 @@ def test_channel_bruteforce_rejects_values_outside_the_ring():
     with pytest.raises(NonRealEntryError,
                        match=r"entry \(\d+, \d+\) .*Cyclotomic16Scalar\(\("):
         channel_bruteforce(u)
-
-
-def test_pauli_expand_fixture():
-    # (X - Y)/sqrt2 has entries e^{+-i*pi/4} on the antidiagonal
-    m = [[CYC_ZERO, C.zeta_power(2)], [C.zeta_power(14), CYC_ZERO]]
-    u = DenseUnitary(1, m)
-    exp = pauli_expand(u)
-    x_label, y_label = 2, 3
-    assert set(exp) == {x_label, y_label}
-    assert exp[x_label] == CYC_INV_SQRT2
-    assert exp[y_label] == -CYC_INV_SQRT2
-
-
-def test_pauli_expand_reconstructs_the_matrix():
-    u = dense_of_exponential(parse_pauli("XZ"), sign=-1)
-    acc = DenseUnitary(2, [[CYC_ZERO] * 4 for _ in range(4)])
-    for label, coeff in pauli_expand(u).items():
-        term = dense_of_pauli(PauliOperator.from_label(2, label)).mat
-        acc = DenseUnitary(2, [[a + coeff * b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(acc.mat, term)])
-    assert acc == u
-
-
-def test_pauli_expand_of_paulis_is_a_point_mass():
-    for label in range(16):
-        p = PauliOperator.from_label(2, label)
-        assert pauli_expand(dense_of_pauli(p)) == {label: CYC_ONE}
 
 
 def test_equal_up_to_phase():
@@ -367,7 +350,6 @@ def _random_form(n, rng):
 
 
 def _assert_matches_reference(u):
-    assert pauli_expand(u) == _reference_expand(u)
     assert channel_bruteforce(u) == _reference_channel(u)
 
 
@@ -403,25 +385,6 @@ def test_the_kernel_phase_rule_rebuilds_every_pauli_matrix():
             assert dense_of_pauli(p).mat == mat
 
 
-def _dense_scalar(rng):
-    # every zeta-coefficient nonzero, over a random 2^k
-    c = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(8)]
-    return C(c, rng.randint(0, 5))
-
-
-def test_pauli_expand_matches_the_scalar_construction_on_full_planes():
-    # unitary inputs leave most coefficient planes empty; these fill all
-    # eight, at mixed 2^k, with a few zero entries for the skips
-    rng = random.Random(4409)
-    for n, count in ((1, 20), (2, 20), (3, 5)):
-        dim = 1 << n
-        for _ in range(count):
-            u = DenseUnitary(n, [[CYC_ZERO if rng.random() < 0.1
-                                  else _dense_scalar(rng)
-                                  for _ in range(dim)] for _ in range(dim)])
-            assert pauli_expand(u) == _reference_expand(u)
-
-
 def test_channel_bruteforce_matches_the_scalar_construction_on_scaled_forms():
     # a form times zeta^j (a + b i + (c + d i) sqrt2) / 2^k: most products
     # pair several coefficients and wrap past zeta^8, while the squared
@@ -438,27 +401,42 @@ def test_channel_bruteforce_matches_the_scalar_construction_on_scaled_forms():
             assert channel_bruteforce(u) == _reference_channel(u)
 
 
-def _wide_coefficients(rng, odd=True):
-    # up to +-2^40 each, far past any fixed digit width
-    return [rng.randint(-(1 << 40), 1 << 40) if odd or j % 2 == 0 else 0
+def test_channel_bruteforce_lifts_entries_to_one_power_of_two():
+    # diag(I, W), W = exp(+-i*pi*P/4) with P off the diagonal, holds
+    # entries over 2^0 and over 2^1, so packing must bring every entry
+    # over the larger 2^k; a controlled Clifford keeps every trace real
+    rng = random.Random(4413)
+    for n, count in ((2, 6), (3, 2)):
+        half = 1 << (n - 1)
+        for _ in range(count):
+            p = PauliOperator.from_label(
+                n - 1, rng.randrange(half, 1 << (2 * n - 2)))
+            w = dense_of_quarter_exponential(p, rng.choice((1, -1)))
+            mat = [[CYC_ONE if r == c else CYC_ZERO for c in range(half)]
+                   + [CYC_ZERO] * half for r in range(half)]
+            mat += [[CYC_ZERO] * half + row for row in w.mat]
+            u = DenseUnitary(n, mat)
+            assert len({v.k for row in mat for v in row
+                        if not v.is_zero()}) > 1
+            assert channel_bruteforce(u) == _reference_channel(u)
+
+
+def _wide_coefficients(rng):
+    # even powers of zeta only, up to +-2^40 each, far past any fixed
+    # digit width
+    return [rng.randint(-(1 << 40), 1 << 40) if j % 2 == 0 else 0
             for j in range(8)]
 
 
 def test_packed_digit_widths_follow_the_input():
-    # the packed kernels size their digits from the entries: coefficients
-    # up to +-2^40 over per-entry 2^k up to 2^20 must still read back
-    # exactly; the scale's squared modulus keeps each trace real
+    # channel_bruteforce sizes its digits from the entries: coefficients
+    # up to +-2^40 over 2^k up to 2^20 must still read back exactly; the
+    # scale's squared modulus keeps each trace real
     rng = random.Random(4412)
     for n, count in ((1, 8), (2, 4), (3, 1)):
-        dim = 1 << n
         for _ in range(count):
-            u = DenseUnitary(n, [[CYC_ZERO if rng.random() < 0.1
-                                  else C(_wide_coefficients(rng),
-                                         rng.randint(0, 20))
-                                  for _ in range(dim)] for _ in range(dim)])
-            assert pauli_expand(u) == _reference_expand(u)
             scale = C.zeta_power(rng.randrange(16)) * C(
-                _wide_coefficients(rng, odd=False), rng.randint(0, 20))
+                _wide_coefficients(rng), rng.randint(0, 20))
             form = _random_form(n, rng)
             u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])
             assert channel_bruteforce(u) == _reference_channel(u)

@@ -76,10 +76,10 @@ def test_parse_rejects_garbage():
 
 
 def test_qubit_zero_is_the_leftmost_letter():
-    p = PauliOperator.single(3, 0, "X")
+    p = PauliOperator.from_label(3, 0b100 << 3)
     assert p.to_string() == "+XII"
     assert p.x == 0b100
-    q = PauliOperator.single(3, 2, "Z")
+    q = PauliOperator.from_label(3, 0b001)
     assert q.to_string() == "+IIZ"
     assert q.z == 0b001
 
@@ -126,10 +126,6 @@ def test_constructors_reject_out_of_range_input():
         PauliOperator.from_label(1, 4)
     with pytest.raises(ValueError):
         PauliOperator.from_label(2, -1)
-    with pytest.raises(ValueError):
-        PauliOperator.single(2, 2, "X")
-    with pytest.raises(ValueError):
-        PauliOperator.single(2, -1, "Z")
 
 
 def test_hermiticity_and_sign():

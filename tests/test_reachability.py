@@ -23,6 +23,10 @@ PACKAGE = ROOT / "src" / "tcanon"
 KEEP = {
     "oracle.dense_of_quarter_exponential":
         "dense reference the tests check quarter_exponential against",
+    "oracle.DenseUnitary.dagger":
+        "U' in the U P U' conjugation references of test_clifford,"
+        " test_canonical and test_oracle; the program reads conjugates"
+        " off channel_bruteforce's columns",
     "oracle.dense_of_t_layer":
         "dense reference for true T/Tdg layers; ROADMAP G gives it a caller",
     "canonical.parse_form":
