@@ -34,8 +34,7 @@ from .clifford import (CliffordTableau, from_gate_word, group_order,
                        random_clifford)
 from .oracle import (DenseUnitary, channel_bruteforce, dense_of_exponential,
                      dense_of_gate_word)
-from .pauli import (PauliOperator, PauliSet, _swap_halves, commutant,
-                    label_commutes)
+from .pauli import PauliOperator, PauliSet, _swap_halves, commutant
 
 DEFAULT_SEED = 1729
 
@@ -61,10 +60,13 @@ def _check_nm(n: int, m: int) -> None:
 def count_tuples(n: int, m: int) -> int:
     """Ordered m-tuples of commuting independent positive Paulis."""
     _check_nm(n, m)
-    out = 1
-    for k in range(m):
-        out *= (1 << (2 * n - k)) - (1 << k)
-    return out
+    # pairwise rounds keep the operands of each product about equal in
+    # size, far cheaper than one growing product at large n and m
+    factors = [(1 << (2 * n - k)) - (1 << k) for k in range(m)]
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    return factors[0]
 
 
 def count_sets(n: int, m: int) -> int:
@@ -110,16 +112,24 @@ _SAMPLED_CAP = 5
 
 @lru_cache(maxsize=None)
 def _commute_masks(n: int) -> tuple:
-    """mask[a] has bit b set iff unsigned labels a, b commute."""
+    """mask[a] has bit b set iff unsigned labels a, b commute.
+
+    The symplectic form is linear in a, so the labels that anticommute
+    with a are the XOR of those that anticommute with a's unit labels:
+    anti[a] = anti[a ^ low] ^ anti[low] for the lowest set bit low of a.
+    """
     dim = 1 << (2 * n)
-    masks = []
-    for a in range(dim):
-        m = 0
-        for b in range(dim):
-            if label_commutes(a, b, n):
-                m |= 1 << b
-        masks.append(m)
-    return tuple(masks)
+    anti = [0] * dim
+    for i in range(2 * n):
+        # a z bit of a meets the same qubit's x bit of b, and vice versa
+        j = (i + n) % (2 * n)
+        anti[1 << i] = sum(1 << b for b in range(dim) if b >> j & 1)
+    for a in range(1, dim):
+        low = a & -a
+        if a != low:
+            anti[a] = anti[a ^ low] ^ anti[low]
+    full = (1 << dim) - 1
+    return tuple(full ^ m for m in anti)
 
 
 def _span_with(span: int, v: int) -> int:
@@ -133,8 +143,10 @@ def _span_with(span: int, v: int) -> int:
     return out
 
 
-def _iter_label_tuples(n: int, m: int) -> Iterator[tuple]:
-    """Strictly ascending label tuples, pairwise commuting, independent.
+def _label_walk(n: int, m: int) -> Iterator[tuple]:
+    """(prefix, leaves) for every strictly ascending, pairwise commuting,
+    independent label tuple of length m - 1 that can still be finished:
+    leaves has bit b set iff (*prefix, b) is such a tuple of length m.
 
     Independence is tracked as a span bitmask over labels (the subgroup
     generated so far), so candidate filtering is pure bit arithmetic.
@@ -143,17 +155,10 @@ def _iter_label_tuples(n: int, m: int) -> Iterator[tuple]:
     full = (1 << dim) - 1
     cmask = _commute_masks(n)
 
-    def above(label: int) -> int:
-        return full & ~((1 << (label + 1)) - 1)
-
-    def extend(chosen: list, allowed: int, span: int) -> Iterator[tuple]:
+    def extend(chosen: tuple, allowed: int, span: int) -> Iterator[tuple]:
         want = m - len(chosen)
         if want == 1:
-            a = allowed
-            while a:
-                low = a & -a
-                a ^= low
-                yield (*chosen, low.bit_length() - 1)
+            yield chosen, allowed
             return
         a = allowed
         while a:
@@ -161,14 +166,13 @@ def _iter_label_tuples(n: int, m: int) -> Iterator[tuple]:
             a ^= low
             b = low.bit_length() - 1
             new_span = _span_with(span, b)
-            child = allowed & cmask[b] & ~new_span & above(b)
+            # labels above b only, so each tuple comes once, ascending
+            child = allowed & cmask[b] & ~new_span & (full ^ (2 * low - 1))
             # a quick capacity cut: not enough labels left to finish
-            if bin(child).count("1") >= want - 1:
-                chosen.append(b)
-                yield from extend(chosen, child, new_span)
-                chosen.pop()
+            if child.bit_count() >= want - 1:
+                yield from extend((*chosen, b), child, new_span)
 
-    yield from extend([], full & ~1, 1)  # skip the identity label
+    yield from extend((), full & ~1, 1)  # skip the identity label
 
 
 def enumerate_sets(n: int, m: int,
@@ -181,8 +185,12 @@ def enumerate_sets(n: int, m: int,
             f"enumeration capped at {_ENUM_CAP} qubits "
             f"({count_sets(n, m)} sets at n={n}, m={m}); "
             "pass --allow-large (allow_large=True in Python) to force")
-    for labels in _iter_label_tuples(n, m):
-        yield PauliSet.from_labels(n, labels)
+    from_labels = PauliSet.from_labels
+    for prefix, leaves in _label_walk(n, m):
+        while leaves:
+            low = leaves & -leaves
+            leaves ^= low
+            yield from_labels(n, prefix + (low.bit_length() - 1,))
 
 
 # ------------------------------------------------------------------ sampling
@@ -379,9 +387,8 @@ def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
     families = 0
     instances = 0
     top = 1 << n  # a label below it is Z-type: its x half is zero
-    for family in (labels for m in range(1, min(k_max, n) + 1)
-                   for labels in _iter_label_tuples(n, m)
-                   if labels[-1] < top):
+    for family in (s.labels for m in range(1, min(k_max, n) + 1)
+                   for s in enumerate_sets(n, m) if s.labels[-1] < top):
         families += 1
         e = DenseUnitary.identity(n)
         for a in family:

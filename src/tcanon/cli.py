@@ -7,7 +7,9 @@ Exit codes: 0 all checks pass, 1 a verification found a counterexample,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import random
@@ -21,6 +23,10 @@ from .census import (VerificationReport, count_sets, count_tuples,
                      verify_oracle, verify_spectrum, verify_unit_rows)
 from .clifford import group_order, parse_index
 from .pauli import LabelNames, PauliSet
+
+# enumerate writes this many lines at a time: few enough that a reader
+# sees the stream move, enough that the per-write cost stays small
+_BLOCK_LINES = 64
 
 
 def _int_arg(value: str) -> int:
@@ -139,19 +145,11 @@ def _cmd_enumerate(args) -> int:
     stream = enumerate_sets(args.qubits, args.tcount,
                             allow_large=args.allow_large)
     # one memo for the whole stream: each distinct label is rendered once
-    render = LabelNames(args.qubits).render
-
-    def lines():
-        for s in stream:
-            yield render(s) + "\n"
-
-    if args.out is None:
-        for line in lines():
-            sys.stdout.write(line)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for line in lines():
-                fh.write(line)
+    lines = map(LabelNames(args.qubits).render, stream)
+    with (open(args.out, "w", encoding="utf-8") if args.out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        while block := list(itertools.islice(lines, _BLOCK_LINES)):
+            fh.write("\n".join(block) + "\n")
     return 0
 
 
@@ -238,8 +236,9 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (OSError, ValueError) as e:
         if "integer string conversion" in str(e):
-            # count and table pass CPython's digit limit from 65 qubits on
-            flag = "qubits" if args.command == "count" else "max_qubits"
+            # count and table pass CPython's digit limit from 65 qubits on,
+            # enumerate's width refusal, which prints the count, from 100
+            flag = "max_qubits" if args.command == "table" else "qubits"
             e = (f"--{flag.replace('_', '-')} {getattr(args, flag)}: the "
                  f"counts exceed Python's limit of "
                  f"{sys.get_int_max_str_digits()} digits for printing an "

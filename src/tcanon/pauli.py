@@ -140,14 +140,19 @@ class LabelNames(dict):
     """Memo from unsigned label to its "+XZ" text at one width.
 
     Filled on first use, so it holds only the labels actually rendered;
-    make one per command rather than per set.
+    make one per command rather than per set.  It also keeps the text of
+    the last set's labels but its last, so a run of sets that differ only
+    in their last label, as the enumeration walk yields them, renders
+    that head once.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "head", "head_text")
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
+        self.head = None
+        self.head_text = ""
 
     def __missing__(self, label: int) -> str:
         text = self[label] = PauliOperator.from_label(self.n, label).to_string()
@@ -155,7 +160,12 @@ class LabelNames(dict):
 
     def render(self, s: "PauliSet") -> str:
         """A set's elements as text, comma separated, in label order."""
-        return ", ".join(map(self.__getitem__, s.labels))
+        labels = s.labels
+        head = labels[:-1]
+        if head != self.head:
+            self.head = head
+            self.head_text = "".join([self[a] + ", " for a in head])
+        return self.head_text + self[labels[-1]] if labels else ""
 
 
 class PauliSet:

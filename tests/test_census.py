@@ -27,7 +27,7 @@ from tcanon.census import (
     verify_unit_rows,
 )
 from tcanon.clifford import CliffordTableau, group_order, parse_gate_word
-from tcanon.pauli import PauliSet, _swap_halves, validate_set
+from tcanon.pauli import PauliOperator, PauliSet, _swap_halves, validate_set
 
 
 def _reference_pauli_set(n, m, rng):
@@ -63,6 +63,14 @@ class TestCounting:
         assert count_sets(3, 2) == 945
         assert count_sets(3, 3) == 3780
         assert count_sets(4, 4) == 1927800
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 2), (5, 3), (6, 5),
+                                      (64, 64), (70, 37)])
+    def test_tuple_counts_match_one_factor_at_a_time(self, n, m):
+        want = 1
+        for k in range(m):
+            want *= (1 << (2 * n - k)) - (1 << k)
+        assert count_tuples(n, m) == want
 
     def test_tuple_counts_are_always_divisible_by_m_factorial(self):
         for n in range(1, 9):
@@ -121,6 +129,14 @@ class TestEnumeration:
             assert validate_set(list(s)).labels == s.labels
             seen.add(s.labels)
         assert len(seen) == 45
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_commutation_table_agrees_with_operator_products(self, n):
+        ops = [PauliOperator.from_label(n, a) for a in range(1 << (2 * n))]
+        masks = census._commute_masks(n)
+        for a, p in enumerate(ops):
+            for b, q in enumerate(ops):
+                assert (masks[a] >> b & 1) == (p * q == q * p)
 
     def test_refuses_large_widths_without_the_override(self):
         with pytest.raises(FeasibilityRefusalError):

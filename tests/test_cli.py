@@ -8,6 +8,7 @@ point registered in pyproject.toml with no install, the other runs the
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -138,7 +139,9 @@ def test_widest_printable_counts_are_pinned(capsys, argv, digest):
     (["count", "--qubits", "80", "--tcount", "80"], "--qubits 80"),
     (["count", "--qubits", "65", "--json"], "--qubits 65"),
     (["table", "--max-qubits", "65"], "--max-qubits 65"),
-], ids=["count", "count-tcount", "count-json", "table"])
+    # the width refusal prints the set count, which passes the limit here
+    (["enumerate", "--qubits", "100", "--tcount", "100"], "--qubits 100"),
+], ids=["count", "count-tcount", "count-json", "table", "enumerate"])
 def test_counts_too_long_to_print_fail_before_any_output(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -174,6 +177,37 @@ def test_enumerate_stream_is_pinned(capsys, n, m, lines, digest):
     assert code == 0
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class _CountingOut(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_enumerate_writes_in_blocks(monkeypatch):
+    out = _CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "--qubits", "3", "--tcount", "3"]) == 0
+    assert out.getvalue().count("\n") == 3780
+    assert out.writes <= math.ceil(3780 / cli._BLOCK_LINES) + 1
+
+
+# (1, 1) is shorter than one block
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 2), (1, 1)])
+def test_enumerate_to_file_holds_the_stdout_bytes(tmp_path, capsys, n, m):
+    argv = ["enumerate", "--qubits", str(n), "--tcount", str(m)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "sets.txt"
+    code, to_file, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0
+    assert to_file == ""
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_enumerate_to_file(tmp_path, capsys):
