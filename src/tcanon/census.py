@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -57,6 +58,15 @@ def _check_nm(n: int, m: int) -> None:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
 
 
+def check_printable(min_bits: int) -> None:
+    """Refuse a number of over min_bits bits before it is built, if CPython
+    could not print it: 4 * limit bits are over limit digits (0: none)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and min_bits >= 4 * limit:
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer "
+                         "string conversion")
+
+
 def count_tuples(n: int, m: int) -> int:
     """Ordered m-tuples of commuting independent positive Paulis."""
     _check_nm(n, m)
@@ -79,8 +89,6 @@ def count_sets(n: int, m: int) -> int:
 
 def count_tdepth_one(n: int) -> tuple[int, int]:
     """(g_n, g_n * Clifford order): class count and unitary count."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     g = sum(count_sets(n, m) for m in range(1, n + 1))
     return g, g * group_order(n)
 
@@ -121,9 +129,8 @@ def _commute_masks(n: int) -> tuple:
     dim = 1 << (2 * n)
     anti = [0] * dim
     for i in range(2 * n):
-        # a z bit of a meets the same qubit's x bit of b, and vice versa
-        j = (i + n) % (2 * n)
-        anti[1 << i] = sum(1 << b for b in range(dim) if b >> j & 1)
+        dual = _swap_halves(1 << i, n)  # a unit label's dual is one bit
+        anti[1 << i] = sum(1 << b for b in range(dim) if b & dual)
     for a in range(1, dim):
         low = a & -a
         if a != low:
@@ -143,10 +150,11 @@ def _span_with(span: int, v: int) -> int:
     return out
 
 
-def _label_walk(n: int, m: int) -> Iterator[tuple]:
-    """(prefix, leaves) for every strictly ascending, pairwise commuting,
-    independent label tuple of length m - 1 that can still be finished:
-    leaves has bit b set iff (*prefix, b) is such a tuple of length m.
+def _label_walk(n: int, m: int) -> Iterator[PauliSet]:
+    """A PauliSet for every strictly ascending, pairwise commuting,
+    independent label m-tuple.  The recursion stops at (prefix, leaves),
+    leaves holding bit b iff (*prefix, b) is such a tuple, and a flat loop
+    expands the leaves.
 
     Independence is tracked as a span bitmask over labels (the subgroup
     generated so far), so candidate filtering is pure bit arithmetic.
@@ -172,25 +180,28 @@ def _label_walk(n: int, m: int) -> Iterator[tuple]:
             if child.bit_count() >= want - 1:
                 yield from extend((*chosen, b), child, new_span)
 
-    yield from extend((), full & ~1, 1)  # skip the identity label
-
-
-def enumerate_sets(n: int, m: int,
-                   allow_large: bool = False) -> Iterator[PauliSet]:
-    """Every commuting independent positive m-set exactly once, in
-    lexicographic label order; stream length equals count_sets(n, m)."""
-    _check_nm(n, m)
-    if n > _ENUM_CAP and not allow_large:
-        raise FeasibilityRefusalError(
-            f"enumeration capped at {_ENUM_CAP} qubits "
-            f"({count_sets(n, m)} sets at n={n}, m={m}); "
-            "pass --allow-large (allow_large=True in Python) to force")
     from_labels = PauliSet.from_labels
-    for prefix, leaves in _label_walk(n, m):
+    for prefix, leaves in extend((), full & ~1, 1):  # skip the identity
         while leaves:
             low = leaves & -leaves
             leaves ^= low
             yield from_labels(n, prefix + (low.bit_length() - 1,))
+
+
+def enumerate_sets(n: int, m: int,
+                   allow_large: bool = False) -> Iterator[PauliSet]:
+    """Every commuting independent positive m-set once, in lexicographic
+    label order, count_sets(n, m) in all; checked before it streams."""
+    _check_nm(n, m)
+    if n > _ENUM_CAP and not allow_large:
+        # count_tuples' factors are >= 2^(2n-k-1); m! < 2^(m*bit_length(m))
+        check_printable(m * (2 * n - 1) - m * (m - 1) // 2
+                        - m * m.bit_length())
+        raise FeasibilityRefusalError(
+            f"enumeration capped at {_ENUM_CAP} qubits "
+            f"({count_sets(n, m)} sets at n={n}, m={m}); "
+            "pass --allow-large (allow_large=True in Python) to force")
+    return _label_walk(n, m)
 
 
 # ------------------------------------------------------------------ sampling

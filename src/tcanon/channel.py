@@ -31,8 +31,7 @@ from functools import lru_cache
 from .clifford import CliffordTableau
 from .exactnum import (DYADIC_MINUS_ONE, DYADIC_ONE, DYADIC_ZERO,
                        DyadicSqrt2Scalar)
-from .pauli import (PauliOperator, PauliSet, _swap_halves, label_commutes,
-                    label_product_phase)
+from .pauli import PauliOperator, PauliSet, _swap_halves, label_product_phase
 
 
 class IdentityPauliError(ValueError):
@@ -157,8 +156,9 @@ def _rotate(col: dict, p: int, n: int, inverse: bool) -> dict:
     positive non-identity Pauli of label p; entries that cancel to zero
     are dropped."""
     out: dict[int, DyadicSqrt2Scalar] = {}
+    swapped = _swap_halves(p, n)
     for r, val in col.items():
-        if label_commutes(r, p, n):
+        if not (r & swapped).bit_count() & 1:
             cur = out.get(r)
             out[r] = val if cur is None else cur + val
             continue

@@ -17,8 +17,8 @@ import sys
 
 from . import canonical
 from .canonical import parse_circuit
-from .census import (VerificationReport, count_sets, count_tuples,
-                     emit_table, enumerate_sets, growth_check,
+from .census import (VerificationReport, check_printable, count_sets,
+                     count_tuples, emit_table, enumerate_sets, growth_check,
                      verify_distinctness, verify_hamming_weight,
                      verify_oracle, verify_spectrum, verify_unit_rows)
 from .clifford import group_order, parse_index
@@ -107,33 +107,24 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _count_text(args) -> str:
-    """The whole output of count, built before any of it is written.
-
-    Each value is computed once, in output order, and turned into text at
-    once, so the first one past CPython's digit limit stops the command
-    before the rest are computed.
-    """
+    """The whole output of count, built before any of it is written; each
+    value is computed once.  A width far past CPython's digit limit is
+    refused before any value is built."""
     n, m = args.qubits, args.tcount
-    row: dict = {}
-
-    def put(key, value, into=row):
-        str(value)  # raises here, past the digit limit
-        into[key] = value
-        return value
-
-    put("n", n)
+    if n > 0:  # clifford_order, always printed, is at least 2^(n^2 + 2n)
+        check_printable(n * n + 2 * n)
     if m is not None:
-        put("m", m)
-        tuples = put("tuples", count_tuples(n, m))
-        sets = put("sets", tuples // math.factorial(m))
-        order = put("clifford_order", group_order(n))
-        put("unitaries", sets * order)
+        tuples = count_tuples(n, m)
+        sets = tuples // math.factorial(m)
+        order = group_order(n)
+        row = {"n": n, "m": m, "tuples": tuples, "sets": sets,
+               "clifford_order": order, "unitaries": sets * order}
     else:
-        order = put("clifford_order", group_order(n))
-        per_m = row["sets_per_tcount"] = {}
-        g = put("total_classes", sum(put(str(k), count_sets(n, k), per_m)
-                                     for k in range(1, n + 1)))
-        put("total_unitaries", g * order)
+        order = group_order(n)
+        per_m = {str(k): count_sets(n, k) for k in range(1, n + 1)}
+        g = sum(per_m.values())
+        row = {"n": n, "clifford_order": order, "sets_per_tcount": per_m,
+               "total_classes": g, "total_unitaries": g * order}
     if args.json:
         return json.dumps(row, indent=2) + "\n"
     return "".join("".join(f"tcount_{j}\t{c}\n" for j, c in v.items())

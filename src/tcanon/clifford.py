@@ -17,8 +17,8 @@ import random
 from typing import Iterable, Sequence
 
 from . import gf2
-from .pauli import (PauliOperator, _swap_halves, label_commutes,
-                    label_product_phase, parse_pauli)
+from .pauli import (PauliOperator, _swap_halves, label_product_phase,
+                    parse_pauli)
 
 
 class GateWordError(ValueError):
@@ -73,9 +73,10 @@ class CliffordTableau:
             if not p.is_hermitian():
                 raise ValueError(f"non-Hermitian image {p!r}")
         for i in range(2 * n):
+            swapped = _swap_halves(imgs[i].label, n)
             for j in range(i + 1, 2 * n):
                 anti = (j == i + n)
-                if label_commutes(imgs[i].label, imgs[j].label, n) == anti:
+                if ((imgs[j].label & swapped).bit_count() & 1) != anti:
                     raise ValueError("images do not satisfy the symplectic relations")
         pairs = tuple((p.label, p.phase) for p in imgs)
         return cls(n, pairs[:n], pairs[n:])
@@ -178,10 +179,11 @@ def quarter_exponential(p: int, c: CliffordTableau) -> CliffordTableau:
     n = c.n
     if not 0 < p < 1 << (2 * n):
         raise ValueError(f"need a non-identity label, got {p} for n={n}")
+    swapped = _swap_halves(p, n)
 
     def images(ims: tuple) -> tuple:
         # i^3 = -i
-        return tuple(g if label_commutes(g[0], p, n)
+        return tuple(g if not (g[0] & swapped).bit_count() & 1
                      else (p ^ g[0],
                            (g[1] + label_product_phase(p, g[0], n) + 3) & 3)
                      for g in ims)

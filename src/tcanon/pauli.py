@@ -26,8 +26,8 @@ class NonHermitianInputError(ValueError):
     pass
 
 
-_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-_BITS = {v: k for k, v in _LETTER.items()}
+_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_LETTERS = str.maketrans("0123", "IZXY")  # hex digit 2x + z -> letter
 _SIGN_OF_PHASE = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PHASE_OF_SIGN = {v: k for k, v in _SIGN_OF_PHASE.items()}
 
@@ -78,11 +78,11 @@ class PauliOperator:
         return hash((self.n, self.x, self.z, self.phase))
 
     def to_string(self) -> str:
-        body = []
-        for j in range(self.n):
-            bit = 1 << (self.n - 1 - j)
-            body.append(_LETTER[(1 if self.x & bit else 0, 1 if self.z & bit else 0)])
-        return _SIGN_OF_PHASE[self.phase] + "".join(body)
+        # x and z read as hex strings of 0s and 1s: 2x + z has one digit
+        # 2x_j + z_j per qubit and no carries, so this is linear in n
+        digits = 2 * int(bin(self.x)[2:], 16) + int(bin(self.z)[2:], 16)
+        return (_SIGN_OF_PHASE[self.phase]
+                + ("%0*x" % (self.n, digits)).translate(_LETTERS))
 
     def __repr__(self):
         return f"<Pauli {self.to_string()}>"
@@ -110,14 +110,6 @@ def parse_pauli(text: str) -> PauliOperator:
     return PauliOperator(n, x, z, phase)
 
 
-def label_commutes(a: int, b: int, n: int) -> bool:
-    """Whether the Paulis of two unsigned labels commute: the symplectic
-    form |x_a & z_b| + |z_a & x_b| is even."""
-    mask = (1 << n) - 1
-    return not ((((a >> n) & (b & mask)).bit_count()
-                 ^ ((a & mask) & (b >> n)).bit_count()) & 1)
-
-
 def label_product_phase(a: int, b: int, n: int) -> int:
     """k with P_a * P_b = i^k P_(a ^ b) for the positive Paulis of two
     unsigned labels.  Each factor is i^|x&z| X^x Z^z; moving X^x2 left
@@ -132,6 +124,9 @@ def label_product_phase(a: int, b: int, n: int) -> int:
 
 
 def _swap_halves(label: int, n: int) -> int:
+    """The dual label of the symplectic form, the package's only one: P_a
+    and P_b anticommute exactly when (a & _swap_halves(b, n)).bit_count()
+    is odd.  Callers swap a fixed operand once."""
     mask = (1 << n) - 1
     return ((label & mask) << n) | (label >> n)
 
@@ -238,8 +233,9 @@ def validate_labels(n: int, labels: list[int]) -> PauliSet:
     """The sorted set of the positive Paulis of labels, which must commute
     pairwise and be independent over GF(2)."""
     for i, a in enumerate(labels):
+        swapped = _swap_halves(a, n)
         for b in labels[i + 1:]:
-            if not label_commutes(a, b, n):
+            if (b & swapped).bit_count() & 1:
                 raise NonCommutingSetError(
                     f"{PauliOperator.from_label(n, a)!r} and "
                     f"{PauliOperator.from_label(n, b)!r} anticommute")

@@ -6,10 +6,12 @@ the output.  inverse_word builds a Clifford's inverse from its gate word,
 so inverse facts are checked without any tableau inversion.  pauli_of
 and conjugate turn a tableau's (label, phase) images into PauliOperator
 objects, so tests can compare them with products and dense matrices.
+commutes states the package's commutation rule, the parity of a label
+against the dual label of pauli._swap_halves.
 """
 
 from tcanon.clifford import parse_gate_word
-from tcanon.pauli import PauliOperator
+from tcanon.pauli import PauliOperator, _swap_halves
 
 ACCEPTANCE_RESULTS: list[tuple[str, str, bool]] = []
 
@@ -28,6 +30,11 @@ def inverse_word(word: str, n: int) -> str:
         inverted.append(f"Z {args}; S {args}" if name == "S"
                         else f"{name} {args}")
     return "; ".join(inverted)
+
+
+def commutes(a: int, b: int, n: int) -> bool:
+    """Whether the Paulis of unsigned labels a and b commute."""
+    return not (a & _swap_halves(b, n)).bit_count() & 1
 
 
 def pauli_of(n: int, image: tuple) -> PauliOperator:

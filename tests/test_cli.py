@@ -5,6 +5,7 @@ point registered in pyproject.toml with no install, the other runs the
 ``tcanon`` executable on PATH when one exists.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -14,10 +15,12 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tcanon
 from tcanon import census, cli, clifford
@@ -141,9 +144,19 @@ def test_widest_printable_counts_are_pinned(capsys, argv, digest):
     (["table", "--max-qubits", "65"], "--max-qubits 65"),
     # the width refusal prints the set count, which passes the limit here
     (["enumerate", "--qubits", "100", "--tcount", "100"], "--qubits 100"),
-], ids=["count", "count-tcount", "count-json", "table", "enumerate"])
+    # refused from a lower bound on the bit length, before the number is
+    # built: building it took 7 s at 1,500 qubits and minutes beyond
+    (["count", "--qubits", "1500"], "--qubits 1500"),
+    (["count", "--qubits", "3000"], "--qubits 3000"),
+    (["count", "--qubits", "20000", "--tcount", "20000"], "--qubits 20000"),
+    (["enumerate", "--qubits", "20000", "--tcount", "20000"],
+     "--qubits 20000"),
+], ids=["count", "count-tcount", "count-json", "table", "enumerate",
+        "count-1500", "count-3000", "count-tcount-20000", "enumerate-20000"])
 def test_counts_too_long_to_print_fail_before_any_output(capsys, argv, flag):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag}: ")
@@ -218,6 +231,19 @@ def test_enumerate_to_file(tmp_path, capsys):
     lines = target.read_text().strip().split("\n")
     assert len(lines) == 45
     assert all(", " in line for line in lines)
+
+
+@pytest.mark.parametrize("n, m", [(5, 1), (2, 3)], ids=["width", "tcount"])
+def test_a_refused_enumerate_leaves_its_out_file_alone(tmp_path, capsys, n,
+                                                       m):
+    target = tmp_path / "kept.txt"
+    target.write_bytes(b"keep\n")
+    code, out, err = run_cli(capsys, "enumerate", "--qubits", str(n),
+                             "--tcount", str(m), "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert target.read_bytes() == b"keep\n"
 
 
 def test_enumerate_width_guard_is_a_usage_error(capsys):
@@ -413,6 +439,24 @@ def test_canonicalize_deep_circuit_layout(capsys, monkeypatch):
     assert lines[1].startswith("layer 2: ")
     assert lines[2].startswith("C: ")
     assert lines[3] == "tgates: 2"
+
+
+def test_canonicalize_at_the_width_cap(tmp_path, capsys):
+    # a ceiling: this file took 2.8-5.5 s while commutation was tested
+    # label by label and text was rendered one letter at a time
+    n = 1024
+    word = "; ".join([f"H {q}" for q in range(n)]
+                     + [f"CX {q} {q + 1}" for q in range(0, n, 2)])
+    layer = (f"TLAYER: t={','.join(map(str, range(0, n, 2)))} "
+             f"tdg={','.join(map(str, range(1, n, 2)))}\n")
+    src = tmp_path / "wide.txt"
+    src.write_text(f"QUBITS: {n}\n" + layer.join([f"CLIFFORD: {word}\n"] * 3))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "canonicalize", "--in", str(src))
+    assert time.perf_counter() - start < 2.5
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "31f950f0e82d3814f2f740ef45c9f23a2177faa19c5cddc4311842a3d266518b")
 
 
 def test_canonicalize_parse_error_exits_two(capsys, monkeypatch):
@@ -616,6 +660,105 @@ def test_calls_in_one_process_read_and_report_as_fresh_processes(
     for argv, result in zip(calls, here):
         assert (_without_elapsed(result)
                 == _without_elapsed(_main_in_a_fresh_process(argv))), argv
+
+
+# The exit-code contract over the whole CLI: every run exits 0 or 2, or 1
+# for a verify run that found a counterexample, and no run dies with a
+# traceback.  Input bound, so that every run finishes or is refused in
+# well under a second: integers are -1..3, where every command finishes,
+# or 65, 100 and 1,500, where every command that reads them as a width is
+# refused for size; --trials stays at most 3, since a sampled check is
+# never refused for its trial count; --allow-large comes only with a
+# width of at most 3, since past the cap enumerate neither finishes nor
+# is refused.
+_SMALL = st.integers(-1, 3).map(str)
+_INT = st.one_of(_SMALL, st.sampled_from(["65", "100", "1500"]))
+_JUNK = st.sampled_from(["", "x", "-", "1_0", "+1", "\u0663", "1e3",
+                         "--bogus", "random"])
+_CIRCUIT = "CLIFFORD: H 0; CX 0 1\nTLAYER: t=0 tdg=1\nCLIFFORD: S 1\n"
+
+
+def _command_lines(root: Path):
+    """Argument lists: a command, some of its flags in any order, each
+    with a value, and perhaps a junk token anywhere."""
+    (root / "circuit.txt").write_text(_CIRCUIT, encoding="utf-8")
+    (root / "junk.txt").write_text("CLIFFORD: H 9\nTLAYER:\n", encoding="utf-8")
+    ins = st.sampled_from([str(root / name) for name in
+                           ("circuit.txt", "junk.txt", "missing.txt", "")])
+    outs = st.sampled_from([str(root / "out.txt"), str(root),
+                            str(root / "missing" / "out.txt")])
+    switch = st.just(None)
+    flags = {
+        "count": {"--qubits": _INT, "--tcount": _INT, "--json": switch},
+        "table": {"--max-qubits": _INT, "--out": outs},
+        "enumerate": {"--qubits": _INT, "--tcount": _INT, "--out": outs},
+        "verify": {"--qubits": _INT, "--trials": _SMALL,
+                   "--seed": st.one_of(_INT, st.just("random")),
+                   "--exhaustive": switch, "--kmax": _INT, "--json": switch},
+        "growth": {"--max-qubits": _INT, "--json": switch},
+        "canonicalize": {"--in": ins, "--out": outs},
+    }
+    required = {"--qubits", "--max-qubits", "--tcount"}
+    # a required flag is left out, another flag put in, and a junk token
+    # put in, each once in four
+    often = st.sampled_from([True, True, True, False])
+    rarely = st.sampled_from([False, False, False, True])
+
+    @st.composite
+    def lines(draw):
+        command = draw(st.sampled_from(sorted(flags)))
+        own = dict(flags[command])
+        groups = []
+        if command == "verify":
+            groups.append([draw(st.sampled_from(
+                ["distinctness", "unit-rows", "hamming-weight", "spectrum",
+                 "oracle", "bogus"]))])
+        if command == "enumerate" and draw(st.booleans()):
+            groups.append(["--allow-large"])
+            own["--qubits"] = _SMALL
+        for flag, values in own.items():
+            if draw(often if flag in required else rarely):
+                value = draw(values)
+                groups.append([flag] if value is None else [flag, value])
+        argv = [token for group in draw(st.permutations(groups))
+                for token in group]
+        if draw(rarely):
+            argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+        return [command, *argv]
+    return lines()
+
+
+def _exit_and_streams(argv):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(_CIRCUIT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as e:  # argparse's usage errors and --help
+        code = e.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def command_lines(tmp_path_factory):
+    return _command_lines(tmp_path_factory.mktemp("cli"))
+
+
+def test_every_command_line_exits_zero_one_or_two(command_lines):
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(command_lines)
+    def check(argv):
+        # an exception other than SystemExit leaves main: a traceback
+        code, out, err = _exit_and_streams(argv)
+        assert "Traceback" not in err
+        if code == 1:
+            assert argv[0] == "verify" and "counterexample" in out
+        else:
+            assert code in (0, 2), (code, err)
+    check()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

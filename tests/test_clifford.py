@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from conftest import conjugate, inverse_word, pauli_of
+from conftest import commutes, conjugate, inverse_word, pauli_of
 
 from tcanon.clifford import (
     BadTokenError,
@@ -19,7 +19,7 @@ from tcanon.clifford import (
 from tcanon.canonical import ParseError, parse_circuit
 from tcanon.census import random_gate_word, random_pauli_set
 from tcanon.oracle import dense_of_gate_word, dense_of_pauli
-from tcanon.pauli import PauliOperator, label_commutes, parse_pauli
+from tcanon.pauli import PauliOperator, parse_pauli
 
 
 def test_group_order_small_values():
@@ -157,7 +157,7 @@ def test_conjugation_preserves_commutation():
         p = PauliOperator.from_label(2, rng.randrange(1, 16))
         q = PauliOperator.from_label(2, rng.randrange(1, 16))
         (a, _), (b, _) = c.conjugate_pauli(p.label), c.conjugate_pauli(q.label)
-        assert label_commutes(a, b, 2) == label_commutes(p.label, q.label, 2)
+        assert commutes(a, b, 2) == commutes(p.label, q.label, 2)
 
 
 def _conjugate_by_products(c, p):
@@ -304,6 +304,22 @@ def test_from_images_validates_symplectic_relations():
         CliffordTableau.from_images([parse_pauli("X")], [parse_pauli("X")])
     with pytest.raises(ValueError):
         CliffordTableau.from_images([parse_pauli("+iX")], [parse_pauli("Z")])
+
+
+@pytest.mark.parametrize("xim, zim", [
+    # the X_1 image anticommutes with the X_0 image, which it must not
+    (["XI", "ZX"], ["ZI", "IZ"]),
+    # the Z_1 image commutes with the X_1 image, which it must not
+    (["XI", "IX"], ["ZI", "IX"]),
+], ids=["should-commute", "x-z-pair-commutes"])
+def test_from_images_rejects_one_broken_relation(xim, zim):
+    # every other relation holds, so the one named is what is refused
+    imgs = [parse_pauli(t) for t in xim + zim]
+    broken = [(i, j) for i in range(4) for j in range(i + 1, 4)
+              if commutes(imgs[i].label, imgs[j].label, 2) == (j == i + 2)]
+    assert len(broken) == 1
+    with pytest.raises(ValueError, match="symplectic relations"):
+        CliffordTableau.from_images(imgs[:2], imgs[2:])
 
 
 def test_random_clifford_is_valid_and_deterministic():
