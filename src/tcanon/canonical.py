@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .channel import ChannelRep, _rotate_columns, channel_of_clifford
+from .channel import (ChannelRep, channel_of_canonical, channel_of_clifford,
+                      channel_of_exponential)
 from .clifford import (CliffordTableau, check_index, from_gate_word,
                        parse_gate_word, parse_index, quarter_exponential)
-from .pauli import (LabelNames, PauliSet, parse_pauli, validate_labels,
-                    validate_set)
+from .pauli import (LabelNames, PauliOperator, PauliSet, parse_pauli,
+                    validate_labels, validate_set)
 
 
 # the widest circuit file read: the identity tableau alone holds 2n labels
@@ -197,21 +198,26 @@ def canonicalize_depth_d(circ: TLayerCircuit) -> tuple[tuple[PauliSet, ...], Cli
 def channel_of_decomposition(sets: Sequence[PauliSet],
                              tail: CliffordTableau) -> ChannelRep:
     """Channel of (exp factors of set 1) ... (exp factors of set d) * tail,
-    the product canonicalize_depth_d decomposes a circuit into."""
+    the product canonicalize_depth_d decomposes a circuit into: channel(tail)
+    left-multiplied by each set's closed-form channel."""
+    ident = CliffordTableau.identity(tail.n)
     rep = channel_of_clifford(tail)
     for s in reversed(list(sets)):
-        rep = _rotate_columns(rep, s.labels)
+        rep = channel_of_canonical(CanonicalForm(s, ident)).multiply(rep)
     return rep
 
 
 def channel_of_circuit(circ: TLayerCircuit) -> ChannelRep:
-    """Exact channel of the alternating word, built right to left."""
+    """Exact channel of the alternating word, built right to left.  Up to
+    phase Tdg is exp(i*pi*Z/8), and T its inverse, whose channel is the
+    transpose."""
     n = circ.n
     rep = channel_of_clifford(circ.cliffords[-1])
     for k in range(circ.depth - 1, -1, -1):
         for qubit, is_tdg in circ.layers[k].marked:
-            rep = _rotate_columns(rep, [1 << (n - 1 - qubit)],
-                                  inverse=not is_tdg)
+            z = channel_of_exponential(
+                PauliOperator.from_label(n, 1 << (n - 1 - qubit)))
+            rep = (z if is_tdg else z.transpose()).multiply(rep)
         rep = channel_of_clifford(circ.cliffords[k]).multiply(rep)
     return rep
 

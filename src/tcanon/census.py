@@ -115,6 +115,9 @@ def emit_table(n_max: int) -> str:
 # ---------------------------------------------------------------- enumeration
 
 _ENUM_CAP = 4
+# the walk's commutation table is 4^n masks of 4^n bits: 32 MiB at n = 7,
+# 512 MiB at n = 8
+_ENUM_HARD_CAP = 7
 _SAMPLED_CAP = 5
 
 
@@ -191,7 +194,8 @@ def _label_walk(n: int, m: int) -> Iterator[PauliSet]:
 def enumerate_sets(n: int, m: int,
                    allow_large: bool = False) -> Iterator[PauliSet]:
     """Every commuting independent positive m-set once, in lexicographic
-    label order, count_sets(n, m) in all; checked before it streams."""
+    label order, count_sets(n, m) in all; checked before it streams.
+    allow_large lifts the cap of _ENUM_CAP qubits up to _ENUM_HARD_CAP."""
     _check_nm(n, m)
     if n > _ENUM_CAP and not allow_large:
         # count_tuples' factors are >= 2^(2n-k-1); m! < 2^(m*bit_length(m))
@@ -201,6 +205,10 @@ def enumerate_sets(n: int, m: int,
             f"enumeration capped at {_ENUM_CAP} qubits "
             f"({count_sets(n, m)} sets at n={n}, m={m}); "
             "pass --allow-large (allow_large=True in Python) to force")
+    if n > _ENUM_HARD_CAP:
+        raise FeasibilityRefusalError(
+            f"enumeration capped at {_ENUM_HARD_CAP} qubits even with "
+            f"--allow-large (allow_large=True in Python), got n={n}")
     return _label_walk(n, m)
 
 

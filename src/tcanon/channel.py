@@ -10,17 +10,19 @@ signed permutation exactly when the unitary is Clifford.
 Channels are stored as sparse columns.  Exponentials exp(i*pi*P/8) act on
 a column as plane rotations: an entry at a row R commuting with P is
 fixed; an anticommuting row splits into 1/sqrt2 at R and +-1/sqrt2 at the
-row of i*P*R.  A canonical form's factors commute and are independent,
-so its column that starts as +-1 at row R0 needs no rotation: it ends as
-2^w entries of +-2^(-w/2) at the rows R0 ^ XOR(B), B running over the
-subsets of the w set elements anticommuting with R0, and only the signs
-are computed; each label P is prepared once per set as (P, P with its
-halves swapped), as R anticommutes with P exactly when |R & that| is
-odd.  The rotation kernel serves products of channels; the readers
-unit_rows and pauli_spectrum make no scalar per stored entry.  All of
-it works on unsigned int labels: the Clifford's column Q is the (label,
-phase) pair conjugate_pauli returns for Q, and both kernels read their
-signs off label_product_phase.
+row of i*P*R.  There is one kernel that applies them, in closed form: the
+factors of a canonical form commute and are independent, so a column
+that starts as +-1 at row R0 ends as 2^w entries of +-2^(-w/2) at the
+rows R0 ^ XOR(B), B running over the subsets of the w set elements
+anticommuting with R0, and only the signs are computed; each label P is
+prepared once per set as (P, P with its halves swapped), as R
+anticommutes with P exactly when |R & that| is odd.  It builds the
+channels of canonical forms and of single exponentials; any other
+product is taken with multiply, and an inverse with transpose, since
+channels are orthogonal.  The readers unit_rows and pauli_spectrum make
+no scalar per stored entry.  All of it works on unsigned int labels: the
+Clifford's column Q is the (label, phase) pair conjugate_pauli returns
+for Q, and the signs are read off label_product_phase.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class ChannelRep:
     def __init__(self, n: int, cols: list):
         self.n = n
         self.cols = cols
-
-    @classmethod
-    def identity(cls, n: int) -> "ChannelRep":
-        return cls(n, [{q: DYADIC_ONE} for q in range(1 << (2 * n))])
 
     @property
     def dim(self) -> int:
@@ -151,50 +149,6 @@ def channel_of_clifford(c: CliffordTableau) -> ChannelRep:
     return ChannelRep(n, cols)
 
 
-def _rotate(col: dict, p: int, n: int, inverse: bool) -> dict:
-    """Left-multiply a sparse column by channel(exp(+-i*pi*P/8)) for the
-    positive non-identity Pauli of label p; entries that cancel to zero
-    are dropped."""
-    out: dict[int, DyadicSqrt2Scalar] = {}
-    swapped = _swap_halves(p, n)
-    for r, val in col.items():
-        if not (r & swapped).bit_count() & 1:
-            cur = out.get(r)
-            out[r] = val if cur is None else cur + val
-            continue
-        # P*R = i^k S with S = p ^ r, so i*P*R = +S exactly when k = 3;
-        # the inverse rotation flips the sign
-        s = p ^ r
-        half = val.times_inv_sqrt2()
-        cur = out.get(r)
-        out[r] = half if cur is None else cur + half
-        shalf = half if (label_product_phase(p, r, n) == 3) != inverse else -half
-        cur = out.get(s)
-        out[s] = shalf if cur is None else cur + shalf
-    return {r: v for r, v in out.items() if not v.is_zero()}
-
-
-def _rotate_columns(rep: ChannelRep, labels, inverse: bool = False) -> ChannelRep:
-    """channel(exp(+-i*pi*P_1/8) ... exp(+-i*pi*P_k/8)) * rep for the
-    positive non-identity Paulis of labels P_j, one column at a time."""
-    n = rep.n
-    cols = []
-    for col in rep.cols:
-        for p in reversed(labels):
-            col = _rotate(col, p, n, inverse)
-        cols.append(col)
-    return ChannelRep(n, cols)
-
-
-def channel_of_exponential(p: PauliOperator, inverse: bool = False) -> ChannelRep:
-    """Channel of exp(i*pi*P/8) for positive non-identity P (or its inverse)."""
-    if p.x == 0 and p.z == 0:
-        raise IdentityPauliError("exponential of the identity label")
-    if not p.is_positive():
-        raise NonPositivePauliError(f"need a positive Pauli, got {p!r}")
-    return _rotate_columns(ChannelRep.identity(p.n), [p.label], inverse)
-
-
 def _prepared(labels, n: int) -> list:
     """(P, P with its halves swapped) for each label P, for _form_signs."""
     return [(p, _swap_halves(p, n)) for p in labels]
@@ -204,8 +158,10 @@ def _form_signs(r0: int, positive: bool, prepared, n: int) -> dict:
     """{row: entry > 0} of channel(exp(i*pi*P_1/8) ... exp(i*pi*P_m/8))
     applied to +-1 at row r0, for commuting independent labels P_j given
     by _prepared.  Every row r0 ^ XOR(B) anticommutes with the P_j that r0
-    does, and each of them doubles the column by _rotate's forward rule;
-    by independence no two rows meet, so every entry is +-2^(-w/2)."""
+    does, and each of them doubles the column: a row r keeps its sign, and
+    row p ^ r takes it times the sign of i*P*R, which is + exactly when
+    P*R = -i * (p ^ r); by independence no two rows meet, so every entry
+    is +-2^(-w/2)."""
     signs = {r0: positive}
     for p, swapped in prepared:
         if (r0 & swapped).bit_count() & 1:
@@ -223,30 +179,54 @@ def _form_entries(w: int) -> tuple:
     return v, -v
 
 
-def channel_of_canonical(form) -> ChannelRep:
-    """Channel of exp(i*pi*P_1/8) ... exp(i*pi*P_m/8) * C.
-
-    form needs .paulis (a PauliSet) and .clifford (a CliffordTableau);
-    each signed unit column of channel(C) becomes one _form_signs column.
-    """
-    n = form.clifford.n
-    prepared = _prepared(form.paulis.labels, n)
+def _form_channel(labels, starts, n: int) -> ChannelRep:
+    """channel(exp(i*pi*P_1/8) ... exp(i*pi*P_m/8)) * S for commuting
+    independent labels P_j and the signed permutation S whose column q is
+    +-1 at row r0, starts yielding (r0, entry > 0) for each q in turn;
+    one _form_signs column per pair."""
+    prepared = _prepared(labels, n)
     cols = []
-    for col in channel_of_clifford(form.clifford).cols:
-        (r0, v), = col.items()
-        signs = _form_signs(r0, v == DYADIC_ONE, prepared, n)
+    for r0, positive in starts:
+        signs = _form_signs(r0, positive, prepared, n)
         pos, neg = _form_entries(len(signs).bit_length() - 1)
         cols.append({r: pos if s else neg for r, s in signs.items()})
     return ChannelRep(n, cols)
 
 
+def channel_of_exponential(p: PauliOperator) -> ChannelRep:
+    """Channel of exp(i*pi*P/8) for positive non-identity P; the channel
+    of its inverse is the transpose."""
+    if p.x == 0 and p.z == 0:
+        raise IdentityPauliError("exponential of the identity label")
+    if not p.is_positive():
+        raise NonPositivePauliError(f"need a positive Pauli, got {p!r}")
+    starts = ((q, True) for q in range(1 << (2 * p.n)))
+    return _form_channel([p.label], starts, p.n)
+
+
+def channel_of_canonical(form) -> ChannelRep:
+    """Channel of exp(i*pi*P_1/8) ... exp(i*pi*P_m/8) * C.
+
+    form needs .paulis (a PauliSet) and .clifford (a CliffordTableau);
+    the closed form starts from the signed unit columns of channel(C).
+    """
+    starts = ((r0, v == DYADIC_ONE)
+              for col in channel_of_clifford(form.clifford).cols
+              for r0, v in col.items())
+    return _form_channel(form.paulis.labels, starts, form.clifford.n)
+
+
 @lru_cache(maxsize=None)
 def reference_spectrum(n: int, m: int) -> Counter:
-    """Spectrum of the form ({Z on the first m qubits}, identity)."""
+    """Spectrum of the form ({Z on the first m qubits}, identity), taken
+    as the product of its m one-factor channels."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    zs = [1 << (n - 1 - j) for j in range(m)]
-    return _rotate_columns(ChannelRep.identity(n), zs).pauli_spectrum()
+    rep = channel_of_clifford(CliffordTableau.identity(n))
+    for j in range(m):
+        z = PauliOperator.from_label(n, 1 << (n - 1 - j))
+        rep = channel_of_exponential(z).multiply(rep)
+    return rep.pauli_spectrum()
 
 
 def infer_t_count(rep: ChannelRep) -> int:

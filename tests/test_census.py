@@ -145,6 +145,13 @@ class TestEnumeration:
         first = next(iter(stream))
         assert first.labels == (1,)
 
+    def test_the_override_stops_at_seven_qubits(self):
+        # refused when called, before any table is built
+        enumerate_sets(7, 1, allow_large=True)
+        for n in (40, 8):
+            with pytest.raises(FeasibilityRefusalError, match="7 qubits"):
+                enumerate_sets(n, 1, allow_large=True)
+
 
 class TestSampling:
     def test_random_pauli_set_shape(self):

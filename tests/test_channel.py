@@ -1,5 +1,6 @@
 """Exact Pauli-transfer matrices and the spectrum-based T-count reader."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -16,7 +17,6 @@ from tcanon.channel import (
     SpectrumMismatchError,
     _form_signs,
     _prepared,
-    _rotate_columns,
     channel_of_canonical,
     channel_of_clifford,
     channel_of_exponential,
@@ -41,7 +41,7 @@ def entries(rep):
 
 
 def test_identity_channel():
-    rep = ChannelRep.identity(1)
+    rep = channel_of_clifford(CliffordTableau.identity(1))
     assert rep.is_identity()
     assert rep.is_orthogonal()
     assert rep.is_signed_permutation()
@@ -85,8 +85,8 @@ def test_exponential_channel_rejects_identity_and_negative_paulis():
 def test_inverse_exponential_is_the_transpose():
     p = parse_pauli("XY")
     fwd = channel_of_exponential(p)
-    bck = channel_of_exponential(p, inverse=True)
-    assert bck == fwd.transpose()
+    bck = fwd.transpose()
+    assert bck == channel_bruteforce(dense_of_exponential(p, -1))
     assert fwd.multiply(bck).is_identity()
 
 
@@ -260,7 +260,8 @@ def test_sparse_columns_store_no_zeros(n):
         form = CanonicalForm(random_pauli_set(n, m, rng), from_gate_word(word, n))
         reps.append(channel_of_canonical(form))
         reps.append(channel_bruteforce(dense_of_gate_word(word, n)))
-        # each factor applied twice is a Clifford: half the rotated entries cancel
+        # each factor applied twice is a Clifford: multiply cancels half
+        # the entries of the product
         reps.append(channel_of_decomposition([form.paulis] * 2,
                                              CliffordTableau.identity(n)))
     dim = 1 << (2 * n)
@@ -359,21 +360,38 @@ def test_transfer_reads_signs_and_scans_other_columns(monkeypatch, fake, expecte
     assert exponential_transfer_is_signed_permutation(a, b) == expected
 
 
-def _rotated(s):
-    """channel(exp(i*pi*P_1/8) ... exp(i*pi*P_m/8)) by the rotation kernel."""
-    return _rotate_columns(ChannelRep.identity(s.n), s.labels)
+@functools.lru_cache(maxsize=None)
+def _factor(n, label):
+    return channel_of_exponential(PauliOperator.from_label(n, label))
+
+
+def _by_factors(labels, rep):
+    """channel(exp(i*pi*P_1/8)) ... channel(exp(i*pi*P_m/8)) * rep, one
+    multiply per factor.  c07 checks every one-factor channel up to three
+    qubits against the dense oracle, so this checks the m-factor closed
+    form by another route."""
+    for p in reversed(labels):
+        rep = _factor(rep.n, p).multiply(rep)
+    return rep
+
+
+def _product(s):
+    """channel(exp(i*pi*P_1/8) ... exp(i*pi*P_m/8)) as a product of
+    one-factor channels, for a nonempty set."""
+    *rest, last = s.labels
+    return _by_factors(rest, _factor(s.n, last))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_form_columns_match_the_rotation_kernel(n):
+def test_form_columns_match_the_product_of_one_factor_channels(n):
     # every set (4,788 at n = 3) and every start row: started at +1
     # through channel_of_canonical, at -1 against the negated column
     ident = CliffordTableau.identity(n)
     for s in _all_sets(n):
-        rotated = _rotated(s)
-        assert channel_of_canonical(CanonicalForm(s, ident)) == rotated
+        product = _product(s)
+        assert channel_of_canonical(CanonicalForm(s, ident)) == product
         prepared = _prepared(s.labels, n)
-        for q, col in enumerate(rotated.cols):
+        for q, col in enumerate(product.cols):
             assert _form_signs(q, False, prepared, n) == {
                 r: v.sign() < 0 for r, v in col.items()}
 
@@ -385,11 +403,11 @@ def test_form_channel_matches_the_rotated_clifford_channel(n):
         s = random_pauli_set(n, rng.randint(1, n), rng)
         c = random_clifford(n, rng)
         assert (channel_of_canonical(CanonicalForm(s, c))
-                == _rotate_columns(channel_of_clifford(c), s.labels))
+                == _by_factors(s.labels, channel_of_clifford(c)))
 
 
-def _transfer_by_rotation(a, b):
-    return _rotated(a).transpose().multiply(_rotated(b)).is_signed_permutation()
+def _transfer_by_products(a, b):
+    return _product(a).transpose().multiply(_product(b)).is_signed_permutation()
 
 
 def test_transfer_matches_the_rotated_product_on_every_pair_up_to_two_qubits():
@@ -399,7 +417,7 @@ def test_transfer_matches_the_rotated_product_on_every_pair_up_to_two_qubits():
         for a, b in itertools.product(sets, repeat=2):
             pairs += 1
             assert (exponential_transfer_is_signed_permutation(a, b)
-                    == _transfer_by_rotation(a, b)), (a, b)
+                    == _transfer_by_products(a, b)), (a, b)
     assert pairs == 3 ** 2 + 60 ** 2
 
 
@@ -410,4 +428,4 @@ def test_transfer_matches_the_rotated_product_on_sampled_three_qubit_pairs():
         a = random_pauli_set(3, rng.randint(1, 3), rng)
         b = a if k % 3 == 0 else random_pauli_set(3, rng.randint(1, 3), rng)
         got = exponential_transfer_is_signed_permutation(a, b)
-        assert got == _transfer_by_rotation(a, b) == (a == b), (a, b)
+        assert got == _transfer_by_products(a, b) == (a == b), (a, b)

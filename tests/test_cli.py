@@ -233,13 +233,15 @@ def test_enumerate_to_file(tmp_path, capsys):
     assert all(", " in line for line in lines)
 
 
-@pytest.mark.parametrize("n, m", [(5, 1), (2, 3)], ids=["width", "tcount"])
-def test_a_refused_enumerate_leaves_its_out_file_alone(tmp_path, capsys, n,
-                                                       m):
+@pytest.mark.parametrize("args", [("5", "1"), ("2", "3"),
+                                  ("40", "1", "--allow-large")],
+                         ids=["width", "tcount", "allow-large"])
+def test_a_refused_enumerate_leaves_its_out_file_alone(tmp_path, capsys,
+                                                       args):
     target = tmp_path / "kept.txt"
     target.write_bytes(b"keep\n")
-    code, out, err = run_cli(capsys, "enumerate", "--qubits", str(n),
-                             "--tcount", str(m), "--out", str(target))
+    code, out, err = run_cli(capsys, "enumerate", "--qubits", args[0],
+                             "--tcount", *args[1:], "--out", str(target))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -252,6 +254,14 @@ def test_enumerate_width_guard_is_a_usage_error(capsys):
     assert code == 2
     assert "error:" in err
     assert "--allow-large" in err
+    # from 8 qubits on the walk's commutation table alone would take
+    # 512 MiB and more, so the override stops at 7
+    for n in ("40", "8"):
+        code, out, err = run_cli(capsys, "enumerate", "--qubits", n,
+                                 "--tcount", "1", "--allow-large")
+        assert code == 2
+        assert out == ""
+        assert "capped at 7 qubits" in err and "--allow-large" in err
 
 
 @pytest.mark.parametrize("check", ["spectrum", "distinctness", "unit-rows"])
@@ -669,8 +679,8 @@ def test_calls_in_one_process_read_and_report_as_fresh_processes(
 # or 65, 100 and 1,500, where every command that reads them as a width is
 # refused for size; --trials stays at most 3, since a sampled check is
 # never refused for its trial count; --allow-large comes only with a
-# width of at most 3, since past the cap enumerate neither finishes nor
-# is refused.
+# width of at most 3 or a huge one, since at 4 to 7 qubits it runs a real
+# enumeration.
 _SMALL = st.integers(-1, 3).map(str)
 _INT = st.one_of(_SMALL, st.sampled_from(["65", "100", "1500"]))
 _JUNK = st.sampled_from(["", "x", "-", "1_0", "+1", "\u0663", "1e3",
@@ -715,7 +725,7 @@ def _command_lines(root: Path):
                  "oracle", "bogus"]))])
         if command == "enumerate" and draw(st.booleans()):
             groups.append(["--allow-large"])
-            own["--qubits"] = _SMALL
+            own["--qubits"] = _INT
         for flag, values in own.items():
             if draw(often if flag in required else rarely):
                 value = draw(values)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tcanon.canonical import TLayer
+from tcanon.canonical import TLayer, channel_of_circuit, parse_circuit
 from tcanon.exactnum import (
     CYC_I,
     CYC_INV_SQRT2,
@@ -72,10 +72,14 @@ def test_t_gate_is_the_minus_exponential_up_to_phase():
     plus = channel_bruteforce(dense_of_exponential(Z1, sign=+1))
     assert minus != plus
     assert channel_bruteforce(t) == minus
-    assert minus == channel_of_exponential(Z1, inverse=True)
+    assert minus == channel_of_exponential(Z1).transpose()
     tdg = channel_bruteforce(dense_of_t_layer(TLayer(1, tdg=[0])))
     assert tdg == plus
     assert plus == channel_of_exponential(Z1)
+    # channel_of_circuit takes T as the transpose, Tdg as the exponential
+    layer = channel_bruteforce(dense_of_t_layer(TLayer(2, t=[0], tdg=[1])))
+    assert layer == channel_of_circuit(
+        parse_circuit("CLIFFORD:\nTLAYER: t=0 tdg=1\nCLIFFORD:\n"))
 
 
 def test_t_squared_is_s_exactly():
