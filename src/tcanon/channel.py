@@ -16,11 +16,14 @@ that starts as +-1 at row R0 ends as 2^w entries of +-2^(-w/2) at the
 rows R0 ^ XOR(B), B running over the subsets of the w set elements
 anticommuting with R0, and only the signs are computed; each label P is
 prepared once per set as (P, P with its halves swapped), as R
-anticommutes with P exactly when |R & that| is odd.  It builds the
-channels of canonical forms and of single exponentials; any other
-product is taken with multiply, and an inverse with transpose, since
-channels are orthogonal.  The readers unit_rows and pauli_spectrum make
-no scalar per stored entry.  All of it works on unsigned int labels: the
+anticommutes with P exactly when |R & that| is odd.  A column with w = 0
+is the Clifford's own column, kept as it is.  It builds the channels of
+canonical forms and of single exponentials; any other product is taken
+with multiply, which passes a +-1 factor through without a scalar
+product, and an inverse with transpose, since channels are orthogonal.
+The transfer scan between two sets compares a candidate column's row set
+before its signs.  The readers unit_rows and pauli_spectrum make no
+scalar per stored entry.  All of it works on unsigned int labels: the
 Clifford's column Q is the (label, phase) pair conjugate_pauli returns
 for Q, and the signs are read off label_product_phase.
 """
@@ -82,7 +85,16 @@ class ChannelRep:
             acc: dict[int, DyadicSqrt2Scalar] = {}
             for k, b in bcol.items():
                 for r, a in self.cols[k].items():
-                    prod = a * b
+                    if b is DYADIC_ONE:
+                        prod = a
+                    elif a is DYADIC_ONE:
+                        prod = b
+                    elif b is DYADIC_MINUS_ONE:
+                        prod = -a
+                    elif a is DYADIC_MINUS_ONE:
+                        prod = -b
+                    else:
+                        prod = a * b
                     cur = acc.get(r)
                     acc[r] = prod if cur is None else cur + prod
             out.append({r: v for r, v in acc.items() if not v.is_zero()})
@@ -179,18 +191,24 @@ def _form_entries(w: int) -> tuple:
     return v, -v
 
 
-def _form_channel(labels, starts, n: int) -> ChannelRep:
+def _form_channel(labels, cols, n: int) -> ChannelRep:
     """channel(exp(i*pi*P_1/8) ... exp(i*pi*P_m/8)) * S for commuting
-    independent labels P_j and the signed permutation S whose column q is
-    +-1 at row r0, starts yielding (r0, entry > 0) for each q in turn;
-    one _form_signs column per pair."""
+    independent labels P_j and the signed permutation S of the +-1
+    columns cols.  A column whose row commutes with every P_j is S's own
+    column; any other is one _form_signs column."""
     prepared = _prepared(labels, n)
-    cols = []
-    for r0, positive in starts:
-        signs = _form_signs(r0, positive, prepared, n)
-        pos, neg = _form_entries(len(signs).bit_length() - 1)
-        cols.append({r: pos if s else neg for r, s in signs.items()})
-    return ChannelRep(n, cols)
+    out = []
+    for col in cols:
+        (r0, v), = col.items()
+        for _, swapped in prepared:
+            if (r0 & swapped).bit_count() & 1:
+                signs = _form_signs(r0, v.a > 0, prepared, n)
+                pos, neg = _form_entries(len(signs).bit_length() - 1)
+                out.append({r: pos if s else neg for r, s in signs.items()})
+                break
+        else:
+            out.append(col)
+    return ChannelRep(n, out)
 
 
 def channel_of_exponential(p: PauliOperator) -> ChannelRep:
@@ -200,8 +218,8 @@ def channel_of_exponential(p: PauliOperator) -> ChannelRep:
         raise IdentityPauliError("exponential of the identity label")
     if not p.is_positive():
         raise NonPositivePauliError(f"need a positive Pauli, got {p!r}")
-    starts = ((q, True) for q in range(1 << (2 * p.n)))
-    return _form_channel([p.label], starts, p.n)
+    identity = [{q: DYADIC_ONE} for q in range(1 << (2 * p.n))]
+    return _form_channel([p.label], identity, p.n)
 
 
 def channel_of_canonical(form) -> ChannelRep:
@@ -210,10 +228,9 @@ def channel_of_canonical(form) -> ChannelRep:
     form needs .paulis (a PauliSet) and .clifford (a CliffordTableau);
     the closed form starts from the signed unit columns of channel(C).
     """
-    starts = ((r0, v == DYADIC_ONE)
-              for col in channel_of_clifford(form.clifford).cols
-              for r0, v in col.items())
-    return _form_channel(form.paulis.labels, starts, form.clifford.n)
+    return _form_channel(form.paulis.labels,
+                         channel_of_clifford(form.clifford).cols,
+                         form.clifford.n)
 
 
 @lru_cache(maxsize=None)
@@ -263,16 +280,27 @@ def exponential_transfer_is_signed_permutation(set_a: PauliSet,
     Channels are orthogonal, so column q of the product is a signed unit
     vector exactly when column b_q of channel(B) is +-a_q' for some q';
     a_q' has an entry at q', so q' ranges over the support of b_q (q
-    first), and a_q' is started with b_q's sign there to compare sign
-    dicts.  The scan stops at the first unmatched column; no scalar is made.
+    first).  Column a_q' has its entries at the rows q' ^ XOR(S), S
+    running over the subsets of the elements of A anticommuting with q',
+    so that row set is compared with b_q's first, and only on a match is
+    a_q' started with b_q's sign at q' to compare sign dicts.  Column 0
+    of every channel is +1 at row 0, so the scan starts at q = 1 and
+    stops at the first unmatched column; no scalar is made.
     """
     if set_a.n != set_b.n:
         raise ValueError(f"qubit counts differ: {set_a.n} vs {set_b.n}")
     n = set_a.n
     prep_a, prep_b = _prepared(set_a.labels, n), _prepared(set_b.labels, n)
-    for q in range(1 << (2 * n)):
+    for q in range(1, 1 << (2 * n)):
         b = _form_signs(q, True, prep_b, n)
-        if not any(_form_signs(r, pos, prep_a, n) == b
-                   for r, pos in b.items()):
+        rows_b = b.keys()
+        for r, pos in b.items():
+            rows = {r}
+            for p, swapped in prep_a:
+                if (r & swapped).bit_count() & 1:
+                    rows |= {p ^ x for x in rows}
+            if rows == rows_b and _form_signs(r, pos, prep_a, n) == b:
+                break
+        else:
             return False
     return True

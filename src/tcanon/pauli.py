@@ -113,14 +113,14 @@ def parse_pauli(text: str) -> PauliOperator:
 def label_product_phase(a: int, b: int, n: int) -> int:
     """k with P_a * P_b = i^k P_(a ^ b) for the positive Paulis of two
     unsigned labels.  Each factor is i^|x&z| X^x Z^z; moving X^x2 left
-    past Z^z1 adds 2|z1&x2|.  The one Pauli product rule of the package:
-    PauliOperator.__mul__ and tableau conjugation both take their phase
-    from it."""
-    mask = (1 << n) - 1
-    x1, z1, x2, z2 = a >> n, a & mask, b >> n, b & mask
-    return ((x1 & z1).bit_count() + (x2 & z2).bit_count()
-            + 2 * (z1 & x2).bit_count()
-            - ((x1 ^ x2) & (z1 ^ z2)).bit_count()) & 3
+    past Z^z1 adds 2|z1&x2|.  The counts are read off whole labels: b >> n
+    is x2 with nothing above its n bits, so a & b >> n keeps only a's low
+    half, z1, against it and is z1 & x2; likewise a & a >> n is x1 & z1.
+    The one Pauli product rule of the package: PauliOperator.__mul__ and
+    tableau conjugation both take their phase from it."""
+    c = a ^ b
+    return ((a & a >> n).bit_count() + (b & b >> n).bit_count()
+            + 2 * (a & b >> n).bit_count() - (c & c >> n).bit_count()) & 3
 
 
 def _swap_halves(label: int, n: int) -> int:

@@ -136,6 +136,22 @@ def test_channel_of_canonical_splits_into_factors():
     assert rep == acc
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_commuting_columns_are_the_clifford_channels_own(n):
+    rng = random.Random(62 + n)
+    for _ in range(5):
+        c = random_clifford(n, rng)
+        cliff = channel_of_clifford(c)
+        assert channel_of_canonical(CanonicalForm(PauliSet.empty(n), c)) == cliff
+        s = random_pauli_set(n, rng.randint(1, n), rng)
+        rep = channel_of_canonical(CanonicalForm(s, c))
+        commuting = set(commutant(s))
+        kept = [q for q, col in enumerate(cliff.cols) if col.keys() <= commuting]
+        assert len(kept) == len(commuting)
+        for q in kept:
+            assert rep.cols[q] == cliff.cols[q]
+
+
 def test_unit_rows_equal_commutant_labels():
     s = validate_set([parse_pauli("Z")])
     form = CanonicalForm(s, CliffordTableau.identity(1))
@@ -358,6 +374,37 @@ def test_transfer_reads_signs_and_scans_other_columns(monkeypatch, fake, expecte
     product = rep_a.transpose().multiply(ChannelRep(n, cols_b))
     assert product.is_signed_permutation() == expected
     assert exponential_transfer_is_signed_permutation(a, b) == expected
+
+
+def test_transfer_rejects_a_column_by_its_rows_before_its_signs(monkeypatch):
+    # a seeded n = 4 pair whose scan fails at q = 1, the first column it
+    # reads: no row of B's column there starts a column of A on the same
+    # rows, so A's signs are never needed
+    n = 4
+    rng = random.Random(9)
+    a = random_pauli_set(n, rng.randint(1, n), rng)
+    b = random_pauli_set(n, rng.randint(1, n), rng)
+    assert len(_product(a).transpose().multiply(_product(b)).cols[1]) > 1
+    assert len(_form_signs(1, True, _prepared(b.labels, n), n)) > 1
+    real, real_prepared = channel_mod._form_signs, channel_mod._prepared
+
+    class PreparedB(list):  # b's prepared labels, told apart from a's
+        pass
+
+    def fake_prepared(labels, n):
+        prepared = real_prepared(labels, n)
+        return PreparedB(prepared) if labels is b.labels else prepared
+
+    calls = []
+
+    def fake_signs(q, positive, prepared, n):
+        calls.append((q, "b" if isinstance(prepared, PreparedB) else "a"))
+        return real(q, positive, prepared, n)
+
+    monkeypatch.setattr(channel_mod, "_prepared", fake_prepared)
+    monkeypatch.setattr(channel_mod, "_form_signs", fake_signs)
+    assert not exponential_transfer_is_signed_permutation(a, b)
+    assert calls == [(1, "b")]
 
 
 @functools.lru_cache(maxsize=None)
