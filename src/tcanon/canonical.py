@@ -18,8 +18,8 @@ from .channel import (ChannelRep, channel_of_canonical, channel_of_clifford,
                       channel_of_exponential)
 from .clifford import (CliffordTableau, check_index, from_gate_word,
                        parse_gate_word, parse_index, quarter_exponential)
-from .pauli import (LabelNames, PauliOperator, PauliSet, parse_pauli,
-                    validate_labels, validate_set)
+from .pauli import (LabelNames, PauliSet, parse_pauli, validate_labels,
+                    validate_set)
 
 
 # the widest circuit file read: the identity tableau alone holds 2n labels
@@ -215,8 +215,7 @@ def channel_of_circuit(circ: TLayerCircuit) -> ChannelRep:
     rep = channel_of_clifford(circ.cliffords[-1])
     for k in range(circ.depth - 1, -1, -1):
         for qubit, is_tdg in circ.layers[k].marked:
-            z = channel_of_exponential(
-                PauliOperator.from_label(n, 1 << (n - 1 - qubit)))
+            z = channel_of_exponential(n, 1 << (n - 1 - qubit))
             rep = (z if is_tdg else z.transpose()).multiply(rep)
         rep = channel_of_clifford(circ.cliffords[k]).multiply(rep)
     return rep

@@ -103,11 +103,12 @@ def emit_table(n_max: int) -> str:
     header += ["total_classes", "total_unitaries"]
     lines = ["\t".join(header)]
     for n in range(1, n_max + 1):
-        g, total = count_tdepth_one(n)
-        cells = [str(n), str(group_order(n))]
-        cells += [str(count_sets(n, m)) for m in range(1, n + 1)]
+        order = group_order(n)
+        counts = [count_sets(n, m) for m in range(1, n + 1)]
+        g = sum(counts)
+        cells = [str(n), str(order), *map(str, counts)]
         cells += ["-"] * (n_max - n)
-        cells += [str(g), str(total)]
+        cells += [str(g), str(g * order)]
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -411,8 +412,7 @@ def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
         families += 1
         e = DenseUnitary.identity(n)
         for a in family:
-            p = PauliOperator(n, 0, a, 0)
-            e = e.multiply(dense_of_exponential(p, 1))
+            e = e.multiply(dense_of_exponential(n, a, 1))
         cols = channel_bruteforce(e).cols
         for j in range(n):
             instances += 1
@@ -507,10 +507,10 @@ def verify_oracle(n: int, trials: int = 100,
             report.failures.append(f"gate {word!r} channel mismatch")
     for label in range(1, 1 << (2 * n)):
         generators += 1
-        p = PauliOperator.from_label(n, label)
-        structured = channel_of_exponential(p)
-        brute = channel_bruteforce(dense_of_exponential(p, 1))
+        structured = channel_of_exponential(n, label)
+        brute = channel_bruteforce(dense_of_exponential(n, label, 1))
         if structured != brute:
+            p = PauliOperator.from_label(n, label)
             report.failures.append(f"exponential {p!r} channel mismatch")
     for _ in range(trials):
         m = rng.randint(1, n)
@@ -522,8 +522,8 @@ def verify_oracle(n: int, trials: int = 100,
             from_gate_word(";".join(tokens[half:]), n))
         structured = channel_of_canonical(CanonicalForm(s, tableau))
         dense = dense_of_gate_word(word, n)
-        for p in reversed(s.elements):
-            dense = dense_of_exponential(p, 1).multiply(dense)
+        for label in reversed(s.labels):
+            dense = dense_of_exponential(n, label, 1).multiply(dense)
         brute = channel_bruteforce(dense)
         if structured != brute:
             report.failures.append(

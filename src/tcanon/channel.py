@@ -23,9 +23,10 @@ with multiply, which passes a +-1 factor through without a scalar
 product, and an inverse with transpose, since channels are orthogonal.
 The transfer scan between two sets compares a candidate column's row set
 before its signs.  The readers unit_rows and pauli_spectrum make no
-scalar per stored entry.  All of it works on unsigned int labels: the
-Clifford's column Q is the (label, phase) pair conjugate_pauli returns
-for Q, and the signs are read off label_product_phase.
+scalar per stored entry.  All of it works on unsigned int labels, a
+single exponential's Pauli included: the Clifford's column Q is the
+(label, phase) pair conjugate_pauli returns for Q, and the signs are read
+off label_product_phase.
 """
 
 from __future__ import annotations
@@ -36,15 +37,7 @@ from functools import lru_cache
 from .clifford import CliffordTableau
 from .exactnum import (DYADIC_MINUS_ONE, DYADIC_ONE, DYADIC_ZERO,
                        DyadicSqrt2Scalar)
-from .pauli import PauliOperator, PauliSet, _swap_halves, label_product_phase
-
-
-class IdentityPauliError(ValueError):
-    pass
-
-
-class NonPositivePauliError(ValueError):
-    pass
+from .pauli import PauliSet, _swap_halves, label_product_phase
 
 
 class SpectrumMismatchError(ValueError):
@@ -211,15 +204,13 @@ def _form_channel(labels, cols, n: int) -> ChannelRep:
     return ChannelRep(n, out)
 
 
-def channel_of_exponential(p: PauliOperator) -> ChannelRep:
-    """Channel of exp(i*pi*P/8) for positive non-identity P; the channel
-    of its inverse is the transpose."""
-    if p.x == 0 and p.z == 0:
-        raise IdentityPauliError("exponential of the identity label")
-    if not p.is_positive():
-        raise NonPositivePauliError(f"need a positive Pauli, got {p!r}")
-    identity = [{q: DYADIC_ONE} for q in range(1 << (2 * p.n))]
-    return _form_channel([p.label], identity, p.n)
+def channel_of_exponential(n: int, label: int) -> ChannelRep:
+    """Channel of exp(i*pi*P/8) for the positive Pauli P of a label in
+    0 < label < 4^n; the channel of its inverse is the transpose."""
+    if not 0 < label < 1 << (2 * n):
+        raise ValueError(f"label {label} out of range for n={n}")
+    identity = [{q: DYADIC_ONE} for q in range(1 << (2 * n))]
+    return _form_channel([label], identity, n)
 
 
 def channel_of_canonical(form) -> ChannelRep:
@@ -241,32 +232,20 @@ def reference_spectrum(n: int, m: int) -> Counter:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     rep = channel_of_clifford(CliffordTableau.identity(n))
     for j in range(m):
-        z = PauliOperator.from_label(n, 1 << (n - 1 - j))
-        rep = channel_of_exponential(z).multiply(rep)
+        rep = channel_of_exponential(n, 1 << (n - 1 - j)).multiply(rep)
     return rep.pauli_spectrum()
 
 
 def infer_t_count(rep: ChannelRep) -> int:
     """Read the T-count off the channel spectrum.
 
-    The minimum nonzero magnitude of a T-depth-one channel is (1/sqrt2)^m
-    and the full multiset matches the reference form with m factors; any
-    deviation raises SpectrumMismatchError.
+    A form with m factors has the m + 1 nonzero magnitudes (1/sqrt2)^k,
+    k = 0..m, and the spectrum of the reference form with m factors; any
+    other spectrum raises SpectrumMismatchError.
     """
     spec = rep.pauli_spectrum()
-    nonzero = [v for v in spec if not v.is_zero()]
-    if not nonzero:
-        raise SpectrumMismatchError("all entries vanish")
-    mn = min(nonzero)
-    probe = DYADIC_ONE
-    m = 0
-    while probe != mn:
-        probe = probe.times_inv_sqrt2()
-        m += 1
-        if m > 2 * rep.n:
-            raise SpectrumMismatchError(
-                f"minimum magnitude {mn.render()} is not a power of 1/sqrt2")
-    if m > rep.n or spec != reference_spectrum(rep.n, m):
+    m = sum(not v.is_zero() for v in spec) - 1
+    if not 0 <= m <= rep.n or spec != reference_spectrum(rep.n, m):
         raise SpectrumMismatchError(
             f"spectrum does not match any T-depth-one form (candidate m={m})")
     return m

@@ -4,7 +4,8 @@ Everything here recomputes unitaries as full 2^n x 2^n matrices with
 entries in Z[zeta, 1/2], zeta = exp(i*pi/8), sharing nothing with the
 tableau or channel machinery beyond the gate-word tokenizer.  That makes
 it slow and size-limited but trustworthy: agreement between a structured
-channel and channel_bruteforce checks the fast path end to end.
+channel and channel_bruteforce checks the fast path end to end.  A
+Pauli comes in as its unsigned label (x << n) | z, read bit by bit here.
 A gate word is built in place, one gate at a time, as an operation on
 the running matrix's columns.
 
@@ -39,7 +40,6 @@ from .channel import ChannelRep
 from .clifford import parse_gate_word
 from .exactnum import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO,
                        Cyclotomic16Scalar, DyadicSqrt2Scalar, cyclotomic_dot)
-from .pauli import PauliOperator
 
 
 class SizeRefusalError(ValueError):
@@ -114,44 +114,45 @@ class DenseUnitary:
         return f"<DenseUnitary n={self.n}>"
 
 
-def dense_of_pauli(p: PauliOperator) -> DenseUnitary:
-    """Matrix of i^phase * (Hermitian representative of (x, z))."""
-    _guard(p.n)
-    n = p.n
+def dense_of_pauli(n: int, label: int, phase: int = 0) -> DenseUnitary:
+    """Matrix of i^phase * (Hermitian representative of the unsigned label
+    (x << n) | z)."""
+    _guard(n)
     dim = 1 << n
-    base = p.phase + bin(p.x & p.z).count("1")
+    x, z = label >> n, label & (dim - 1)
+    base = phase + bin(x & z).count("1")
     mat = [[CYC_ZERO] * dim for _ in range(dim)]
     for c in range(dim):
-        t = (base + 2 * bin(p.z & c).count("1")) & 3
-        mat[c ^ p.x][c] = Cyclotomic16Scalar.zeta_power(4 * t)
+        t = (base + 2 * bin(z & c).count("1")) & 3
+        mat[c ^ x][c] = Cyclotomic16Scalar.zeta_power(4 * t)
     return DenseUnitary(n, mat)
 
 
-def _identity_plus(p: PauliOperator, a: Cyclotomic16Scalar,
+def _identity_plus(n: int, label: int, a: Cyclotomic16Scalar,
                    b: Cyclotomic16Scalar, sign: int) -> DenseUnitary:
-    """a*I + sign*b*P for a positive non-identity P."""
+    """a*I + sign*b*P for the positive Pauli P of a label in
+    0 < label < 4^n."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-    if p.x == 0 and p.z == 0:
-        raise ValueError("exponential of the identity label")
-    if not p.is_positive():
-        raise ValueError(f"need a positive Pauli, got {p!r}")
+    if not 0 < label < 1 << (2 * n):
+        raise ValueError(f"label {label} out of range for n={n}")
     b = b if sign > 0 else -b
     mat = [[CYC_ZERO if v.is_zero() else b * v for v in row]
-           for row in dense_of_pauli(p).mat]
+           for row in dense_of_pauli(n, label).mat]
     for r, row in enumerate(mat):
         row[r] = row[r] + a
-    return DenseUnitary(p.n, mat)
+    return DenseUnitary(n, mat)
 
 
-def dense_of_exponential(p: PauliOperator, sign: int = 1) -> DenseUnitary:
+def dense_of_exponential(n: int, label: int, sign: int = 1) -> DenseUnitary:
     """exp(sign * i*pi*P/8) = cos(pi/8) I + sign i sin(pi/8) P."""
-    return _identity_plus(p, _COS_PI_8, _I_SIN_PI_8, sign)
+    return _identity_plus(n, label, _COS_PI_8, _I_SIN_PI_8, sign)
 
 
-def dense_of_quarter_exponential(p: PauliOperator, sign: int = 1) -> DenseUnitary:
+def dense_of_quarter_exponential(n: int, label: int,
+                                 sign: int = 1) -> DenseUnitary:
     """exp(sign * i*pi*P/4) = (I + sign i P) / sqrt2."""
-    return _identity_plus(p, CYC_INV_SQRT2, _I_INV_SQRT2, sign)
+    return _identity_plus(n, label, CYC_INV_SQRT2, _I_INV_SQRT2, sign)
 
 
 def _qubit_mask(n: int, q: int) -> int:

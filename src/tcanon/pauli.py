@@ -4,7 +4,9 @@ Encoding: an operator is i^phase * W_1 (x) ... (x) W_n where W_j is picked
 by the qubit's (x, z) bit pair: (0,0)=I, (1,0)=X, (0,1)=Z, (1,1)=Y, with
 the convention Y = i*X*Z.  x and z are packed into machine ints with qubit
 0 at the highest bit of the n-bit field, so the unsigned label
-(x << n) | z sorts the way the string form reads.
+(x << n) | z sorts the way the string form reads.  That label is the
+package's one Pauli representation; PauliOperator objects are made only
+where text is parsed or rendered.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ class PauliOperator:
 
     def is_hermitian(self) -> bool:
         return not self.phase & 1
-
-    def is_positive(self) -> bool:
-        return self.phase == 0
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
@@ -166,11 +165,12 @@ class LabelNames(dict):
 class PauliSet:
     """Commuting, independent, positive Paulis sorted ascending by label.
 
-    Stored as the sorted tuple of unsigned labels; the PauliOperator
-    elements are built on demand.  Construct through validate_set; the
-    raw constructor and from_labels trust their input.  The empty set is
-    allowed here (a canonical form may carry no exponential factors) even
-    though validate_set requires at least one candidate.
+    Stored as the sorted tuple of unsigned labels; iterating builds the
+    PauliOperator elements, for rendering.  Construct through
+    validate_set; the raw constructor and from_labels trust their input.
+    The empty set is allowed here (a canonical form may carry no
+    exponential factors) even though validate_set requires at least one
+    candidate.
     """
 
     __slots__ = ("n", "labels")
@@ -189,15 +189,11 @@ class PauliSet:
         sorted, commuting and independent."""
         return cls(n, tuple(labels))
 
-    @property
-    def elements(self) -> tuple:
-        return tuple(PauliOperator.from_label(self.n, l) for l in self.labels)
-
     def __len__(self):
         return len(self.labels)
 
     def __iter__(self):
-        return iter(self.elements)
+        return (PauliOperator.from_label(self.n, l) for l in self.labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSet):

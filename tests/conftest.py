@@ -5,12 +5,15 @@ with a compact pass/fail scoreboard regardless of how pytest interleaved
 the output.  inverse_word builds a Clifford's inverse from its gate word,
 so inverse facts are checked without any tableau inversion.  pauli_of
 and conjugate turn a tableau's (label, phase) images into PauliOperator
-objects, so tests can compare them with products and dense matrices.
+objects, so tests can compare them with products and dense matrices;
+dense_of turns such an operator, phase included, into the oracle's
+matrix, which takes a label and a phase.
 commutes states the package's commutation rule, the parity of a label
 against the dual label of pauli._swap_halves.
 """
 
 from tcanon.clifford import parse_gate_word
+from tcanon.oracle import dense_of_pauli
 from tcanon.pauli import PauliOperator, _swap_halves
 
 ACCEPTANCE_RESULTS: list[tuple[str, str, bool]] = []
@@ -46,6 +49,11 @@ def pauli_of(n: int, image: tuple) -> PauliOperator:
 def conjugate(c, p: PauliOperator) -> PauliOperator:
     """The tableau c's image of p, as an operator."""
     return pauli_of(c.n, c.conjugate_pauli(p.label, p.phase))
+
+
+def dense_of(p: PauliOperator):
+    """The dense matrix of i^phase * P_label for an operator p."""
+    return dense_of_pauli(p.n, p.label, p.phase)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -27,7 +27,8 @@ from tcanon.census import (
     verify_unit_rows,
 )
 from tcanon.clifford import CliffordTableau, group_order, parse_gate_word
-from tcanon.pauli import PauliOperator, PauliSet, _swap_halves, validate_set
+from tcanon.pauli import (PauliOperator, PauliSet, _swap_halves, parse_pauli,
+                          validate_set)
 
 
 def _reference_pauli_set(n, m, rng):
@@ -108,6 +109,21 @@ def test_emit_table_pads_missing_counts_with_dashes():
     assert lines[4].split("\t") == [
         "4", "12128668876800", "255", "16065", "321300", "1927800",
         "2265420", "27476529046880256000"]
+
+
+def test_emit_table_computes_each_count_once(monkeypatch):
+    # one count_sets call per (n, m) cell, none again for the totals
+    calls = []
+    count_sets = census.count_sets
+
+    def counted(n, m):
+        calls.append((n, m))
+        return count_sets(n, m)
+
+    monkeypatch.setattr(census, "count_sets", counted)
+    emit_table(10)
+    assert sorted(calls) == [(n, m) for n in range(1, 11)
+                             for m in range(1, n + 1)]
 
 
 class TestEnumeration:
@@ -268,6 +284,20 @@ class TestVerifiers:
         r = verify_oracle(2, trials=5, seed=31)
         assert not r.passed
         assert all(f.startswith("form (") for f in r.failures)
+
+    def test_oracle_names_a_mismatched_exponential_by_its_text(self,
+                                                               monkeypatch):
+        # the one PauliOperator census makes renders this failure
+        channel_of_exponential = census.channel_of_exponential
+        yz = parse_pauli("YZ").label
+
+        def inverted_at_yz(n, label):
+            rep = channel_of_exponential(n, label)
+            return rep.transpose() if label == yz else rep
+
+        monkeypatch.setattr(census, "channel_of_exponential", inverted_at_yz)
+        r = verify_oracle(2, trials=0)
+        assert r.failures == ["exponential <Pauli +YZ> channel mismatch"]
 
     def test_growth(self):
         r = growth_check(16)

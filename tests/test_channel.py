@@ -12,8 +12,6 @@ from tcanon import channel as channel_mod
 from tcanon.canonical import CanonicalForm, channel_of_decomposition
 from tcanon.channel import (
     ChannelRep,
-    IdentityPauliError,
-    NonPositivePauliError,
     SpectrumMismatchError,
     _form_signs,
     _prepared,
@@ -28,7 +26,8 @@ from tcanon.clifford import CliffordTableau, from_gate_word, random_clifford
 from tcanon.census import _all_sets, random_gate_word, random_pauli_set
 from tcanon.exactnum import DYADIC_ONE, DYADIC_ZERO, DyadicSqrt2Scalar
 from tcanon.oracle import channel_bruteforce, dense_of_exponential, dense_of_gate_word
-from tcanon.pauli import PauliOperator, PauliSet, commutant, parse_pauli, validate_set
+from tcanon.pauli import (PauliSet, commutant, parse_pauli, validate_labels,
+                          validate_set)
 
 R = DyadicSqrt2Scalar(0, 1, 1)  # 1/sqrt2
 ONE = DYADIC_ONE
@@ -63,7 +62,7 @@ def test_hadamard_channel_fixture():
 
 def test_exponential_channel_fixture():
     # exp(+i*pi*Z/8): X -> (X - Y)/sqrt2, Y -> (X + Y)/sqrt2
-    rep = channel_of_exponential(parse_pauli("Z"))
+    rep = channel_of_exponential(1, parse_pauli("Z").label)
     want = [
         [ONE, ZERO, ZERO, ZERO],
         [ZERO, ONE, ZERO, ZERO],
@@ -75,18 +74,20 @@ def test_exponential_channel_fixture():
     assert not rep.is_signed_permutation()
 
 
-def test_exponential_channel_rejects_identity_and_negative_paulis():
-    with pytest.raises(IdentityPauliError):
-        channel_of_exponential(PauliOperator(2, 0, 0))
-    with pytest.raises(NonPositivePauliError):
-        channel_of_exponential(parse_pauli("-Z"))
+@pytest.mark.parametrize("n, label", [(2, 0), (2, 16), (1, 0), (1, 4),
+                                      (2, -1)])
+def test_exponential_channel_rejects_a_label_outside_one_to_4n(n, label):
+    # 0 is the identity, 4^n the first label past the width, and a
+    # negative int names no Pauli
+    with pytest.raises(ValueError, match=f"label {label} out of range"):
+        channel_of_exponential(n, label)
 
 
 def test_inverse_exponential_is_the_transpose():
-    p = parse_pauli("XY")
-    fwd = channel_of_exponential(p)
+    p = parse_pauli("XY").label
+    fwd = channel_of_exponential(2, p)
     bck = fwd.transpose()
-    assert bck == channel_bruteforce(dense_of_exponential(p, -1))
+    assert bck == channel_bruteforce(dense_of_exponential(2, p, -1))
     assert fwd.multiply(bck).is_identity()
 
 
@@ -131,8 +132,8 @@ def test_channel_of_canonical_splits_into_factors():
     form = CanonicalForm(s, c)
     rep = channel_of_canonical(form)
     acc = channel_of_clifford(c)
-    for p in reversed(s.elements):
-        acc = channel_of_exponential(p).multiply(acc)
+    for label in reversed(s.labels):
+        acc = channel_of_exponential(2, label).multiply(acc)
     assert rep == acc
 
 
@@ -168,7 +169,7 @@ def test_unit_rows_equal_commutant_labels():
 
 
 def test_pauli_spectrum_counts_magnitudes():
-    rep = channel_of_exponential(parse_pauli("Z"))
+    rep = channel_of_exponential(1, parse_pauli("Z").label)
     spec = rep.pauli_spectrum()
     assert spec[ONE] == 2
     assert spec[ZERO] == 10
@@ -232,8 +233,7 @@ def test_infer_t_count_on_reference_forms():
     for n in (1, 2, 3):
         for m in range(n + 1):
             s = (PauliSet.empty(n) if m == 0 else
-                 validate_set([PauliOperator.from_label(n, 1 << (n - 1 - j))
-                               for j in range(m)]))
+                 validate_labels(n, [1 << (n - 1 - j) for j in range(m)]))
             form = CanonicalForm(s, CliffordTableau.identity(n))
             assert infer_t_count(channel_of_canonical(form)) == m
 
@@ -268,9 +268,8 @@ def test_sparse_columns_store_no_zeros(n):
     rng = random.Random(57)
     reps = []
     for label in range(1, 1 << (2 * n)):
-        p = PauliOperator.from_label(n, label)
-        reps.append(channel_of_exponential(p))
-        reps.append(channel_bruteforce(dense_of_exponential(p, 1)))
+        reps.append(channel_of_exponential(n, label))
+        reps.append(channel_bruteforce(dense_of_exponential(n, label, 1)))
     for m in range(1, n + 1):
         word = random_gate_word(n, rng)
         form = CanonicalForm(random_pauli_set(n, m, rng), from_gate_word(word, n))
@@ -305,8 +304,8 @@ def test_transfer_agrees_with_dense_product_on_one_qubit():
     for la, lb in itertools.product(["X", "Y", "Z"], repeat=2):
         a = validate_set([parse_pauli(la)])
         b = validate_set([parse_pauli(lb)])
-        dense = channel_of_exponential(a.elements[0]).transpose().multiply(
-            channel_of_exponential(b.elements[0]))
+        dense = channel_of_exponential(1, a.labels[0]).transpose().multiply(
+            channel_of_exponential(1, b.labels[0]))
         got = exponential_transfer_is_signed_permutation(a, b)
         assert got == dense.is_signed_permutation()
         assert got == (la == lb)
@@ -409,7 +408,7 @@ def test_transfer_rejects_a_column_by_its_rows_before_its_signs(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def _factor(n, label):
-    return channel_of_exponential(PauliOperator.from_label(n, label))
+    return channel_of_exponential(n, label)
 
 
 def _by_factors(labels, rep):

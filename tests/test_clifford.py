@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from conftest import commutes, conjugate, inverse_word, pauli_of
+from conftest import commutes, conjugate, dense_of, inverse_word, pauli_of
 
 from tcanon.clifford import (
     BadTokenError,
@@ -291,8 +291,8 @@ def test_tableau_conjugation_matches_dense_conjugation():
         udag = u.dagger()
         for label in range(1, 16):
             p = PauliOperator.from_label(2, label)
-            got = dense_of_pauli(conjugate(c, p))
-            want = u.multiply(dense_of_pauli(p)).multiply(udag)
+            got = dense_of(conjugate(c, p))
+            want = u.multiply(dense_of_pauli(2, label)).multiply(udag)
             assert got == want, (word, p.to_string())
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dense_of
 from tcanon.canonical import TLayer, channel_of_circuit, parse_circuit
 from tcanon.exactnum import (
     CYC_I,
@@ -35,32 +36,32 @@ from tcanon.clifford import from_gate_word
 from tcanon.pauli import PauliOperator, parse_pauli
 
 C = Cyclotomic16Scalar
-Z1 = parse_pauli("Z")
+Z1 = 0b01  # the label of Z on one qubit
 
 
 def test_identity_and_pauli_matrices():
     assert DenseUnitary.identity(2).dim == 4
-    x = dense_of_pauli(parse_pauli("X"))
+    x = dense_of(parse_pauli("X"))
     assert x.mat == [[CYC_ZERO, CYC_ONE], [CYC_ONE, CYC_ZERO]]
-    z = dense_of_pauli(Z1)
+    z = dense_of_pauli(1, Z1)
     assert z.mat == [[CYC_ONE, CYC_ZERO], [CYC_ZERO, C.from_int(-1)]]
-    y = dense_of_pauli(parse_pauli("Y"))
+    y = dense_of(parse_pauli("Y"))
     assert y.mat == [[CYC_ZERO, -C.zeta_power(4)], [C.zeta_power(4), CYC_ZERO]]
     minus_one, i = C.from_int(-1), C.zeta_power(4)
-    assert dense_of_pauli(parse_pauli("-X")).mat == [[CYC_ZERO, minus_one],
-                                                     [minus_one, CYC_ZERO]]
-    assert dense_of_pauli(parse_pauli("+iX")).mat == [[CYC_ZERO, i],
-                                                      [i, CYC_ZERO]]
+    assert dense_of(parse_pauli("-X")).mat == [[CYC_ZERO, minus_one],
+                                               [minus_one, CYC_ZERO]]
+    assert dense_of(parse_pauli("+iX")).mat == [[CYC_ZERO, i],
+                                                [i, CYC_ZERO]]
 
 
 def test_pauli_matrices_are_unitary_and_multiplicative():
     for a, b in itertools.product(range(1, 16), repeat=2):
         pa = PauliOperator.from_label(2, a)
         pb = PauliOperator.from_label(2, b)
-        u = dense_of_pauli(pa)
+        u = dense_of_pauli(2, a)
         assert u.multiply(u.dagger()) == DenseUnitary.identity(2)
-        assert (dense_of_pauli(pa).multiply(dense_of_pauli(pb))
-                == dense_of_pauli(pa * pb))
+        assert (dense_of_pauli(2, a).multiply(dense_of_pauli(2, b))
+                == dense_of(pa * pb))
 
 
 def test_t_gate_is_the_minus_exponential_up_to_phase():
@@ -68,14 +69,14 @@ def test_t_gate_is_the_minus_exponential_up_to_phase():
     # equal unitaries up to phase
     t = dense_of_t_layer(TLayer(1, t=[0]))
     assert t.mat[0][0] == CYC_ONE and t.mat[1][1] == C.zeta_power(2)
-    minus = channel_bruteforce(dense_of_exponential(Z1, sign=-1))
-    plus = channel_bruteforce(dense_of_exponential(Z1, sign=+1))
+    minus = channel_bruteforce(dense_of_exponential(1, Z1, sign=-1))
+    plus = channel_bruteforce(dense_of_exponential(1, Z1, sign=+1))
     assert minus != plus
     assert channel_bruteforce(t) == minus
-    assert minus == channel_of_exponential(Z1).transpose()
+    assert minus == channel_of_exponential(1, Z1).transpose()
     tdg = channel_bruteforce(dense_of_t_layer(TLayer(1, tdg=[0])))
     assert tdg == plus
-    assert plus == channel_of_exponential(Z1)
+    assert plus == channel_of_exponential(1, Z1)
     # channel_of_circuit takes T as the transpose, Tdg as the exponential
     layer = channel_bruteforce(dense_of_t_layer(TLayer(2, t=[0], tdg=[1])))
     assert layer == channel_of_circuit(
@@ -98,17 +99,16 @@ def test_t_layer_tensor_structure():
 
 def test_exponentials_are_unitary():
     for label in range(1, 16):
-        p = PauliOperator.from_label(2, label)
-        for u in (dense_of_exponential(p, sign=1),
-                  dense_of_exponential(p, sign=-1),
-                  dense_of_quarter_exponential(p, sign=1)):
+        for u in (dense_of_exponential(2, label, sign=1),
+                  dense_of_exponential(2, label, sign=-1),
+                  dense_of_quarter_exponential(2, label, sign=1)):
             assert u.multiply(u.dagger()) == DenseUnitary.identity(2)
 
 
 def test_exponential_inverse_pairs():
     for label in range(1, 4):
-        p = PauliOperator.from_label(1, label)
-        prod = dense_of_exponential(p, 1).multiply(dense_of_exponential(p, -1))
+        prod = dense_of_exponential(1, label, 1).multiply(
+            dense_of_exponential(1, label, -1))
         assert prod == DenseUnitary.identity(1)
 
 
@@ -116,10 +116,9 @@ def test_negative_exponent_splits_into_quarter_times_positive():
     # exp(-i*pi*P/8) = exp(-i*pi*P/4) * exp(+i*pi*P/8), an exact identity
     for n, labels in ((1, range(1, 4)), (2, range(1, 16))):
         for label in labels:
-            p = PauliOperator.from_label(n, label)
-            lhs = dense_of_exponential(p, sign=-1)
-            rhs = dense_of_quarter_exponential(p, sign=-1).multiply(
-                dense_of_exponential(p, sign=+1))
+            lhs = dense_of_exponential(n, label, sign=-1)
+            rhs = dense_of_quarter_exponential(n, label, sign=-1).multiply(
+                dense_of_exponential(n, label, sign=+1))
             assert lhs == rhs
 
 
@@ -190,15 +189,15 @@ def test_a_word_matrix_is_the_product_of_its_gate_matrices():
 
 
 def test_size_guard():
-    p4 = parse_pauli("ZIII")
+    z4 = parse_pauli("ZIII").label
     with pytest.raises(SizeRefusalError):
-        dense_of_pauli(p4)
+        dense_of_pauli(4, z4)
     with pytest.raises(SizeRefusalError):
         dense_of_gate_word("H 0", 4)
     with pytest.raises(SizeRefusalError):
-        dense_of_exponential(p4)
+        dense_of_exponential(4, z4)
     with pytest.raises(SizeRefusalError):
-        dense_of_quarter_exponential(p4)
+        dense_of_quarter_exponential(4, z4)
     with pytest.raises(SizeRefusalError):
         dense_of_t_layer(TLayer(4, t=[0]))
     with pytest.raises(SizeRefusalError):
@@ -222,8 +221,7 @@ def test_oracle_imports_only_the_tokenizer_and_containers():
             imported |= {(module, a.name) for a in node.names}
     restricted = {("canonical", "TLayer"), ("channel", "ChannelRep"),
                   ("clifford", "parse_gate_word")}
-    free = {(mod, name) for mod, name in imported
-            if mod in ("exactnum", "pauli")}
+    free = {(mod, name) for mod, name in imported if mod == "exactnum"}
     assert imported - free == restricted
 
 
@@ -232,9 +230,8 @@ def test_channel_bruteforce_matches_structured_channels():
         got = channel_bruteforce(dense_of_gate_word(word, 1))
         assert got == channel_of_clifford(from_gate_word(word, 1))
     for label in range(1, 4):
-        p = PauliOperator.from_label(1, label)
-        got = channel_bruteforce(dense_of_exponential(p, sign=1))
-        assert got == channel_of_exponential(p)
+        got = channel_bruteforce(dense_of_exponential(1, label, sign=1))
+        assert got == channel_of_exponential(1, label)
 
 
 def _z_family_unitary(n, rng):
@@ -242,7 +239,7 @@ def _z_family_unitary(n, rng):
     # labels a, independent as there are at most n of them and n <= 2
     e = DenseUnitary.identity(n)
     for a in rng.sample(range(1, 1 << n), rng.randint(1, n)):
-        e = e.multiply(dense_of_exponential(PauliOperator(n, 0, a), 1))
+        e = e.multiply(dense_of_exponential(n, a, 1))
     return e
 
 
@@ -253,27 +250,29 @@ def test_channel_bruteforce_columns_match_two_product_conjugation():
     rng = random.Random(2207)
     for n in (1, 2):
         for _ in range(3):
-            p = PauliOperator.from_label(n, rng.randrange(1, 1 << (2 * n)))
+            p = rng.randrange(1, 1 << (2 * n))
             word = dense_of_gate_word(random_gate_word(n, rng), n)
-            for u in (word, dense_of_exponential(p, rng.choice((1, -1))),
-                      dense_of_exponential(p, 1).multiply(word),
+            for u in (word, dense_of_exponential(n, p, rng.choice((1, -1))),
+                      dense_of_exponential(n, p, 1).multiply(word),
                       _z_family_unitary(n, rng)):
                 rep = channel_bruteforce(u)
                 for q in range(1 << (2 * n)):
-                    pq = dense_of_pauli(PauliOperator.from_label(n, q))
+                    pq = dense_of_pauli(n, q)
                     m = u.multiply(pq).multiply(u.dagger())
                     want = {label: v.to_dyadic()
                             for label, v in _reference_expand(m).items()}
                     assert rep.cols[q] == want
 
 
-def test_exponential_rejects_a_sign_other_than_plus_or_minus_one():
-    p = parse_pauli("XZ")
-    for sign in (0, 2):
-        with pytest.raises(ValueError):
-            dense_of_exponential(p, sign)
-        with pytest.raises(ValueError):
-            dense_of_quarter_exponential(p, sign)
+@pytest.mark.parametrize("label, sign", [
+    (0b1001, 0), (0b1001, 2),  # XZ with a sign other than +-1
+    (0, 1), (16, 1), (-1, 1),  # the identity, past 4^n, no label at all
+])
+def test_exponential_rejects_a_bad_sign_or_label(label, sign):
+    with pytest.raises(ValueError):
+        dense_of_exponential(2, label, sign)
+    with pytest.raises(ValueError):
+        dense_of_quarter_exponential(2, label, sign)
 
 
 def test_channel_bruteforce_rejects_values_outside_the_ring():
@@ -291,8 +290,8 @@ def test_equal_up_to_phase():
         phase = C.zeta_power(k)
         scaled = DenseUnitary(1, [[phase * v for v in row] for row in h.mat])
         assert channel_bruteforce(scaled) == channel_bruteforce(h)
-    assert (channel_bruteforce(dense_of_pauli(parse_pauli("X")))
-            != channel_bruteforce(dense_of_pauli(Z1)))
+    assert (channel_bruteforce(dense_of_pauli(1, parse_pauli("X").label))
+            != channel_bruteforce(dense_of_pauli(1, Z1)))
     assert channel_bruteforce(h) != channel_bruteforce(
         dense_of_gate_word("S 0", 1))
 
@@ -323,8 +322,7 @@ def _reference_traces(m, dense):
 
 
 def _reference_dense_paulis(n):
-    return [dense_of_pauli(PauliOperator.from_label(n, label))
-            for label in range(1 << (2 * n))]
+    return [dense_of_pauli(n, label) for label in range(1 << (2 * n))]
 
 
 def _reference_expand(u):
@@ -348,8 +346,8 @@ def _reference_channel(u):
 def _random_form(n, rng):
     s = random_pauli_set(n, rng.randint(1, n), rng)
     dense = dense_of_gate_word(random_gate_word(n, rng), n)
-    for p in reversed(s.elements):
-        dense = dense_of_exponential(p, 1).multiply(dense)
+    for label in reversed(s.labels):
+        dense = dense_of_exponential(n, label, 1).multiply(dense)
     return dense
 
 
@@ -362,9 +360,8 @@ def test_integer_rows_match_the_scalar_construction_on_generators():
         for word in _generator_words(n):
             _assert_matches_reference(dense_of_gate_word(word, n))
         for label in range(1, 1 << (2 * n)):
-            p = PauliOperator.from_label(n, label)
             for sign in (1, -1):
-                _assert_matches_reference(dense_of_exponential(p, sign))
+                _assert_matches_reference(dense_of_exponential(n, label, sign))
 
 
 def test_integer_rows_match_the_scalar_construction_on_forms():
@@ -385,8 +382,7 @@ def test_the_kernel_phase_rule_rebuilds_every_pauli_matrix():
             for r in range(dim):
                 t = bin(x & z).count("1") + 2 * bin(z & (r ^ x)).count("1")
                 mat[r][r ^ x] = C.zeta_power(4 * t)
-            p = PauliOperator.from_label(n, label)
-            assert dense_of_pauli(p).mat == mat
+            assert dense_of_pauli(n, label).mat == mat
 
 
 def test_channel_bruteforce_matches_the_scalar_construction_on_scaled_forms():
@@ -413,9 +409,8 @@ def test_channel_bruteforce_lifts_entries_to_one_power_of_two():
     for n, count in ((2, 6), (3, 2)):
         half = 1 << (n - 1)
         for _ in range(count):
-            p = PauliOperator.from_label(
-                n - 1, rng.randrange(half, 1 << (2 * n - 2)))
-            w = dense_of_quarter_exponential(p, rng.choice((1, -1)))
+            p = rng.randrange(half, 1 << (2 * n - 2))
+            w = dense_of_quarter_exponential(n - 1, p, rng.choice((1, -1)))
             mat = [[CYC_ONE if r == c else CYC_ZERO for c in range(half)]
                    + [CYC_ZERO] * half for r in range(half)]
             mat += [[CYC_ZERO] * half + row for row in w.mat]
