@@ -412,7 +412,7 @@ def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
         families += 1
         e = DenseUnitary.identity(n)
         for a in family:
-            e = e.multiply(dense_of_exponential(n, a, 1))
+            e = e.multiply(dense_of_exponential(n, a))
         cols = channel_bruteforce(e).cols
         for j in range(n):
             instances += 1
@@ -508,7 +508,7 @@ def verify_oracle(n: int, trials: int = 100,
     for label in range(1, 1 << (2 * n)):
         generators += 1
         structured = channel_of_exponential(n, label)
-        brute = channel_bruteforce(dense_of_exponential(n, label, 1))
+        brute = channel_bruteforce(dense_of_exponential(n, label))
         if structured != brute:
             p = PauliOperator.from_label(n, label)
             report.failures.append(f"exponential {p!r} channel mismatch")
@@ -523,7 +523,7 @@ def verify_oracle(n: int, trials: int = 100,
         structured = channel_of_canonical(CanonicalForm(s, tableau))
         dense = dense_of_gate_word(word, n)
         for label in reversed(s.labels):
-            dense = dense_of_exponential(n, label, 1).multiply(dense)
+            dense = dense_of_exponential(n, label).multiply(dense)
         brute = channel_bruteforce(dense)
         if structured != brute:
             report.failures.append(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import comb
 
 from .clifford import CliffordTableau
 from .exactnum import (DYADIC_MINUS_ONE, DYADIC_ONE, DYADIC_ZERO,
@@ -97,13 +98,6 @@ class ChannelRep:
         if not isinstance(other, ChannelRep):
             return NotImplemented
         return self.n == other.n and self.cols == other.cols
-
-    def is_identity(self) -> bool:
-        return all(col == {q: DYADIC_ONE} for q, col in enumerate(self.cols))
-
-    def is_orthogonal(self) -> bool:
-        """Exact check of U_hat * U_hat^T = I."""
-        return self.multiply(self.transpose()).is_identity()
 
     def is_signed_permutation(self) -> bool:
         rows_seen = set()
@@ -226,14 +220,16 @@ def channel_of_canonical(form) -> ChannelRep:
 
 @lru_cache(maxsize=None)
 def reference_spectrum(n: int, m: int) -> Counter:
-    """Spectrum of the form ({Z on the first m qubits}, identity), taken
-    as the product of its m one-factor channels."""
+    """Spectrum of the form ({Z on the first m qubits}, identity), counted:
+    C(m, w) 4^n / 2^m columns anticommute with exactly w of the factors,
+    by the X bits of their first m qubits, and each holds 2^w entries of
+    magnitude 2^(-w/2); zeros fill the rest of the 16^n."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    rep = channel_of_clifford(CliffordTableau.identity(n))
-    for j in range(m):
-        rep = channel_of_exponential(n, 1 << (n - 1 - j)).multiply(rep)
-    return rep.pauli_spectrum()
+    spec = Counter({_form_entries(w)[0]: comb(m, w) << (2 * n - m + w)
+                    for w in range(m + 1)})
+    spec[DYADIC_ZERO] = (1 << (4 * n)) - sum(spec.values())
+    return spec
 
 
 def infer_t_count(rep: ChannelRep) -> int:

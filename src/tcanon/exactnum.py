@@ -92,46 +92,8 @@ class DyadicSqrt2Scalar:
     def __hash__(self):
         return hash((self.a, self.b, self.k))
 
-    def __lt__(self, other: "DyadicSqrt2Scalar") -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other: "DyadicSqrt2Scalar") -> bool:
-        return (self - other).sign() <= 0
-
-    def render(self) -> str:
-        """Exact text form, e.g. "1", "-sqrt2", "(1 + sqrt2)/2", "3/2^2"."""
-        a, b, k = self.a, self.b, self.k
-        if a == 0 and b == 0:
-            return "0"
-        terms = []
-        if a != 0:
-            terms.append(str(a))
-        if b != 0:
-            if b == 1:
-                root = "sqrt2"
-            elif b == -1:
-                root = "-sqrt2"
-            else:
-                root = f"{b}*sqrt2"
-            if terms and b > 0:
-                terms.append(f"+ {root}")
-            elif terms:
-                terms.append(f"- {root.lstrip('-')}")
-            else:
-                terms.append(root)
-        body = " ".join(terms)
-        if k == 0:
-            return body
-        den = "2" if k == 1 else f"2^{k}"
-        if len(terms) > 1:
-            return f"({body})/{den}"
-        return f"{body}/{den}"
-
     def __repr__(self):
         return f"DyadicSqrt2Scalar({self.a}, {self.b}, {self.k})"
-
-    def __str__(self):
-        return self.render()
 
 
 DYADIC_ZERO = DyadicSqrt2Scalar(0)
@@ -230,29 +192,12 @@ class Cyclotomic16Scalar:
     def __hash__(self):
         return hash((self.c, self.k))
 
-    def to_dyadic(self) -> DyadicSqrt2Scalar:
-        """Inverse of the sqrt2 embedding.
-
-        Real elements of the form (a + b*(zeta^2 - zeta^6))/2^k convert;
-        anything else (imaginary parts, or real values outside the dyadic
-        sqrt2 ring such as 2*cos(pi/8)) raises ValueError.
-        """
-        c = self.c
-        if c[4] != 0 or c[1] or c[3] or c[5] or c[7]:
-            raise ValueError(f"not in the dyadic sqrt2 ring: {self!r}")
-        if c[6] != -c[2]:
-            raise ValueError(f"not in the dyadic sqrt2 ring: {self!r}")
-        return DyadicSqrt2Scalar(c[0], c[2], self.k)
-
     def __repr__(self):
         return f"Cyclotomic16Scalar({self.c}, {self.k})"
 
 
 CYC_ZERO = Cyclotomic16Scalar.from_int(0)
 CYC_ONE = Cyclotomic16Scalar.from_int(1)
-CYC_I = Cyclotomic16Scalar.zeta_power(4)
-# sqrt2 = zeta^2 - zeta^6, hence 1/sqrt2 = (zeta^2 - zeta^6)/2
-CYC_INV_SQRT2 = Cyclotomic16Scalar((0, 0, 1, 0, 0, 0, -1, 0), 1)
 
 
 def cyclotomic_dot(pairs) -> Cyclotomic16Scalar:

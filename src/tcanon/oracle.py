@@ -38,8 +38,8 @@ from operator import add, attrgetter, lshift, mul, sub, xor
 from .canonical import TLayer
 from .channel import ChannelRep
 from .clifford import parse_gate_word
-from .exactnum import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO,
-                       Cyclotomic16Scalar, DyadicSqrt2Scalar, cyclotomic_dot)
+from .exactnum import (CYC_ONE, CYC_ZERO, Cyclotomic16Scalar,
+                       DyadicSqrt2Scalar, cyclotomic_dot)
 
 
 class SizeRefusalError(ValueError):
@@ -57,7 +57,6 @@ _COS_PI_8 = Cyclotomic16Scalar((0, 1, 0, 0, 0, 0, 0, -1), 1)
 _I_SIN_PI_8 = Cyclotomic16Scalar((0, 1, 0, 0, 0, 0, 0, 1), 1)
 _ZETA2 = Cyclotomic16Scalar.zeta_power(2)       # exp(+i*pi/4), the T phase
 _ZETA2_CONJ = Cyclotomic16Scalar.zeta_power(2).conjugate()
-_I_INV_SQRT2 = CYC_I * CYC_INV_SQRT2
 
 
 def _guard(n: int) -> None:
@@ -83,10 +82,6 @@ class DenseUnitary:
             mat[i][i] = CYC_ONE
         return cls(n, mat)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
     def multiply(self, other: "DenseUnitary") -> "DenseUnitary":
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
@@ -98,13 +93,6 @@ class DenseUnitary:
             [cyclotomic_dot((a, col[k]) for k, a in row if k in col)
              for col in cols] for row in rows])
 
-    def dagger(self) -> "DenseUnitary":
-        dim = self.dim
-        mat = self.mat
-        return DenseUnitary(
-            self.n,
-            [[mat[j][i].conjugate() for j in range(dim)] for i in range(dim)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseUnitary):
             return NotImplemented
@@ -114,13 +102,15 @@ class DenseUnitary:
         return f"<DenseUnitary n={self.n}>"
 
 
-def dense_of_pauli(n: int, label: int, phase: int = 0) -> DenseUnitary:
-    """Matrix of i^phase * (Hermitian representative of the unsigned label
-    (x << n) | z)."""
+def dense_of_pauli(n: int, label: int) -> DenseUnitary:
+    """Matrix of the positive Pauli of an unsigned label (x << n) | z in
+    0 <= label < 4^n."""
     _guard(n)
+    if not 0 <= label < 1 << (2 * n):
+        raise ValueError(f"label {label} out of range for n={n}")
     dim = 1 << n
     x, z = label >> n, label & (dim - 1)
-    base = phase + bin(x & z).count("1")
+    base = bin(x & z).count("1")
     mat = [[CYC_ZERO] * dim for _ in range(dim)]
     for c in range(dim):
         t = (base + 2 * bin(z & c).count("1")) & 3
@@ -129,14 +119,10 @@ def dense_of_pauli(n: int, label: int, phase: int = 0) -> DenseUnitary:
 
 
 def _identity_plus(n: int, label: int, a: Cyclotomic16Scalar,
-                   b: Cyclotomic16Scalar, sign: int) -> DenseUnitary:
-    """a*I + sign*b*P for the positive Pauli P of a label in
-    0 < label < 4^n."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+                   b: Cyclotomic16Scalar) -> DenseUnitary:
+    """a*I + b*P for the positive Pauli P of a label in 0 < label < 4^n."""
     if not 0 < label < 1 << (2 * n):
         raise ValueError(f"label {label} out of range for n={n}")
-    b = b if sign > 0 else -b
     mat = [[CYC_ZERO if v.is_zero() else b * v for v in row]
            for row in dense_of_pauli(n, label).mat]
     for r, row in enumerate(mat):
@@ -144,15 +130,9 @@ def _identity_plus(n: int, label: int, a: Cyclotomic16Scalar,
     return DenseUnitary(n, mat)
 
 
-def dense_of_exponential(n: int, label: int, sign: int = 1) -> DenseUnitary:
-    """exp(sign * i*pi*P/8) = cos(pi/8) I + sign i sin(pi/8) P."""
-    return _identity_plus(n, label, _COS_PI_8, _I_SIN_PI_8, sign)
-
-
-def dense_of_quarter_exponential(n: int, label: int,
-                                 sign: int = 1) -> DenseUnitary:
-    """exp(sign * i*pi*P/4) = (I + sign i P) / sqrt2."""
-    return _identity_plus(n, label, CYC_INV_SQRT2, _I_INV_SQRT2, sign)
+def dense_of_exponential(n: int, label: int) -> DenseUnitary:
+    """exp(i*pi*P/8) = cos(pi/8) I + i sin(pi/8) P."""
+    return _identity_plus(n, label, _COS_PI_8, _I_SIN_PI_8)
 
 
 def _qubit_mask(n: int, q: int) -> int:

@@ -6,14 +6,15 @@ the output.  inverse_word builds a Clifford's inverse from its gate word,
 so inverse facts are checked without any tableau inversion.  pauli_of
 and conjugate turn a tableau's (label, phase) images into PauliOperator
 objects, so tests can compare them with products and dense matrices;
-dense_of turns such an operator, phase included, into the oracle's
-matrix, which takes a label and a phase.
+dense_of turns such an operator, phase included, into a dense matrix:
+the oracle's matrix of its label, times i^phase.
 commutes states the package's commutation rule, the parity of a label
 against the dual label of pauli._swap_halves.
 """
 
 from tcanon.clifford import parse_gate_word
-from tcanon.oracle import dense_of_pauli
+from tcanon.exactnum import Cyclotomic16Scalar
+from tcanon.oracle import DenseUnitary, dense_of_pauli
 from tcanon.pauli import PauliOperator, _swap_halves
 
 ACCEPTANCE_RESULTS: list[tuple[str, str, bool]] = []
@@ -53,7 +54,9 @@ def conjugate(c, p: PauliOperator) -> PauliOperator:
 
 def dense_of(p: PauliOperator):
     """The dense matrix of i^phase * P_label for an operator p."""
-    return dense_of_pauli(p.n, p.label, p.phase)
+    unit = Cyclotomic16Scalar.zeta_power(4 * p.phase)
+    return DenseUnitary(p.n, [[unit * v for v in row]
+                              for row in dense_of_pauli(p.n, p.label).mat])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

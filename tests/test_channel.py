@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 from conftest import inverse_word
+from dense_reference import is_identity, is_orthogonal, signed_exponential
 
 from tcanon import channel as channel_mod
 from tcanon.canonical import CanonicalForm, channel_of_decomposition
@@ -41,8 +42,8 @@ def entries(rep):
 
 def test_identity_channel():
     rep = channel_of_clifford(CliffordTableau.identity(1))
-    assert rep.is_identity()
-    assert rep.is_orthogonal()
+    assert is_identity(rep)
+    assert is_orthogonal(rep)
     assert rep.is_signed_permutation()
     assert rep.unit_rows() == [0, 1, 2, 3]
 
@@ -70,7 +71,7 @@ def test_exponential_channel_fixture():
         [ZERO, ZERO, -R, R],
     ]
     assert entries(rep) == want
-    assert rep.is_orthogonal()
+    assert is_orthogonal(rep)
     assert not rep.is_signed_permutation()
 
 
@@ -87,8 +88,8 @@ def test_inverse_exponential_is_the_transpose():
     p = parse_pauli("XY").label
     fwd = channel_of_exponential(2, p)
     bck = fwd.transpose()
-    assert bck == channel_bruteforce(dense_of_exponential(2, p, -1))
-    assert fwd.multiply(bck).is_identity()
+    assert bck == channel_bruteforce(signed_exponential(2, p, -1))
+    assert is_identity(fwd.multiply(bck))
 
 
 def test_clifford_channel_functoriality():
@@ -123,7 +124,7 @@ def test_clifford_channel_transpose_is_inverse():
         inv = from_gate_word(inverse_word(word, 2), 2)
         assert rep.transpose() == channel_of_clifford(inv)
         assert rep.is_signed_permutation()
-        assert rep.is_orthogonal()
+        assert is_orthogonal(rep)
 
 
 def test_channel_of_canonical_splits_into_factors():
@@ -229,6 +230,17 @@ def test_reference_spectrum_rejects_m_outside_zero_to_n():
             reference_spectrum(n, m)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reference_spectrum_is_the_spectrum_of_the_factor_product(n):
+    # reference_spectrum counts; the form's channel is built here as the
+    # product of its m one-factor channels
+    ident = channel_of_clifford(CliffordTableau.identity(n))
+    for m in range(n + 1):
+        labels = [1 << (n - 1 - j) for j in range(m)]
+        assert (reference_spectrum(n, m)
+                == _by_factors(labels, ident).pauli_spectrum())
+
+
 def test_infer_t_count_on_reference_forms():
     for n in (1, 2, 3):
         for m in range(n + 1):
@@ -269,7 +281,7 @@ def test_sparse_columns_store_no_zeros(n):
     reps = []
     for label in range(1, 1 << (2 * n)):
         reps.append(channel_of_exponential(n, label))
-        reps.append(channel_bruteforce(dense_of_exponential(n, label, 1)))
+        reps.append(channel_bruteforce(dense_of_exponential(n, label)))
     for m in range(1, n + 1):
         word = random_gate_word(n, rng)
         form = CanonicalForm(random_pauli_set(n, m, rng), from_gate_word(word, n))
@@ -369,7 +381,7 @@ def test_transfer_reads_signs_and_scans_other_columns(monkeypatch, fake, expecte
     prep_b = fake_prepared(b.labels, n)
     for q, col in enumerate(cols_b):
         assert fake_signs(q, True, prep_b, n) == {
-            r: DYADIC_ZERO < v for r, v in col.items()}
+            r: v.sign() > 0 for r, v in col.items()}
     product = rep_a.transpose().multiply(ChannelRep(n, cols_b))
     assert product.is_signed_permutation() == expected
     assert exponential_transfer_is_signed_permutation(a, b) == expected

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from conftest import commutes, conjugate, dense_of, inverse_word, pauli_of
+from dense_reference import dagger
 
 from tcanon.clifford import (
     BadTokenError,
@@ -288,7 +289,7 @@ def test_tableau_conjugation_matches_dense_conjugation():
     for word in GENERATOR_WORDS_2Q:
         c = from_gate_word(word, 2)
         u = dense_of_gate_word(word, 2)
-        udag = u.dagger()
+        udag = dagger(u)
         for label in range(1, 16):
             p = PauliOperator.from_label(2, label)
             got = dense_of(conjugate(c, p))

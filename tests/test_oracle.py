@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from conftest import dense_of
+from dense_reference import (CYC_I, CYC_INV_SQRT2, dagger,
+                             dense_of_quarter_exponential, signed_exponential,
+                             to_dyadic)
 from tcanon.canonical import TLayer, channel_of_circuit, parse_circuit
 from tcanon.exactnum import (
-    CYC_I,
-    CYC_INV_SQRT2,
     CYC_ONE,
     CYC_ZERO,
     Cyclotomic16Scalar,
@@ -26,7 +27,6 @@ from tcanon.oracle import (
     dense_of_exponential,
     dense_of_gate_word,
     dense_of_pauli,
-    dense_of_quarter_exponential,
     dense_of_t_layer,
 )
 from tcanon.census import _generator_words, random_gate_word, random_pauli_set
@@ -40,7 +40,7 @@ Z1 = 0b01  # the label of Z on one qubit
 
 
 def test_identity_and_pauli_matrices():
-    assert DenseUnitary.identity(2).dim == 4
+    assert len(DenseUnitary.identity(2).mat) == 4
     x = dense_of(parse_pauli("X"))
     assert x.mat == [[CYC_ZERO, CYC_ONE], [CYC_ONE, CYC_ZERO]]
     z = dense_of_pauli(1, Z1)
@@ -59,7 +59,7 @@ def test_pauli_matrices_are_unitary_and_multiplicative():
         pa = PauliOperator.from_label(2, a)
         pb = PauliOperator.from_label(2, b)
         u = dense_of_pauli(2, a)
-        assert u.multiply(u.dagger()) == DenseUnitary.identity(2)
+        assert u.multiply(dagger(u)) == DenseUnitary.identity(2)
         assert (dense_of_pauli(2, a).multiply(dense_of_pauli(2, b))
                 == dense_of(pa * pb))
 
@@ -69,8 +69,8 @@ def test_t_gate_is_the_minus_exponential_up_to_phase():
     # equal unitaries up to phase
     t = dense_of_t_layer(TLayer(1, t=[0]))
     assert t.mat[0][0] == CYC_ONE and t.mat[1][1] == C.zeta_power(2)
-    minus = channel_bruteforce(dense_of_exponential(1, Z1, sign=-1))
-    plus = channel_bruteforce(dense_of_exponential(1, Z1, sign=+1))
+    minus = channel_bruteforce(dagger(dense_of_exponential(1, Z1)))
+    plus = channel_bruteforce(dense_of_exponential(1, Z1))
     assert minus != plus
     assert channel_bruteforce(t) == minus
     assert minus == channel_of_exponential(1, Z1).transpose()
@@ -99,16 +99,16 @@ def test_t_layer_tensor_structure():
 
 def test_exponentials_are_unitary():
     for label in range(1, 16):
-        for u in (dense_of_exponential(2, label, sign=1),
-                  dense_of_exponential(2, label, sign=-1),
+        for u in (dense_of_exponential(2, label),
+                  dagger(dense_of_exponential(2, label)),
                   dense_of_quarter_exponential(2, label, sign=1)):
-            assert u.multiply(u.dagger()) == DenseUnitary.identity(2)
+            assert u.multiply(dagger(u)) == DenseUnitary.identity(2)
 
 
 def test_exponential_inverse_pairs():
     for label in range(1, 4):
-        prod = dense_of_exponential(1, label, 1).multiply(
-            dense_of_exponential(1, label, -1))
+        prod = dense_of_exponential(1, label).multiply(
+            dagger(dense_of_exponential(1, label)))
         assert prod == DenseUnitary.identity(1)
 
 
@@ -116,16 +116,16 @@ def test_negative_exponent_splits_into_quarter_times_positive():
     # exp(-i*pi*P/8) = exp(-i*pi*P/4) * exp(+i*pi*P/8), an exact identity
     for n, labels in ((1, range(1, 4)), (2, range(1, 16))):
         for label in labels:
-            lhs = dense_of_exponential(n, label, sign=-1)
+            lhs = dagger(dense_of_exponential(n, label))
             rhs = dense_of_quarter_exponential(n, label, sign=-1).multiply(
-                dense_of_exponential(n, label, sign=+1))
+                dense_of_exponential(n, label))
             assert lhs == rhs
 
 
 def test_gate_words_multiply_left_to_right():
     hs = dense_of_gate_word("H 0; S 0", 1)
     assert hs == dense_of_gate_word("H 0", 1).multiply(dense_of_gate_word("S 0", 1))
-    assert hs.multiply(hs.dagger()) == DenseUnitary.identity(1)
+    assert hs.multiply(dagger(hs)) == DenseUnitary.identity(1)
     assert dense_of_gate_word("", 2) == DenseUnitary.identity(2)
 
 
@@ -230,7 +230,7 @@ def test_channel_bruteforce_matches_structured_channels():
         got = channel_bruteforce(dense_of_gate_word(word, 1))
         assert got == channel_of_clifford(from_gate_word(word, 1))
     for label in range(1, 4):
-        got = channel_bruteforce(dense_of_exponential(1, label, sign=1))
+        got = channel_bruteforce(dense_of_exponential(1, label))
         assert got == channel_of_exponential(1, label)
 
 
@@ -239,7 +239,7 @@ def _z_family_unitary(n, rng):
     # labels a, independent as there are at most n of them and n <= 2
     e = DenseUnitary.identity(n)
     for a in rng.sample(range(1, 1 << n), rng.randint(1, n)):
-        e = e.multiply(dense_of_exponential(n, a, 1))
+        e = e.multiply(dense_of_exponential(n, a))
     return e
 
 
@@ -252,14 +252,14 @@ def test_channel_bruteforce_columns_match_two_product_conjugation():
         for _ in range(3):
             p = rng.randrange(1, 1 << (2 * n))
             word = dense_of_gate_word(random_gate_word(n, rng), n)
-            for u in (word, dense_of_exponential(n, p, rng.choice((1, -1))),
-                      dense_of_exponential(n, p, 1).multiply(word),
+            for u in (word, signed_exponential(n, p, rng.choice((1, -1))),
+                      dense_of_exponential(n, p).multiply(word),
                       _z_family_unitary(n, rng)):
                 rep = channel_bruteforce(u)
                 for q in range(1 << (2 * n)):
                     pq = dense_of_pauli(n, q)
-                    m = u.multiply(pq).multiply(u.dagger())
-                    want = {label: v.to_dyadic()
+                    m = u.multiply(pq).multiply(dagger(u))
+                    want = {label: to_dyadic(v)
                             for label, v in _reference_expand(m).items()}
                     assert rep.cols[q] == want
 
@@ -269,10 +269,23 @@ def test_channel_bruteforce_columns_match_two_product_conjugation():
     (0, 1), (16, 1), (-1, 1),  # the identity, past 4^n, no label at all
 ])
 def test_exponential_rejects_a_bad_sign_or_label(label, sign):
+    # the oracle's exponential takes no sign: a bad sign reaches it only
+    # through the test-local signed builders
     with pytest.raises(ValueError):
-        dense_of_exponential(2, label, sign)
+        signed_exponential(2, label, sign)
     with pytest.raises(ValueError):
         dense_of_quarter_exponential(2, label, sign)
+    if sign == 1:
+        with pytest.raises(ValueError):
+            dense_of_exponential(2, label)
+
+
+@pytest.mark.parametrize("n, label", [(1, -1), (1, 4), (2, 16), (2, -1)])
+def test_pauli_rejects_a_label_outside_zero_to_4n(n, label):
+    # -1 would wrap the column index into the matrix of Y, and 4^n would
+    # run off the matrix
+    with pytest.raises(ValueError, match=f"label {label} out of range"):
+        dense_of_pauli(n, label)
 
 
 def test_channel_bruteforce_rejects_values_outside_the_ring():
@@ -298,7 +311,7 @@ def test_equal_up_to_phase():
 
 def test_dagger_inverts_unitaries():
     u = dense_of_gate_word("H 0; CX 0 1; S 1", 2)
-    assert u.multiply(u.dagger()) == DenseUnitary.identity(2)
+    assert u.multiply(dagger(u)) == DenseUnitary.identity(2)
 
 
 # Reference construction on scalar objects: every trace is one
@@ -331,14 +344,14 @@ def _reference_expand(u):
 
 def _reference_channel(u):
     n = u.n
-    ud = u.dagger()
+    ud = dagger(u)
     dense = _reference_dense_paulis(n)
     cols = []
     for q, pq in enumerate(dense):
         x = q >> n
         uq = DenseUnitary(n, [[row[c ^ x] * pq.mat[c ^ x][c]
                                for c in range(1 << n)] for row in u.mat])
-        cols.append({p: trace.to_dyadic() for p, trace
+        cols.append({p: to_dyadic(trace) for p, trace
                      in _reference_traces(uq.multiply(ud), dense).items()})
     return ChannelRep(n, cols)
 
@@ -347,7 +360,7 @@ def _random_form(n, rng):
     s = random_pauli_set(n, rng.randint(1, n), rng)
     dense = dense_of_gate_word(random_gate_word(n, rng), n)
     for label in reversed(s.labels):
-        dense = dense_of_exponential(n, label, 1).multiply(dense)
+        dense = dense_of_exponential(n, label).multiply(dense)
     return dense
 
 
@@ -361,7 +374,8 @@ def test_integer_rows_match_the_scalar_construction_on_generators():
             _assert_matches_reference(dense_of_gate_word(word, n))
         for label in range(1, 1 << (2 * n)):
             for sign in (1, -1):
-                _assert_matches_reference(dense_of_exponential(n, label, sign))
+                _assert_matches_reference(
+                    signed_exponential(n, label, sign))
 
 
 def test_integer_rows_match_the_scalar_construction_on_forms():
