@@ -33,8 +33,8 @@ from .channel import (channel_of_canonical, channel_of_clifford,
                       exponential_transfer_is_signed_permutation)
 from .clifford import (CliffordTableau, from_gate_word, group_order,
                        random_clifford)
-from .oracle import (DenseUnitary, channel_bruteforce, dense_of_exponential,
-                     dense_of_gate_word)
+from .oracle import (SIZE_CAP, DenseUnitary, channel_bruteforce,
+                     dense_of_exponential, dense_of_gate_word)
 from .pauli import PauliOperator, PauliSet, _swap_halves, commutant
 
 DEFAULT_SEED = 1729
@@ -42,6 +42,12 @@ DEFAULT_SEED = 1729
 
 class FeasibilityRefusalError(ValueError):
     pass
+
+
+def _refuse(n: int, cap: int, what: str) -> None:
+    """Refuse a width past a check's cap, naming the check."""
+    if n > cap:
+        raise FeasibilityRefusalError(f"{what} capped at {cap} qubits, got {n}")
 
 
 def _check_run(n: int, trials: int = 0) -> None:
@@ -70,13 +76,7 @@ def check_printable(min_bits: int) -> None:
 def count_tuples(n: int, m: int) -> int:
     """Ordered m-tuples of commuting independent positive Paulis."""
     _check_nm(n, m)
-    # pairwise rounds keep the operands of each product about equal in
-    # size, far cheaper than one growing product at large n and m
-    factors = [(1 << (2 * n - k)) - (1 << k) for k in range(m)]
-    while len(factors) > 1:
-        odd = factors[-1:] if len(factors) % 2 else []
-        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
-    return factors[0]
+    return math.prod((1 << (2 * n - k)) - (1 << k) for k in range(m))
 
 
 def count_sets(n: int, m: int) -> int:
@@ -120,6 +120,8 @@ _ENUM_CAP = 4
 # 512 MiB at n = 8
 _ENUM_HARD_CAP = 7
 _SAMPLED_CAP = 5
+_EXHAUSTIVE_CAP = 2
+_GROWTH_CAP = 64
 
 
 @lru_cache(maxsize=None)
@@ -252,7 +254,7 @@ def random_gate_word(n: int, rng, length: int = 24) -> str:
     Clifford, but well scrambled; used where a dense matrix must be
     built from the same description)."""
     tokens = []
-    pool = _GATE_POOL if n > 1 else _GATE_POOL[:4]
+    pool = _GATE_POOL[:4] if n < 2 else _GATE_POOL  # no pairs on one qubit
     for _ in range(length):
         name = pool[rng.randrange(len(pool))]
         if name in ("CX", "CZ", "SWAP"):
@@ -318,9 +320,7 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
     t0 = time.perf_counter()
     report = VerificationReport("distinctness", mode=mode)
     if mode == "exhaustive":
-        if n > 2:
-            raise FeasibilityRefusalError(
-                f"exhaustive distinctness needs n <= 2, got {n}")
+        _refuse(n, _EXHAUSTIVE_CAP, "exhaustive distinctness")
         sets = _all_sets(n)
         pairs = 0
         for i in range(len(sets)):
@@ -335,9 +335,7 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
         report.counts = {"forms": len(sets), "pairs": pairs,
                          "self_pairs": len(sets)}
     elif mode == "sampled":
-        if n > _SAMPLED_CAP:
-            raise FeasibilityRefusalError(
-                f"sampled distinctness capped at {_SAMPLED_CAP} qubits, got {n}")
+        _refuse(n, _SAMPLED_CAP, "sampled distinctness")
         rng = random.Random(seed)
         report.seed = seed
         pairs = 0
@@ -361,9 +359,7 @@ def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Rows of a form's channel holding a +-1 entry = commutant of the set."""
     _check_run(n, trials)
-    if n > _SAMPLED_CAP:
-        raise FeasibilityRefusalError(
-            f"sampled unit-rows capped at {_SAMPLED_CAP} qubits, got {n}")
+    _refuse(n, _SAMPLED_CAP, "sampled unit-rows")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = VerificationReport("unit-rows", seed=seed)
@@ -386,28 +382,23 @@ def verify_unit_rows(n: int, trials: int = 100,
     return report
 
 
-def verify_hamming_weight(n: int, k_max: int = 3) -> VerificationReport:
+def verify_hamming_weight(n: int) -> VerificationReport:
     """Pauli support of E X_j E' is exactly 2^w.
 
     E is the product of exp(i*pi*Z^a/8) over an independent family of
     bit-strings and w counts the family members with bit j set.  Runs the
-    dense oracle exhaustively over every family of size <= k_max: each
-    family builds E once and its channel_bruteforce, whose column X_j is
-    the Pauli expansion of E X_j E', so the support is that column's
-    entry count.
+    dense oracle exhaustively over every family: each family builds E
+    once and its channel_bruteforce, whose column X_j is the Pauli
+    expansion of E X_j E', so the support is that column's entry count.
     """
     _check_run(n)
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
-    if n > 3:
-        raise FeasibilityRefusalError(
-            f"dense Hamming-weight sweep capped at 3 qubits, got {n}")
+    _refuse(n, SIZE_CAP, "dense Hamming-weight sweep")
     t0 = time.perf_counter()
     report = VerificationReport("hamming-weight")
     families = 0
     instances = 0
     top = 1 << n  # a label below it is Z-type: its x half is zero
-    for family in (s.labels for m in range(1, min(k_max, n) + 1)
+    for family in (s.labels for m in range(1, n + 1)
                    for s in enumerate_sets(n, m) if s.labels[-1] < top):
         families += 1
         e = DenseUnitary.identity(n)
@@ -437,9 +428,7 @@ def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
     report = VerificationReport("spectrum", mode=mode)
     checked = 0
     if mode == "exhaustive":
-        if n > 2:
-            raise FeasibilityRefusalError(
-                f"exhaustive spectrum needs n <= 2, got {n}")
+        _refuse(n, _EXHAUSTIVE_CAP, "exhaustive spectrum")
         ident = CliffordTableau.identity(n)
         for m in range(1, n + 1):
             for s in enumerate_sets(n, m):
@@ -448,9 +437,7 @@ def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
                 if got != m:
                     report.failures.append(f"t-count {got} != {m} for {s!r}")
     elif mode == "sampled":
-        if n > _SAMPLED_CAP:
-            raise FeasibilityRefusalError(
-                f"sampled spectrum capped at {_SAMPLED_CAP} qubits, got {n}")
+        _refuse(n, _SAMPLED_CAP, "sampled spectrum")
         rng = random.Random(seed)
         report.seed = seed
         for _ in range(trials):
@@ -492,9 +479,7 @@ def verify_oracle(n: int, trials: int = 100,
     dense matrix of the whole word.
     """
     _check_run(n, trials)
-    if n > 3:
-        raise FeasibilityRefusalError(
-            f"oracle agreement capped at 3 qubits, got {n}")
+    _refuse(n, SIZE_CAP, "oracle agreement")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = VerificationReport("oracle", seed=seed)
@@ -537,8 +522,7 @@ def growth_check(n_max: int = 16) -> VerificationReport:
     """g_n >= 2^(n^2) for n up to n_max, by big-integer comparison."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    if n_max > 64:
-        raise ValueError(f"growth check capped at 64 qubits, got {n_max}")
+    _refuse(n_max, _GROWTH_CAP, "growth check")
     t0 = time.perf_counter()
     report = VerificationReport("growth")
     for n in range(1, n_max + 1):

@@ -41,14 +41,18 @@ def _int_arg(value: str) -> int:
 
 
 def _seed_arg(value: str) -> int:
-    """Integer seed, or the literal word "random" for a fresh one."""
+    """Integer seed >= 0, or the literal word "random" for a fresh one.  A
+    negative seed is refused: random.Random(-5) seeds as Random(5) does."""
     if value == "random":
         return random.SystemRandom().randrange(1 << 31)
     try:
-        return parse_index(value)
+        seed = parse_index(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"seed must be an integer or 'random', got {value!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {seed}")
+    return seed
 
 
 @functools.cache
@@ -77,14 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("verify", help="machine-check one of the lemmas")
-    p.add_argument("check", choices=["distinctness", "unit-rows",
-                                     "hamming-weight", "spectrum", "oracle"])
+    p.add_argument("check", choices=_VERIFIERS)
     p.add_argument("--qubits", type=_int_arg, required=True)
     p.add_argument("--trials", type=_int_arg, default=None)
     p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--kmax", type=_int_arg, default=None,
-                   help="largest family size for hamming-weight")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("growth", help="witness the 2^(n^2) lower bound")
@@ -162,19 +163,19 @@ _VERIFIERS = {"distinctness": verify_distinctness, "unit-rows": verify_unit_rows
 def _cmd_verify(args) -> int:
     """Run one check.  A flag the check would not read is refused, not
     ignored, and only the flags given are passed on, so the defaults for
-    trials, seed and family size live in census."""
+    trials and seed live in census."""
     check = args.check
     if args.exhaustive and check not in ("distinctness", "spectrum"):
         raise ValueError(f"--exhaustive applies to distinctness and "
                          f"spectrum, not {check}")
     given = {name: value for name, value in (("trials", args.trials),
-             ("seed", args.seed), ("k_max", args.kmax)) if value is not None}
-    reads = ({"k_max"} if check == "hamming-weight"
-             else set() if args.exhaustive else {"trials", "seed"})
+             ("seed", args.seed)) if value is not None}
+    reads = (set() if args.exhaustive or check == "hamming-weight"
+             else {"trials", "seed"})
     for name in given:
         if name not in reads:
             run = f"exhaustive {check}" if args.exhaustive else check
-            raise ValueError(f"--{name.replace('_', '')} is not read by {run}")
+            raise ValueError(f"--{name} is not read by {run}")
     if check in ("distinctness", "spectrum"):
         given["mode"] = "exhaustive" if args.exhaustive else "sampled"
     return _report_out(_VERIFIERS[check](args.qubits, **given), args.json)

@@ -50,7 +50,7 @@ class NonRealEntryError(ValueError):
     pass
 
 
-_SIZE_CAP = 3
+SIZE_CAP = 3
 
 # (zeta - zeta^7)/2 = cos(pi/8), (zeta + zeta^7)/2 = i*sin(pi/8)
 _COS_PI_8 = Cyclotomic16Scalar((0, 1, 0, 0, 0, 0, 0, -1), 1)
@@ -60,9 +60,9 @@ _ZETA2_CONJ = Cyclotomic16Scalar.zeta_power(2).conjugate()
 
 
 def _guard(n: int) -> None:
-    if n > _SIZE_CAP:
+    if n > SIZE_CAP:
         raise SizeRefusalError(
-            f"dense oracle capped at {_SIZE_CAP} qubits, got n={n}")
+            f"dense oracle capped at {SIZE_CAP} qubits, got n={n}")
 
 
 class DenseUnitary:
@@ -76,6 +76,7 @@ class DenseUnitary:
 
     @classmethod
     def identity(cls, n: int) -> "DenseUnitary":
+        _guard(n)
         dim = 1 << n
         mat = [[CYC_ZERO] * dim for _ in range(dim)]
         for i in range(dim):

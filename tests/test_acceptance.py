@@ -149,7 +149,7 @@ def test_c05_hamming_weight_support():
                        2: {"families": 6, "instances": 12},
                        3: {"families": 56, "instances": 168}}
     for n in (1, 2, 3):
-        report = verify_hamming_weight(n, k_max=3)
+        report = verify_hamming_weight(n)
         assert report.passed, report.failures
         assert report.counts == expected_counts[n]
 

@@ -409,3 +409,11 @@ def test_a_declared_width_changes_nothing_but_the_range_check(text):
     assert wording(declared) == wording(inferred)
     shift = 0 if message == "empty circuit" else len(header)
     assert declared.position == inferred.position + shift
+
+
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_depth_d_decomposition_keeps_the_channel(n, depth, rng):
+    circ = random_circuit(n, depth, rng)
+    sets, tail = canonicalize_depth_d(circ)
+    assert channel_of_decomposition(sets, tail) == channel_of_circuit(circ)

@@ -304,11 +304,6 @@ class TestVerifiers:
         assert r.passed
         assert r.counts == {"max_qubits": 16}
 
-    @pytest.mark.parametrize("k_max", [0, -1])
-    def test_hamming_weight_rejects_empty_family_bound(self, k_max):
-        with pytest.raises(ValueError, match="k_max"):
-            verify_hamming_weight(2, k_max=k_max)
-
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_growth_rejects_widths_below_one(self, n_max):
         with pytest.raises(ValueError, match="n_max"):

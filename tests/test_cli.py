@@ -301,23 +301,14 @@ def test_verify_text_summary(capsys):
     assert out.startswith("spectrum: pass [forms=3]")
 
 
-def test_verify_hamming_weight_kmax(capsys):
-    code, out, _ = run_cli(capsys, "verify", "hamming-weight", "--qubits", "2",
-                           "--kmax", "1", "--json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["passed"] is True
-    assert report["counts"]["families"] == 3
-
-
 @pytest.mark.parametrize("argv", [
     ("oracle", "--qubits", "1", "--trials", "-3"),
     ("unit-rows", "--qubits", "1", "--trials", "-1"),
     ("spectrum", "--qubits", "0"),
     ("distinctness", "--qubits", "0"),
     ("oracle", "--qubits", "-2"),
-    ("hamming-weight", "--qubits", "2", "--kmax", "-1"),
-    ("hamming-weight", "--qubits", "2", "--kmax", "0"),
+    ("hamming-weight", "--qubits", "0"),
+    ("hamming-weight", "--qubits", "-1"),
 ])
 def test_verify_rejects_bad_width_or_trials(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -331,8 +322,10 @@ def test_verify_rejects_bad_width_or_trials(capsys, argv):
     (("oracle", "--qubits", "1", "--exhaustive"), "--exhaustive"),
     (("unit-rows", "--qubits", "1", "--exhaustive"), "--exhaustive"),
     (("hamming-weight", "--qubits", "1", "--exhaustive"), "--exhaustive"),
-    (("oracle", "--qubits", "1", "--kmax", "2"), "--kmax"),
-    (("spectrum", "--qubits", "1", "--exhaustive", "--kmax", "1"), "--kmax"),
+    (("spectrum", "--qubits", "1", "--exhaustive", "--trials", "5"),
+     "--trials"),
+    (("distinctness", "--qubits", "1", "--exhaustive", "--seed", "4"),
+     "--seed"),
     (("hamming-weight", "--qubits", "2", "--trials", "7", "--seed", "3"),
      "--trials"),
     (("hamming-weight", "--qubits", "2", "--seed", "random"), "--seed"),
@@ -359,13 +352,38 @@ def test_verify_rejects_bad_seed():
     assert info.value.code == 2
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    # random.Random(-5) would run seed 5's stream and report seed -5
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "unit-rows", "--qubits", "2", "--seed", "-5"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: need a seed >= 0, got -5" in captured.err
+
+
+def test_verify_has_no_kmax_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "hamming-weight", "--qubits", "2", "--kmax", "1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("check", ["spectrum", "distinctness"])
+def test_exhaustive_checks_refuse_three_qubits(capsys, check):
+    code, out, err = run_cli(capsys, "verify", check, "--qubits", "3",
+                             "--exhaustive")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: exhaustive {check} capped at 2 qubits, got 3\n"
+
+
 # int() would read "1_0" as 10, "+1" as 1 and Arabic-Indic two as 2
 _FLAG_ARGV = {
     "--qubits": ("count", "--qubits", "{}"),
     "--tcount": ("count", "--qubits", "2", "--tcount", "{}"),
     "--max-qubits": ("table", "--max-qubits", "{}"),
     "--trials": ("verify", "oracle", "--qubits", "1", "--trials", "{}"),
-    "--kmax": ("verify", "hamming-weight", "--qubits", "2", "--kmax", "{}"),
     "--seed": ("verify", "oracle", "--qubits", "1", "--seed", "{}"),
 }
 
@@ -704,7 +722,7 @@ def _command_lines(root: Path):
         "enumerate": {"--qubits": _INT, "--tcount": _INT, "--out": outs},
         "verify": {"--qubits": _INT, "--trials": _SMALL,
                    "--seed": st.one_of(_INT, st.just("random")),
-                   "--exhaustive": switch, "--kmax": _INT, "--json": switch},
+                   "--exhaustive": switch, "--json": switch},
         "growth": {"--max-qubits": _INT, "--json": switch},
         "canonicalize": {"--in": ins, "--out": outs},
     }

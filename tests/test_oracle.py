@@ -201,7 +201,9 @@ def test_size_guard():
     with pytest.raises(SizeRefusalError):
         dense_of_t_layer(TLayer(4, t=[0]))
     with pytest.raises(SizeRefusalError):
-        channel_bruteforce(DenseUnitary.identity(4))
+        DenseUnitary.identity(4)
+    with pytest.raises(SizeRefusalError):
+        channel_bruteforce(DenseUnitary(4, []))
 
 
 def test_oracle_imports_only_the_tokenizer_and_containers():
