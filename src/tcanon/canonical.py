@@ -12,14 +12,15 @@ the same sweep with an accumulated Clifford prefix.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .channel import (ChannelRep, channel_of_canonical, channel_of_clifford,
-                      channel_of_exponential)
 from .clifford import (CliffordTableau, check_index, from_gate_word,
                        parse_gate_word, parse_index, quarter_exponential)
 from .pauli import (LabelNames, PauliSet, parse_pauli, validate_labels,
                     validate_set)
+
+if TYPE_CHECKING:
+    from .channel import ChannelRep
 
 
 # the widest circuit file read: the identity tableau alone holds 2n labels
@@ -200,6 +201,7 @@ def channel_of_decomposition(sets: Sequence[PauliSet],
     """Channel of (exp factors of set 1) ... (exp factors of set d) * tail,
     the product canonicalize_depth_d decomposes a circuit into: channel(tail)
     left-multiplied by each set's closed-form channel."""
+    from .channel import channel_of_canonical, channel_of_clifford
     ident = CliffordTableau.identity(tail.n)
     rep = channel_of_clifford(tail)
     for s in reversed(list(sets)):
@@ -211,6 +213,7 @@ def channel_of_circuit(circ: TLayerCircuit) -> ChannelRep:
     """Exact channel of the alternating word, built right to left.  Up to
     phase Tdg is exp(i*pi*Z/8), and T its inverse, whose channel is the
     transpose."""
+    from .channel import channel_of_clifford, channel_of_exponential
     n = circ.n
     rep = channel_of_clifford(circ.cliffords[-1])
     for k in range(circ.depth - 1, -1, -1):

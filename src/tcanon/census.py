@@ -22,7 +22,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -33,8 +32,6 @@ from .channel import (channel_of_canonical, channel_of_clifford,
                       exponential_transfer_is_signed_permutation)
 from .clifford import (CliffordTableau, from_gate_word, group_order,
                        random_clifford)
-from .oracle import (SIZE_CAP, DenseUnitary, channel_bruteforce,
-                     dense_of_exponential, dense_of_gate_word)
 from .pauli import PauliOperator, PauliSet, _swap_halves, commutant
 
 DEFAULT_SEED = 1729
@@ -50,12 +47,15 @@ def _refuse(n: int, cap: int, what: str) -> None:
         raise FeasibilityRefusalError(f"{what} capped at {cap} qubits, got {n}")
 
 
-def _check_run(n: int, trials: int = 0) -> None:
-    """Reject a width below 1 or a negative trial count before any work."""
+def _check_run(n: int, trials: int = 0, seed: int = 0) -> None:
+    """Reject a width below 1, a negative trial count or a negative seed
+    before any work: random.Random(-5) seeds as Random(5) does."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"need a seed >= 0, got {seed}")
 
 
 def _check_nm(n: int, m: int) -> None:
@@ -270,14 +270,18 @@ def random_gate_word(n: int, rng, length: int = 24) -> str:
 
 # ------------------------------------------------------------------- reports
 
-@dataclass
 class VerificationReport:
-    check: str
-    counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
-    seed: int | None = None
-    mode: str | None = None
+    """One check's outcome: its counts, failures, run time, seed and mode."""
+
+    def __init__(self, check: str, counts: dict | None = None,
+                 failures: list | None = None, elapsed: float = 0.0,
+                 seed: int | None = None, mode: str | None = None):
+        self.check = check
+        self.counts = {} if counts is None else counts
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
+        self.seed = seed
+        self.mode = mode
 
     @property
     def passed(self) -> bool:
@@ -316,7 +320,7 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
     Clifford group.  Exhaustive mode also runs every self-pair, which
     must reconcile (by the identity), as a sanity arm on the tester.
     """
-    _check_run(n, trials)
+    _check_run(n, trials, seed)
     t0 = time.perf_counter()
     report = VerificationReport("distinctness", mode=mode)
     if mode == "exhaustive":
@@ -358,7 +362,7 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
 def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Rows of a form's channel holding a +-1 entry = commutant of the set."""
-    _check_run(n, trials)
+    _check_run(n, trials, seed)
     _refuse(n, _SAMPLED_CAP, "sampled unit-rows")
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -391,6 +395,8 @@ def verify_hamming_weight(n: int) -> VerificationReport:
     once and its channel_bruteforce, whose column X_j is the Pauli
     expansion of E X_j E', so the support is that column's entry count.
     """
+    from .oracle import (SIZE_CAP, DenseUnitary, channel_bruteforce,
+                         dense_of_exponential)
     _check_run(n)
     _refuse(n, SIZE_CAP, "dense Hamming-weight sweep")
     t0 = time.perf_counter()
@@ -423,7 +429,7 @@ def verify_hamming_weight(n: int) -> VerificationReport:
 def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
                     seed: int = DEFAULT_SEED) -> VerificationReport:
     """infer_t_count reads m back off the channel of every form."""
-    _check_run(n, trials)
+    _check_run(n, trials, seed)
     t0 = time.perf_counter()
     report = VerificationReport("spectrum", mode=mode)
     checked = 0
@@ -478,7 +484,9 @@ def verify_oracle(n: int, trials: int = 100,
     as the compose of the tableaux of the word's two halves, and as one
     dense matrix of the whole word.
     """
-    _check_run(n, trials)
+    from .oracle import (SIZE_CAP, channel_bruteforce, dense_of_exponential,
+                         dense_of_gate_word)
+    _check_run(n, trials, seed)
     _refuse(n, SIZE_CAP, "oracle agreement")
     t0 = time.perf_counter()
     rng = random.Random(seed)

@@ -14,15 +14,15 @@ import json
 import math
 import random
 import sys
+from typing import TYPE_CHECKING
 
 from . import canonical
 from .canonical import parse_circuit
-from .census import (VerificationReport, check_printable, count_sets,
-                     count_tuples, emit_table, enumerate_sets, growth_check,
-                     verify_distinctness, verify_hamming_weight,
-                     verify_oracle, verify_spectrum, verify_unit_rows)
 from .clifford import group_order, parse_index
 from .pauli import LabelNames, PauliSet
+
+if TYPE_CHECKING:
+    from .census import VerificationReport
 
 # enumerate writes this many lines at a time: few enough that a reader
 # sees the stream move, enough that the per-write cost stays small
@@ -111,6 +111,7 @@ def _count_text(args) -> str:
     """The whole output of count, built before any of it is written; each
     value is computed once.  A width far past CPython's digit limit is
     refused before any value is built."""
+    from .census import check_printable, count_sets, count_tuples
     n, m = args.qubits, args.tcount
     if n > 0:  # clifford_order, always printed, is at least 2^(n^2 + 2n)
         check_printable(n * n + 2 * n)
@@ -134,6 +135,7 @@ def _count_text(args) -> str:
 
 
 def _cmd_enumerate(args) -> int:
+    from .census import enumerate_sets
     stream = enumerate_sets(args.qubits, args.tcount,
                             allow_large=args.allow_large)
     # one memo for the whole stream: each distinct label is rendered once
@@ -155,9 +157,11 @@ def _report_out(report: VerificationReport, as_json: bool) -> int:
     return 0 if report.passed else 1
 
 
-_VERIFIERS = {"distinctness": verify_distinctness, "unit-rows": verify_unit_rows,
-              "hamming-weight": verify_hamming_weight,
-              "spectrum": verify_spectrum, "oracle": verify_oracle}
+# each check's census function, by name: census is imported only to run one
+_VERIFIERS = {"distinctness": "verify_distinctness",
+              "unit-rows": "verify_unit_rows",
+              "hamming-weight": "verify_hamming_weight",
+              "spectrum": "verify_spectrum", "oracle": "verify_oracle"}
 
 
 def _cmd_verify(args) -> int:
@@ -178,7 +182,9 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--{name} is not read by {run}")
     if check in ("distinctness", "spectrum"):
         given["mode"] = "exhaustive" if args.exhaustive else "sampled"
-    return _report_out(_VERIFIERS[check](args.qubits, **given), args.json)
+    from . import census
+    verifier = getattr(census, _VERIFIERS[check])
+    return _report_out(verifier(args.qubits, **given), args.json)
 
 
 def _cmd_canonicalize(args) -> int:
@@ -215,6 +221,7 @@ def main(argv=None) -> int:
             _write(_count_text(args), None)
             return 0
         if args.command == "table":
+            from .census import emit_table
             _write(emit_table(args.max_qubits), args.out)
             return 0
         if args.command == "enumerate":
@@ -222,6 +229,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "growth":
+            from .census import growth_check
             return _report_out(growth_check(args.max_qubits), args.json)
         if args.command == "canonicalize":
             return _cmd_canonicalize(args)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tcanon import census, gf2
+from tcanon import census, gf2, oracle
 from tcanon.census import (
     DEFAULT_SEED,
     FeasibilityRefusalError,
@@ -247,8 +247,9 @@ class TestVerifiers:
 
     def test_hamming_weight_catches_a_lost_entry(self, monkeypatch):
         # every column of E's channel is nonempty, so dropping one entry
-        # leaves a support of 2^w - 1 at every qubit of every family
-        channel_bruteforce = census.channel_bruteforce
+        # leaves a support of 2^w - 1 at every qubit of every family;
+        # census reads channel_bruteforce from oracle at each call
+        channel_bruteforce = oracle.channel_bruteforce
 
         def lossy(u):
             rep = channel_bruteforce(u)
@@ -256,7 +257,7 @@ class TestVerifiers:
                 del col[next(iter(col))]
             return rep
 
-        monkeypatch.setattr(census, "channel_bruteforce", lossy)
+        monkeypatch.setattr(oracle, "channel_bruteforce", lossy)
         r = verify_hamming_weight(2)
         assert not r.passed
         assert len(r.failures) == r.counts["instances"] == 12
@@ -298,6 +299,19 @@ class TestVerifiers:
         monkeypatch.setattr(census, "channel_of_exponential", inverted_at_yz)
         r = verify_oracle(2, trials=0)
         assert r.failures == ["exponential <Pauli +YZ> channel mismatch"]
+
+    @pytest.mark.parametrize("check, kwargs", [
+        (verify_spectrum, {"mode": "sampled", "trials": 5}),
+        (verify_unit_rows, {"trials": 5}),
+        (verify_distinctness, {"mode": "sampled", "trials": 5}),
+        (verify_oracle, {"trials": 5}),
+    ], ids=["spectrum", "unit-rows", "distinctness", "oracle"])
+    def test_a_negative_seed_is_refused(self, check, kwargs):
+        # random.Random(-5) draws Random(5)'s stream, so seed -5 would
+        # report one seed and run another
+        assert random.Random(-5).random() == random.Random(5).random()
+        with pytest.raises(ValueError, match=r"need a seed >= 0, got -5$"):
+            check(3, seed=-5, **kwargs)
 
     def test_growth(self):
         r = growth_check(16)
