@@ -45,7 +45,7 @@ class TLayer:
     and none twice.  n=None, a width still to be inferred, runs every
     check but the upper end of the index range."""
 
-    __slots__ = ("n", "t_qubits", "tdg_qubits")
+    __slots__ = ("n", "marked")
 
     def __init__(self, n: int | None, t: Iterable[int] = (),
                  tdg: Iterable[int] = ()):
@@ -63,26 +63,18 @@ class TLayer:
         if not (t_set or tdg_set):
             raise ValueError("a T layer needs at least one marked qubit")
         self.n = n
-        self.t_qubits = t_set
-        self.tdg_qubits = tdg_set
-
-    @property
-    def marked(self) -> list[tuple[int, bool]]:
-        """(qubit, is_tdg) pairs, ascending by qubit."""
-        out = [(q, False) for q in self.t_qubits]
-        out += [(q, True) for q in self.tdg_qubits]
-        out.sort()
-        return out
+        # (qubit, is_tdg) pairs, ascending by qubit
+        self.marked = sorted([(q, False) for q in t] + [(q, True) for q in tdg])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TLayer):
             return NotImplemented
-        return (self.n == other.n and self.t_qubits == other.t_qubits
-                and self.tdg_qubits == other.tdg_qubits)
+        return self.n == other.n and self.marked == other.marked
 
     def __repr__(self):
-        return (f"<TLayer n={self.n} t={sorted(self.t_qubits)} "
-                f"tdg={sorted(self.tdg_qubits)}>")
+        t = [q for q, is_tdg in self.marked if not is_tdg]
+        tdg = [q for q, is_tdg in self.marked if is_tdg]
+        return f"<TLayer n={self.n} t={t} tdg={tdg}>"
 
 
 class TLayerCircuit:
@@ -342,7 +334,7 @@ def parse_circuit(text: str) -> TLayerCircuit:
                              else from_gate_word(payload, n))
             elif is_layer:
                 layer = _parse_tlayer(payload, None)
-                top = max(top, *layer.t_qubits, *layer.tdg_qubits)
+                top = max(top, layer.marked[-1][0])
             else:
                 for _, qubits in parse_gate_word(payload, None):
                     top = max(top, *qubits)

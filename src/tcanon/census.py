@@ -27,9 +27,6 @@ from typing import Iterator
 
 from . import gf2
 from .canonical import CanonicalForm
-from .channel import (channel_of_canonical, channel_of_clifford,
-                      channel_of_exponential, infer_t_count,
-                      exponential_transfer_is_signed_permutation)
 from .clifford import (CliffordTableau, from_gate_word, group_order,
                        random_clifford)
 from .pauli import PauliOperator, PauliSet, _swap_halves, commutant
@@ -271,17 +268,25 @@ def random_gate_word(n: int, rng, length: int = 24) -> str:
 # ------------------------------------------------------------------- reports
 
 class VerificationReport:
-    """One check's outcome: its counts, failures, run time, seed and mode."""
+    """One check's outcome: its counts, failures, run time, seed and mode.
+    Its clock starts when it is made; finish stops it."""
 
     def __init__(self, check: str, counts: dict | None = None,
                  failures: list | None = None, elapsed: float = 0.0,
                  seed: int | None = None, mode: str | None = None):
+        self._start = time.perf_counter()
         self.check = check
         self.counts = {} if counts is None else counts
         self.failures = [] if failures is None else failures
         self.elapsed = elapsed
         self.seed = seed
         self.mode = mode
+
+    def finish(self, **counts) -> VerificationReport:
+        """Set the counts and the time since the report was made."""
+        self.counts = counts
+        self.elapsed = time.perf_counter() - self._start
+        return self
 
     @property
     def passed(self) -> bool:
@@ -320,51 +325,42 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
     Clifford group.  Exhaustive mode also runs every self-pair, which
     must reconcile (by the identity), as a sanity arm on the tester.
     """
+    from .channel import exponential_transfer_is_signed_permutation
     _check_run(n, trials, seed)
-    t0 = time.perf_counter()
     report = VerificationReport("distinctness", mode=mode)
     if mode == "exhaustive":
         _refuse(n, _EXHAUSTIVE_CAP, "exhaustive distinctness")
         sets = _all_sets(n)
-        pairs = 0
-        for i in range(len(sets)):
-            if not exponential_transfer_is_signed_permutation(sets[i], sets[i]):
-                report.failures.append(
-                    f"self-pair not reconciled: {sets[i]!r}")
-            for j in range(i + 1, len(sets)):
-                pairs += 1
-                if exponential_transfer_is_signed_permutation(sets[i], sets[j]):
+        for i, a in enumerate(sets):
+            if not exponential_transfer_is_signed_permutation(a, a):
+                report.failures.append(f"self-pair not reconciled: {a!r}")
+            for b in sets[i + 1:]:
+                if exponential_transfer_is_signed_permutation(a, b):
                     report.failures.append(
-                        f"reconciled distinct pair: {sets[i]!r} vs {sets[j]!r}")
-        report.counts = {"forms": len(sets), "pairs": pairs,
-                         "self_pairs": len(sets)}
-    elif mode == "sampled":
-        _refuse(n, _SAMPLED_CAP, "sampled distinctness")
-        rng = random.Random(seed)
-        report.seed = seed
-        pairs = 0
-        while pairs < trials:
+                        f"reconciled distinct pair: {a!r} vs {b!r}")
+        k = len(sets)
+        return report.finish(forms=k, pairs=k * (k - 1) // 2, self_pairs=k)
+    if mode != "sampled":
+        raise ValueError(f"unknown mode {mode!r}")
+    _refuse(n, _SAMPLED_CAP, "sampled distinctness")
+    rng = random.Random(seed)
+    report.seed = seed
+    for _ in range(trials):
+        a = b = None
+        while a == b:  # redraw both until the pair is distinct
             a = random_pauli_set(n, rng.randint(1, n), rng)
             b = random_pauli_set(n, rng.randint(1, n), rng)
-            if a == b:
-                continue
-            pairs += 1
-            if exponential_transfer_is_signed_permutation(a, b):
-                report.failures.append(
-                    f"reconciled distinct pair: {a!r} vs {b!r}")
-        report.counts = {"pairs": pairs}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    report.elapsed = time.perf_counter() - t0
-    return report
+        if exponential_transfer_is_signed_permutation(a, b):
+            report.failures.append(f"reconciled distinct pair: {a!r} vs {b!r}")
+    return report.finish(pairs=trials)
 
 
 def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Rows of a form's channel holding a +-1 entry = commutant of the set."""
+    from .channel import channel_of_canonical
     _check_run(n, trials, seed)
     _refuse(n, _SAMPLED_CAP, "sampled unit-rows")
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     report = VerificationReport("unit-rows", seed=seed)
     for trial in range(trials):
@@ -381,9 +377,7 @@ def verify_unit_rows(n: int, trials: int = 100,
         elif len(got) != 1 << (2 * n - m):
             report.failures.append(
                 f"commutant size {len(got)} != 2^{2 * n - m} for {s!r}")
-    report.counts = {"trials": trials}
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish(trials=trials)
 
 
 def verify_hamming_weight(n: int) -> VerificationReport:
@@ -399,20 +393,15 @@ def verify_hamming_weight(n: int) -> VerificationReport:
                          dense_of_exponential)
     _check_run(n)
     _refuse(n, SIZE_CAP, "dense Hamming-weight sweep")
-    t0 = time.perf_counter()
     report = VerificationReport("hamming-weight")
-    families = 0
-    instances = 0
     top = 1 << n  # a label below it is Z-type: its x half is zero
-    for family in (s.labels for m in range(1, n + 1)
-                   for s in enumerate_sets(n, m) if s.labels[-1] < top):
-        families += 1
+    families = [s.labels for s in _all_sets(n) if s.labels[-1] < top]
+    for family in families:
         e = DenseUnitary.identity(n)
         for a in family:
             e = e.multiply(dense_of_exponential(n, a))
         cols = channel_bruteforce(e).cols
         for j in range(n):
-            instances += 1
             bit = 1 << (n - 1 - j)
             # column X_j holds Tr(P E X_j E') / 2^n for every P
             support = len(cols[bit << n])
@@ -421,44 +410,35 @@ def verify_hamming_weight(n: int) -> VerificationReport:
                 report.failures.append(
                     f"support {support} != 2^{w} for family "
                     f"{[bin(a) for a in family]}, qubit {j}")
-    report.counts = {"families": families, "instances": instances}
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish(families=len(families),
+                         instances=len(families) * n)
 
 
 def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
                     seed: int = DEFAULT_SEED) -> VerificationReport:
     """infer_t_count reads m back off the channel of every form."""
+    from .channel import channel_of_canonical, infer_t_count
     _check_run(n, trials, seed)
-    t0 = time.perf_counter()
     report = VerificationReport("spectrum", mode=mode)
-    checked = 0
     if mode == "exhaustive":
         _refuse(n, _EXHAUSTIVE_CAP, "exhaustive spectrum")
         ident = CliffordTableau.identity(n)
-        for m in range(1, n + 1):
-            for s in enumerate_sets(n, m):
-                checked += 1
-                got = infer_t_count(channel_of_canonical(CanonicalForm(s, ident)))
-                if got != m:
-                    report.failures.append(f"t-count {got} != {m} for {s!r}")
+        forms = [CanonicalForm(s, ident) for s in _all_sets(n)]
     elif mode == "sampled":
         _refuse(n, _SAMPLED_CAP, "sampled spectrum")
         rng = random.Random(seed)
         report.seed = seed
-        for _ in range(trials):
-            m = rng.randint(1, n)
-            s = random_pauli_set(n, m, rng)
-            c = random_clifford(n, rng)
-            checked += 1
-            got = infer_t_count(channel_of_canonical(CanonicalForm(s, c)))
-            if got != m:
-                report.failures.append(f"t-count {got} != {m} for {s!r}")
+        forms = [CanonicalForm(random_pauli_set(n, rng.randint(1, n), rng),
+                               random_clifford(n, rng))
+                 for _ in range(trials)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    report.counts = {"forms": checked}
-    report.elapsed = time.perf_counter() - t0
-    return report
+    for form in forms:
+        got = infer_t_count(channel_of_canonical(form))
+        if got != form.m:
+            report.failures.append(
+                f"t-count {got} != {form.m} for {form.paulis!r}")
+    return report.finish(forms=len(forms))
 
 
 def _generator_words(n: int) -> list[str]:
@@ -484,22 +464,21 @@ def verify_oracle(n: int, trials: int = 100,
     as the compose of the tableaux of the word's two halves, and as one
     dense matrix of the whole word.
     """
+    from .channel import (channel_of_canonical, channel_of_clifford,
+                          channel_of_exponential)
     from .oracle import (SIZE_CAP, channel_bruteforce, dense_of_exponential,
                          dense_of_gate_word)
     _check_run(n, trials, seed)
     _refuse(n, SIZE_CAP, "oracle agreement")
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     report = VerificationReport("oracle", seed=seed)
-    generators = 0
-    for word in _generator_words(n):
-        generators += 1
+    words = _generator_words(n)
+    for word in words:
         structured = channel_of_clifford(from_gate_word(word, n))
         brute = channel_bruteforce(dense_of_gate_word(word, n))
         if structured != brute:
             report.failures.append(f"gate {word!r} channel mismatch")
     for label in range(1, 1 << (2 * n)):
-        generators += 1
         structured = channel_of_exponential(n, label)
         brute = channel_bruteforce(dense_of_exponential(n, label))
         if structured != brute:
@@ -521,9 +500,8 @@ def verify_oracle(n: int, trials: int = 100,
         if structured != brute:
             report.failures.append(
                 f"form ({s!r}, word {word!r}) channel mismatch")
-    report.counts = {"generators": generators, "forms": trials}
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish(generators=len(words) + (1 << (2 * n)) - 1,
+                         forms=trials)
 
 
 def growth_check(n_max: int = 16) -> VerificationReport:
@@ -531,12 +509,9 @@ def growth_check(n_max: int = 16) -> VerificationReport:
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     _refuse(n_max, _GROWTH_CAP, "growth check")
-    t0 = time.perf_counter()
     report = VerificationReport("growth")
     for n in range(1, n_max + 1):
         g, _ = count_tdepth_one(n)
         if g < 1 << (n * n):
             report.failures.append(f"g_{n} = {g} < 2^{n * n}")
-    report.counts = {"max_qubits": n_max}
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish(max_qubits=n_max)

@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import random
 import sys
@@ -128,6 +127,7 @@ def _count_text(args) -> str:
         row = {"n": n, "clifford_order": order, "sets_per_tcount": per_m,
                "total_classes": g, "total_unitaries": g * order}
     if args.json:
+        import json
         return json.dumps(row, indent=2) + "\n"
     return "".join("".join(f"tcount_{j}\t{c}\n" for j, c in v.items())
                    if isinstance(v, dict) else f"{k}\t{v}\n"
@@ -149,6 +149,7 @@ def _cmd_enumerate(args) -> int:
 
 def _report_out(report: VerificationReport, as_json: bool) -> int:
     if as_json:
+        import json
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
         print(report.summary())

@@ -13,7 +13,6 @@ equality is equality in the quotient group.
 from __future__ import annotations
 
 import functools
-import random
 from typing import Iterable, Sequence
 
 from . import gf2
@@ -282,8 +281,8 @@ def from_gate_word(text: str, n: int) -> CliffordTableau:
     return CliffordTableau(n, tuple(xim), tuple(zim))
 
 
-def random_clifford(n: int, seed=None) -> CliffordTableau:
-    """Uniformly random tableau.
+def random_clifford(n: int, rng) -> CliffordTableau:
+    """Uniformly random tableau, drawn from the random.Random rng.
 
     Symplectic pairs are drawn one at a time: the j-th X-image uniformly
     from the nonzero vectors commuting with all earlier pairs, the j-th
@@ -293,7 +292,6 @@ def random_clifford(n: int, seed=None) -> CliffordTableau:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     # the labels commuting with every pair so far, in gf2's echelon form
     basis = [1 << f for f in range(2 * n)]
     chosen: list[int] = []  # alternating p_1, q_1, p_2, q_2, ...

@@ -219,14 +219,14 @@ def test_c09_orthogonality_and_signed_permutations():
     rng = random.Random(DEFAULT_SEED)
     for n, samples in ((1, 400), (2, 350), (3, 250)):
         for _ in range(samples):
-            c = random_clifford(n, seed=rng.randrange(1 << 48))
+            c = random_clifford(n, random.Random(rng.randrange(1 << 48)))
             rep_c = channel_of_clifford(c)
             assert is_orthogonal(rep_c)
             assert rep_c.is_signed_permutation()
 
             m = rng.randint(1, n)
             s = random_pauli_set(n, m, rng)
-            tail = random_clifford(n, seed=rng.randrange(1 << 48))
+            tail = random_clifford(n, random.Random(rng.randrange(1 << 48)))
             rep_f = channel_of_canonical(CanonicalForm(s, tail))
             assert is_orthogonal(rep_f)
             assert not rep_f.is_signed_permutation()

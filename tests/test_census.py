@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tcanon import census, gf2, oracle
+from tcanon import census, channel, gf2, oracle
 from tcanon.census import (
     DEFAULT_SEED,
     FeasibilityRefusalError,
@@ -288,15 +288,16 @@ class TestVerifiers:
 
     def test_oracle_names_a_mismatched_exponential_by_its_text(self,
                                                                monkeypatch):
-        # the one PauliOperator census makes renders this failure
-        channel_of_exponential = census.channel_of_exponential
+        # the one PauliOperator census makes renders this failure; census
+        # reads channel_of_exponential from channel at each call
+        channel_of_exponential = channel.channel_of_exponential
         yz = parse_pauli("YZ").label
 
         def inverted_at_yz(n, label):
             rep = channel_of_exponential(n, label)
             return rep.transpose() if label == yz else rep
 
-        monkeypatch.setattr(census, "channel_of_exponential", inverted_at_yz)
+        monkeypatch.setattr(channel, "channel_of_exponential", inverted_at_yz)
         r = verify_oracle(2, trials=0)
         assert r.failures == ["exponential <Pauli +YZ> channel mismatch"]
 
@@ -342,3 +343,12 @@ class TestReports:
         bad = VerificationReport(check="demo", failures=["broken"])
         assert not bad.passed
         assert bad.summary().startswith("demo: FAIL (1)")
+
+    def test_finish_sets_the_counts_and_the_time_since_the_report_was_made(
+            self):
+        r = VerificationReport("demo", counts={"stale": 1})
+        assert r.elapsed == 0.0
+        assert r.finish(forms=3, pairs=2) is r
+        assert r.counts == {"forms": 3, "pairs": 2}
+        assert list(r.counts) == ["forms", "pairs"]
+        assert r.elapsed > 0

@@ -110,7 +110,7 @@ def test_clifford_channel_columns_are_the_conjugated_labels(n):
     # still be the tableau's image of Q itself
     rng = random.Random(54 + n)
     for _ in range(5):
-        c = random_clifford(n, seed=rng.randrange(1 << 30))
+        c = random_clifford(n, random.Random(rng.randrange(1 << 30)))
         for q, col in enumerate(channel_of_clifford(c).cols):
             label, phase = c.conjugate_pauli(q)
             assert col == {label: -ONE if phase else ONE}

@@ -39,7 +39,7 @@ def test_widths_below_one_raise_value_error(n):
     with pytest.raises(ValueError):
         from_gate_word("", n)
     with pytest.raises(ValueError):
-        random_clifford(n, seed=1)
+        random_clifford(n, random.Random(1))
 
 
 def test_identity_tableau():
@@ -154,7 +154,7 @@ def test_conjugation_is_an_automorphism():
 def test_conjugation_preserves_commutation():
     rng = random.Random(406)
     for _ in range(25):
-        c = random_clifford(2, seed=rng.randrange(1 << 30))
+        c = random_clifford(2, random.Random(rng.randrange(1 << 30)))
         p = PauliOperator.from_label(2, rng.randrange(1, 16))
         q = PauliOperator.from_label(2, rng.randrange(1, 16))
         (a, _), (b, _) = c.conjugate_pauli(p.label), c.conjugate_pauli(q.label)
@@ -184,7 +184,7 @@ def _compose_by_conjugation(c, other):
 def test_conjugate_pauli_equals_the_product_fold_on_every_pauli(n):
     rng = random.Random(600 + n)
     for _ in range(8):
-        c = random_clifford(n, seed=rng.randrange(1 << 30))
+        c = random_clifford(n, random.Random(rng.randrange(1 << 30)))
         for label in range(1 << (2 * n)):
             for phase in range(4):
                 p = PauliOperator(n, label >> n, label & ((1 << n) - 1), phase)
@@ -194,7 +194,7 @@ def test_conjugate_pauli_equals_the_product_fold_on_every_pauli(n):
 def test_conjugate_pauli_equals_the_product_fold_on_sampled_paulis():
     rng = random.Random(604)
     for _ in range(200):
-        c = random_clifford(4, seed=rng.randrange(1 << 30))
+        c = random_clifford(4, random.Random(rng.randrange(1 << 30)))
         p = PauliOperator(4, rng.randrange(16), rng.randrange(16),
                           rng.randrange(4))
         assert conjugate(c, p) == _conjugate_by_products(c, p)
@@ -267,8 +267,8 @@ def test_compose_equals_conjugating_each_image():
     for n in (1, 2, 3, 4):
         ident = CliffordTableau.identity(n)
         for _ in range(30):
-            c = random_clifford(n, seed=rng.randrange(1 << 30))
-            r = random_clifford(n, seed=rng.randrange(1 << 30))
+            c = random_clifford(n, random.Random(rng.randrange(1 << 30)))
+            r = random_clifford(n, random.Random(rng.randrange(1 << 30)))
             # images need not form a valid tableau for the definition to hold
             other = CliffordTableau(n, _mixed_images(rng, ident.xim, r.xim),
                                     _mixed_images(rng, ident.zim, r.zim))
@@ -277,7 +277,7 @@ def test_compose_equals_conjugating_each_image():
         for word in ("", "Z 0", "X 0", "X 0; Z 0", f"Z {n - 1}; H 0",
                      random_gate_word(n, rng, 3)):
             other = from_gate_word(word, n)
-            c = random_clifford(n, seed=rng.randrange(1 << 30))
+            c = random_clifford(n, random.Random(rng.randrange(1 << 30)))
             assert c.compose(other) == _compose_by_conjugation(c, other)
 
 
@@ -325,16 +325,16 @@ def test_from_images_rejects_one_broken_relation(xim, zim):
 
 def test_random_clifford_is_valid_and_deterministic():
     for n in (1, 2, 3):
-        c = random_clifford(n, seed=99)
+        c = random_clifford(n, random.Random(99))
         assert CliffordTableau.from_strings(c.to_strings()) == c
-        assert random_clifford(n, seed=99) == c
-    assert random_clifford(2, seed=1) != random_clifford(2, seed=2)
+        assert random_clifford(n, random.Random(99)) == c
+    assert random_clifford(2, random.Random(1)) != random_clifford(2, random.Random(2))
 
 
 def test_seeded_streams_keep_their_values():
     # a change to how random_clifford or random_pauli_set consume their
     # generator would move these
-    assert random_clifford(3, seed=99).to_strings() == [
+    assert random_clifford(3, random.Random(99)).to_strings() == [
         "+IXY", "+IZZ", "-YYX", "-ZXX", "-ZXI", "-ZII"]
     want = {1: (146,), 2: (146, 201), 3: (146, 196, 201),
             4: (117, 146, 196, 201)}
@@ -349,7 +349,7 @@ def test_random_clifford_uniform_on_one_qubit():
     rng = random.Random(31337)
     counts = {}
     for _ in range(draws):
-        c = random_clifford(1, seed=rng.randrange(1 << 48))
+        c = random_clifford(1, random.Random(rng.randrange(1 << 48)))
         key = tuple(c.to_strings())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 24

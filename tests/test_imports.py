@@ -55,11 +55,17 @@ def _loaded_by_command(*argv: str) -> set[str]:
                       "assert cli.main(sys.argv[1:]) == 0", *argv)
 
 
-def test_canonicalize_loads_neither_the_verifiers_nor_the_channels(tmp_path):
+@pytest.fixture
+def circuit_file(tmp_path):
     path = tmp_path / "circuit.txt"
     path.write_text("QUBITS: 2\nCLIFFORD: H 0; CX 0 1\nTLAYER: t=0 tdg=1\n"
                     "CLIFFORD: S 1\n", encoding="utf-8")
-    loaded = _loaded_by_command("canonicalize", "--in", str(path))
+    return str(path)
+
+
+def test_canonicalize_loads_neither_the_verifiers_nor_the_channels(
+        circuit_file):
+    loaded = _loaded_by_command("canonicalize", "--in", circuit_file)
     assert {"tcanon.cli", "tcanon.canonical"} <= loaded
     assert not loaded & {"tcanon.census", "tcanon.oracle", "tcanon.channel",
                          "tcanon.exactnum", "dataclasses"}
@@ -73,6 +79,28 @@ def test_commands_off_the_dense_oracle_do_not_load_it(argv):
     loaded = _loaded_by_command(*argv)
     assert "tcanon.census" in loaded
     assert "tcanon.oracle" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--qubits", "3"],
+    ["table", "--max-qubits", "3"],
+    ["growth", "--max-qubits", "4"],
+    ["enumerate", "--qubits", "2", "--tcount", "1"],
+], ids=["count", "table", "growth", "enumerate"])
+def test_commands_off_the_channels_load_neither_them_nor_their_scalars(argv):
+    loaded = _loaded_by_command(*argv)
+    assert "tcanon.census" in loaded
+    assert not loaded & {"tcanon.channel", "tcanon.exactnum"}
+
+
+@pytest.mark.parametrize("argv, loads_json", [
+    (["canonicalize", "--in", None], False),
+    (["enumerate", "--qubits", "2", "--tcount", "1"], False),
+    (["count", "--qubits", "1", "--json"], True),
+], ids=["canonicalize", "enumerate", "count-json"])
+def test_only_json_output_loads_json(argv, loads_json, circuit_file):
+    argv = [circuit_file if a is None else a for a in argv]
+    assert ("json" in _loaded_by_command(*argv)) == loads_json
 
 
 def test_importing_the_package_loads_no_module_of_it():
