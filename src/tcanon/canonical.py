@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .clifford import (CliffordTableau, check_index, from_gate_word,
-                       parse_gate_word, parse_index, quarter_exponential)
-from .pauli import (LabelNames, PauliSet, parse_pauli, validate_labels,
-                    validate_set)
+                       parse_gate_word, quarter_exponential)
+from .pauli import (LabelNames, PauliSet, parse_index, parse_pauli,
+                    validate_labels, validate_set)
 
 if TYPE_CHECKING:
     from .channel import ChannelRep

@@ -26,9 +26,6 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import gf2
-from .canonical import CanonicalForm
-from .clifford import (CliffordTableau, from_gate_word, group_order,
-                       random_clifford)
 from .pauli import PauliOperator, PauliSet, _swap_halves, commutant
 
 DEFAULT_SEED = 1729
@@ -42,6 +39,14 @@ def _refuse(n: int, cap: int, what: str) -> None:
     """Refuse a width past a check's cap, naming the check."""
     if n > cap:
         raise FeasibilityRefusalError(f"{what} capped at {cap} qubits, got {n}")
+
+
+def _check_sampled(n: int, trials: int, what: str) -> None:
+    """Refuse a sampled check past _SAMPLED_CAP qubits, or one given no
+    trials to draw: it would pass having checked nothing."""
+    _refuse(n, _SAMPLED_CAP, what)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1 for {what}, got {trials}")
 
 
 def _check_run(n: int, trials: int = 0, seed: int = 0) -> None:
@@ -86,6 +91,7 @@ def count_sets(n: int, m: int) -> int:
 
 def count_tdepth_one(n: int) -> tuple[int, int]:
     """(g_n, g_n * Clifford order): class count and unitary count."""
+    from .clifford import group_order
     g = sum(count_sets(n, m) for m in range(1, n + 1))
     return g, g * group_order(n)
 
@@ -93,6 +99,7 @@ def count_tdepth_one(n: int) -> tuple[int, int]:
 def emit_table(n_max: int) -> str:
     """TSV of per-size counts: Clifford order, per-T-count multipliers of
     the Clifford order, their sum, and the absolute unitary count."""
+    from .clifford import group_order
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     header = ["n", "clifford_order"]
@@ -342,7 +349,7 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
         return report.finish(forms=k, pairs=k * (k - 1) // 2, self_pairs=k)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    _refuse(n, _SAMPLED_CAP, "sampled distinctness")
+    _check_sampled(n, trials, "sampled distinctness")
     rng = random.Random(seed)
     report.seed = seed
     for _ in range(trials):
@@ -358,9 +365,11 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
 def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Rows of a form's channel holding a +-1 entry = commutant of the set."""
+    from .canonical import CanonicalForm
     from .channel import channel_of_canonical
+    from .clifford import random_clifford
     _check_run(n, trials, seed)
-    _refuse(n, _SAMPLED_CAP, "sampled unit-rows")
+    _check_sampled(n, trials, "sampled unit-rows")
     rng = random.Random(seed)
     report = VerificationReport("unit-rows", seed=seed)
     for trial in range(trials):
@@ -417,7 +426,9 @@ def verify_hamming_weight(n: int) -> VerificationReport:
 def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
                     seed: int = DEFAULT_SEED) -> VerificationReport:
     """infer_t_count reads m back off the channel of every form."""
+    from .canonical import CanonicalForm
     from .channel import channel_of_canonical, infer_t_count
+    from .clifford import CliffordTableau, random_clifford
     _check_run(n, trials, seed)
     report = VerificationReport("spectrum", mode=mode)
     if mode == "exhaustive":
@@ -425,7 +436,7 @@ def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
         ident = CliffordTableau.identity(n)
         forms = [CanonicalForm(s, ident) for s in _all_sets(n)]
     elif mode == "sampled":
-        _refuse(n, _SAMPLED_CAP, "sampled spectrum")
+        _check_sampled(n, trials, "sampled spectrum")
         rng = random.Random(seed)
         report.seed = seed
         forms = [CanonicalForm(random_pauli_set(n, rng.randint(1, n), rng),
@@ -464,8 +475,10 @@ def verify_oracle(n: int, trials: int = 100,
     as the compose of the tableaux of the word's two halves, and as one
     dense matrix of the whole word.
     """
+    from .canonical import CanonicalForm
     from .channel import (channel_of_canonical, channel_of_clifford,
                           channel_of_exponential)
+    from .clifford import from_gate_word
     from .oracle import (SIZE_CAP, channel_bruteforce, dense_of_exponential,
                          dense_of_gate_word)
     _check_run(n, trials, seed)

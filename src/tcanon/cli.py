@@ -15,10 +15,7 @@ import random
 import sys
 from typing import TYPE_CHECKING
 
-from . import canonical
-from .canonical import parse_circuit
-from .clifford import group_order, parse_index
-from .pauli import LabelNames, PauliSet
+from .pauli import LabelNames, PauliSet, parse_index
 
 if TYPE_CHECKING:
     from .census import VerificationReport
@@ -111,6 +108,7 @@ def _count_text(args) -> str:
     value is computed once.  A width far past CPython's digit limit is
     refused before any value is built."""
     from .census import check_printable, count_sets, count_tuples
+    from .clifford import group_order
     n, m = args.qubits, args.tcount
     if n > 0:  # clifford_order, always printed, is at least 2^(n^2 + 2n)
         check_printable(n * n + 2 * n)
@@ -189,12 +187,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
+    from . import canonical
     if args.infile is None:
         text = sys.stdin.read()
     else:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
-    circ = parse_circuit(text)
+    circ = canonical.parse_circuit(text)
     if circ.depth <= 1:
         if circ.depth == 0:
             form = canonical.CanonicalForm(

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from . import gf2
 from .pauli import (PauliOperator, _swap_halves, label_product_phase,
-                    parse_pauli)
+                    parse_index, parse_pauli)
 
 
 class GateWordError(ValueError):
@@ -188,16 +188,6 @@ def quarter_exponential(p: int, c: CliffordTableau) -> CliffordTableau:
                      for g in ims)
 
     return CliffordTableau(n, images(c.xim), images(c.zim))
-
-
-def parse_index(text: str) -> int:
-    """A qubit index or width in ASCII decimal digits.  int() alone would
-    also read "+1", "1_0" and non-ASCII digits; a leading '-' is kept so
-    a negative index is reported as out of range."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"bad qubit index {text!r}")
-    return int(text)
 
 
 def check_index(q: int, n: int | None) -> None:

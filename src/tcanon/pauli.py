@@ -109,6 +109,16 @@ def parse_pauli(text: str) -> PauliOperator:
     return PauliOperator(n, x, z, phase)
 
 
+def parse_index(text: str) -> int:
+    """A qubit index or width in ASCII decimal digits.  int() alone would
+    also read "+1", "1_0" and non-ASCII digits; a leading '-' is kept so
+    a negative index is reported as out of range."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad qubit index {text!r}")
+    return int(text)
+
+
 def label_product_phase(a: int, b: int, n: int) -> int:
     """k with P_a * P_b = i^k P_(a ^ b) for the positive Paulis of two
     unsigned labels.  Each factor is i^|x&z| X^x Z^z; moving X^x2 left

@@ -314,6 +314,17 @@ class TestVerifiers:
         with pytest.raises(ValueError, match=r"need a seed >= 0, got -5$"):
             check(3, seed=-5, **kwargs)
 
+    @pytest.mark.parametrize("check, kwargs, what", [
+        (verify_spectrum, {"mode": "sampled"}, "sampled spectrum"),
+        (verify_unit_rows, {}, "sampled unit-rows"),
+        (verify_distinctness, {"mode": "sampled"}, "sampled distinctness"),
+    ], ids=["spectrum", "unit-rows", "distinctness"])
+    def test_a_sampled_check_refuses_zero_trials(self, check, kwargs, what):
+        # with no trials it would pass having checked nothing
+        with pytest.raises(ValueError,
+                           match=f"^need trials >= 1 for {what}, got 0$"):
+            check(2, trials=0, **kwargs)
+
     def test_growth(self):
         r = growth_check(16)
         assert r.passed

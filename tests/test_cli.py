@@ -309,6 +309,9 @@ def test_verify_text_summary(capsys):
     ("oracle", "--qubits", "-2"),
     ("hamming-weight", "--qubits", "0"),
     ("hamming-weight", "--qubits", "-1"),
+    ("spectrum", "--qubits", "2", "--trials", "0"),
+    ("unit-rows", "--qubits", "2", "--trials", "0"),
+    ("distinctness", "--qubits", "2", "--trials", "0"),
 ])
 def test_verify_rejects_bad_width_or_trials(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)

@@ -63,6 +63,42 @@ def circuit_file(tmp_path):
     return str(path)
 
 
+# enumerate's modules: the label walk and the text edge it renders with
+_WALK = {"cli", "census", "pauli", "gf2"}
+_CHANNELS = _WALK | {"canonical", "clifford", "channel", "exactnum"}
+
+# (argv, the tcanon modules it loads beyond the package itself); None in
+# argv stands for the circuit file
+MODULE_SETS = [
+    (["enumerate", "--qubits", "2", "--tcount", "1"], _WALK),
+    (["count", "--qubits", "3"], _WALK | {"clifford"}),
+    (["table", "--max-qubits", "3"], _WALK | {"clifford"}),
+    (["growth", "--max-qubits", "4"], _WALK | {"clifford"}),
+    (["canonicalize", "--in", None],
+     {"cli", "canonical", "clifford", "pauli", "gf2"}),
+    (["verify", "spectrum", "--qubits", "2"], _CHANNELS),
+    (["verify", "unit-rows", "--qubits", "2"], _CHANNELS),
+    (["verify", "distinctness", "--qubits", "2"], _CHANNELS - {"canonical"}),
+    (["verify", "oracle", "--qubits", "1"], _CHANNELS | {"oracle"}),
+    (["verify", "hamming-weight", "--qubits", "2"], _CHANNELS | {"oracle"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", MODULE_SETS, ids=[
+    "-".join(argv[:2]) if argv[0] == "verify" else argv[0]
+    for argv, _ in MODULE_SETS])
+def test_each_command_loads_exactly_its_modules(argv, modules, circuit_file):
+    argv = [circuit_file if a is None else a for a in argv]
+    loaded = {m for m in _loaded_by_command(*argv)
+              if m == "tcanon" or m.startswith("tcanon.")}
+    assert loaded == {"tcanon"} | {f"tcanon.{m}" for m in modules}
+
+
+def test_parse_index_has_one_definition():
+    from tcanon import clifford, pauli
+    assert clifford.parse_index is pauli.parse_index
+
+
 def test_canonicalize_loads_neither_the_verifiers_nor_the_channels(
         circuit_file):
     loaded = _loaded_by_command("canonicalize", "--in", circuit_file)
