@@ -197,7 +197,7 @@ def channel_of_decomposition(sets: Sequence[PauliSet],
     ident = CliffordTableau.identity(tail.n)
     rep = channel_of_clifford(tail)
     for s in reversed(list(sets)):
-        rep = channel_of_canonical(CanonicalForm(s, ident)).multiply(rep)
+        rep = channel_of_canonical(s, ident).multiply(rep)
     return rep
 
 

@@ -279,13 +279,12 @@ class VerificationReport:
     Its clock starts when it is made; finish stops it."""
 
     def __init__(self, check: str, counts: dict | None = None,
-                 failures: list | None = None, elapsed: float = 0.0,
                  seed: int | None = None, mode: str | None = None):
         self._start = time.perf_counter()
         self.check = check
         self.counts = {} if counts is None else counts
-        self.failures = [] if failures is None else failures
-        self.elapsed = elapsed
+        self.failures: list[str] = []
+        self.elapsed = 0.0
         self.seed = seed
         self.mode = mode
 
@@ -365,7 +364,6 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
 def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Rows of a form's channel holding a +-1 entry = commutant of the set."""
-    from .canonical import CanonicalForm
     from .channel import channel_of_canonical
     from .clifford import random_clifford
     _check_run(n, trials, seed)
@@ -377,7 +375,7 @@ def verify_unit_rows(n: int, trials: int = 100,
         s = (PauliSet.empty(n) if m == 0
              else random_pauli_set(n, m, rng))
         c = random_clifford(n, rng)
-        rep = channel_of_canonical(CanonicalForm(s, c))
+        rep = channel_of_canonical(s, c)
         got = rep.unit_rows()
         want = commutant(s)
         if got != want:
@@ -426,7 +424,6 @@ def verify_hamming_weight(n: int) -> VerificationReport:
 def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
                     seed: int = DEFAULT_SEED) -> VerificationReport:
     """infer_t_count reads m back off the channel of every form."""
-    from .canonical import CanonicalForm
     from .channel import channel_of_canonical, infer_t_count
     from .clifford import CliffordTableau, random_clifford
     _check_run(n, trials, seed)
@@ -434,21 +431,21 @@ def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
     if mode == "exhaustive":
         _refuse(n, _EXHAUSTIVE_CAP, "exhaustive spectrum")
         ident = CliffordTableau.identity(n)
-        forms = [CanonicalForm(s, ident) for s in _all_sets(n)]
+        forms = [(s, ident) for s in _all_sets(n)]
     elif mode == "sampled":
         _check_sampled(n, trials, "sampled spectrum")
         rng = random.Random(seed)
         report.seed = seed
-        forms = [CanonicalForm(random_pauli_set(n, rng.randint(1, n), rng),
-                               random_clifford(n, rng))
+        forms = [(random_pauli_set(n, rng.randint(1, n), rng),
+                  random_clifford(n, rng))
                  for _ in range(trials)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for form in forms:
-        got = infer_t_count(channel_of_canonical(form))
-        if got != form.m:
+    for s, c in forms:
+        got = infer_t_count(channel_of_canonical(s, c))
+        if got != len(s):
             report.failures.append(
-                f"t-count {got} != {form.m} for {form.paulis!r}")
+                f"t-count {got} != {len(s)} for {s!r}")
     return report.finish(forms=len(forms))
 
 
@@ -475,7 +472,6 @@ def verify_oracle(n: int, trials: int = 100,
     as the compose of the tableaux of the word's two halves, and as one
     dense matrix of the whole word.
     """
-    from .canonical import CanonicalForm
     from .channel import (channel_of_canonical, channel_of_clifford,
                           channel_of_exponential)
     from .clifford import from_gate_word
@@ -505,7 +501,7 @@ def verify_oracle(n: int, trials: int = 100,
         half = len(tokens) // 2
         tableau = from_gate_word(";".join(tokens[:half]), n).compose(
             from_gate_word(";".join(tokens[half:]), n))
-        structured = channel_of_canonical(CanonicalForm(s, tableau))
+        structured = channel_of_canonical(s, tableau)
         dense = dense_of_gate_word(word, n)
         for label in reversed(s.labels):
             dense = dense_of_exponential(n, label).multiply(dense)

@@ -34,11 +34,14 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import comb
+from typing import TYPE_CHECKING
 
-from .clifford import CliffordTableau
 from .exactnum import (DYADIC_MINUS_ONE, DYADIC_ONE, DYADIC_ZERO,
                        DyadicSqrt2Scalar)
 from .pauli import PauliSet, _swap_halves, label_product_phase
+
+if TYPE_CHECKING:
+    from .clifford import CliffordTableau
 
 
 class SpectrumMismatchError(ValueError):
@@ -207,15 +210,16 @@ def channel_of_exponential(n: int, label: int) -> ChannelRep:
     return _form_channel([label], identity, n)
 
 
-def channel_of_canonical(form) -> ChannelRep:
-    """Channel of exp(i*pi*P_1/8) ... exp(i*pi*P_m/8) * C.
-
-    form needs .paulis (a PauliSet) and .clifford (a CliffordTableau);
-    the closed form starts from the signed unit columns of channel(C).
+def channel_of_canonical(paulis: PauliSet,
+                         clifford: CliffordTableau) -> ChannelRep:
+    """Channel of exp(i*pi*P_1/8) ... exp(i*pi*P_m/8) * C for the set
+    {P_j} and the tableau C of one width; the closed form starts from the
+    signed unit columns of channel(C).
     """
-    return _form_channel(form.paulis.labels,
-                         channel_of_clifford(form.clifford).cols,
-                         form.clifford.n)
+    if paulis.n != clifford.n:
+        raise ValueError(f"qubit counts differ: {paulis.n} vs {clifford.n}")
+    return _form_channel(paulis.labels, channel_of_clifford(clifford).cols,
+                         clifford.n)
 
 
 @lru_cache(maxsize=None)

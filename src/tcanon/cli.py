@@ -248,4 +248,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The console script's entry: a reader that closes the pipe early
+    ends the process by SIGPIPE, silently, as it ends other filters."""
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

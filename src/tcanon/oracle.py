@@ -34,12 +34,15 @@ from __future__ import annotations
 
 from itertools import chain, compress, count, repeat
 from operator import add, attrgetter, lshift, mul, sub, xor
+from typing import TYPE_CHECKING
 
-from .canonical import TLayer
 from .channel import ChannelRep
 from .clifford import parse_gate_word
 from .exactnum import (CYC_ONE, CYC_ZERO, Cyclotomic16Scalar,
                        DyadicSqrt2Scalar, cyclotomic_dot)
+
+if TYPE_CHECKING:
+    from .canonical import TLayer
 
 
 class SizeRefusalError(ValueError):

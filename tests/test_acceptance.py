@@ -203,7 +203,8 @@ def test_c08_canonicalizer_soundness():
         layer = _random_layer(n, rng)
         circ = TLayerCircuit([c1, c2], [layer])
         form = canonicalize_depth_one(c1, layer, c2)
-        assert channel_of_canonical(form) == channel_of_circuit(circ)
+        assert (channel_of_canonical(form.paulis, form.clifford)
+                == channel_of_circuit(circ))
 
     for _ in range(50):
         cliffords = [from_gate_word(random_gate_word(n, rng), n)
@@ -227,7 +228,7 @@ def test_c09_orthogonality_and_signed_permutations():
             m = rng.randint(1, n)
             s = random_pauli_set(n, m, rng)
             tail = random_clifford(n, random.Random(rng.randrange(1 << 48)))
-            rep_f = channel_of_canonical(CanonicalForm(s, tail))
+            rep_f = channel_of_canonical(s, tail)
             assert is_orthogonal(rep_f)
             assert not rep_f.is_signed_permutation()
 

@@ -106,8 +106,9 @@ class TestDepthOne:
         # X Z X' = -Z, so a Tdg behind X needs a quarter correction
         form = canonicalize_depth_one(x, TLayer(1, tdg=[0]), ID1)
         assert tuple(form.paulis) == (parse_pauli("Z"),)
-        assert channel_of_canonical(form) == channel_of_circuit(
-            TLayerCircuit([x, ID1], [TLayer(1, tdg=[0])]))
+        assert (channel_of_canonical(form.paulis, form.clifford)
+                == channel_of_circuit(
+                    TLayerCircuit([x, ID1], [TLayer(1, tdg=[0])])))
 
     def test_width_mismatch_raises(self):
         with pytest.raises(WidthMismatchError):
@@ -120,7 +121,8 @@ class TestDepthOne:
             form = canonicalize_depth_one(circ.cliffords[0], circ.layers[0],
                                           circ.cliffords[1])
             assert form.m == len(circ.layers[0].marked)
-            assert channel_of_canonical(form) == channel_of_circuit(circ)
+            assert (channel_of_canonical(form.paulis, form.clifford)
+                    == channel_of_circuit(circ))
 
 
 class TestDepthD:
@@ -145,8 +147,8 @@ class TestDepthD:
         rng = random.Random(8003)
         circ = random_circuit(2, 1, rng)
         sets, tail = canonicalize_depth_d(circ)
-        form = CanonicalForm(sets[0], tail)
-        assert channel_of_decomposition(sets, tail) == channel_of_canonical(form)
+        assert (channel_of_decomposition(sets, tail)
+                == channel_of_canonical(sets[0], tail))
 
 
 def test_quarter_exponential_matches_dense_conjugation():
@@ -330,7 +332,8 @@ class TestCircuitText:
         circ = parse_circuit(text)
         form = canonicalize_depth_one(circ.cliffords[0], circ.layers[0],
                                       circ.cliffords[1])
-        assert channel_of_canonical(form) == channel_of_circuit(circ)
+        assert (channel_of_canonical(form.paulis, form.clifford)
+                == channel_of_circuit(circ))
 
 
 # Circuit text with indices below 4, good and bad, mostly alternating

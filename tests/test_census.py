@@ -349,9 +349,11 @@ class TestReports:
         json.dumps(d)  # serializable
 
     def test_summary_line(self):
-        r = VerificationReport(check="demo", counts={"trials": 4}, elapsed=0.5)
+        r = VerificationReport(check="demo", counts={"trials": 4})
+        r.elapsed = 0.5
         assert r.summary() == "demo: pass [trials=4] in 0.50s"
-        bad = VerificationReport(check="demo", failures=["broken"])
+        bad = VerificationReport(check="demo")
+        bad.failures.append("broken")
         assert not bad.passed
         assert bad.summary().startswith("demo: FAIL (1)")
 

@@ -10,7 +10,7 @@ from conftest import inverse_word
 from dense_reference import is_identity, is_orthogonal, signed_exponential
 
 from tcanon import channel as channel_mod
-from tcanon.canonical import CanonicalForm, channel_of_decomposition
+from tcanon.canonical import channel_of_decomposition
 from tcanon.channel import (
     ChannelRep,
     SpectrumMismatchError,
@@ -130,12 +130,17 @@ def test_clifford_channel_transpose_is_inverse():
 def test_channel_of_canonical_splits_into_factors():
     s = validate_set([parse_pauli("ZI"), parse_pauli("IZ")])
     c = from_gate_word("H 0; CX 0 1", 2)
-    form = CanonicalForm(s, c)
-    rep = channel_of_canonical(form)
+    rep = channel_of_canonical(s, c)
     acc = channel_of_clifford(c)
     for label in reversed(s.labels):
         acc = channel_of_exponential(2, label).multiply(acc)
     assert rep == acc
+
+
+def test_channel_of_canonical_refuses_a_width_mismatch():
+    s = validate_set([parse_pauli("ZI")])
+    with pytest.raises(ValueError, match="qubit counts differ: 2 vs 1"):
+        channel_of_canonical(s, CliffordTableau.identity(1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -144,9 +149,9 @@ def test_commuting_columns_are_the_clifford_channels_own(n):
     for _ in range(5):
         c = random_clifford(n, rng)
         cliff = channel_of_clifford(c)
-        assert channel_of_canonical(CanonicalForm(PauliSet.empty(n), c)) == cliff
+        assert channel_of_canonical(PauliSet.empty(n), c) == cliff
         s = random_pauli_set(n, rng.randint(1, n), rng)
-        rep = channel_of_canonical(CanonicalForm(s, c))
+        rep = channel_of_canonical(s, c)
         commuting = set(commutant(s))
         kept = [q for q, col in enumerate(cliff.cols) if col.keys() <= commuting]
         assert len(kept) == len(commuting)
@@ -156,15 +161,13 @@ def test_commuting_columns_are_the_clifford_channels_own(n):
 
 def test_unit_rows_equal_commutant_labels():
     s = validate_set([parse_pauli("Z")])
-    form = CanonicalForm(s, CliffordTableau.identity(1))
-    rep = channel_of_canonical(form)
+    rep = channel_of_canonical(s, CliffordTableau.identity(1))
     assert rep.unit_rows() == [0, 1]
     assert rep.unit_rows() == commutant(s)
 
     rng = random.Random(54)
     s = random_pauli_set(3, 2, rng)
-    form = CanonicalForm(s, CliffordTableau.identity(3))
-    rep = channel_of_canonical(form)
+    rep = channel_of_canonical(s, CliffordTableau.identity(3))
     assert rep.unit_rows() == commutant(s)
     assert len(rep.unit_rows()) == 1 << (2 * 3 - 2)
 
@@ -246,15 +249,15 @@ def test_infer_t_count_on_reference_forms():
         for m in range(n + 1):
             s = (PauliSet.empty(n) if m == 0 else
                  validate_labels(n, [1 << (n - 1 - j) for j in range(m)]))
-            form = CanonicalForm(s, CliffordTableau.identity(n))
-            assert infer_t_count(channel_of_canonical(form)) == m
+            rep = channel_of_canonical(s, CliffordTableau.identity(n))
+            assert infer_t_count(rep) == m
 
 
 def test_infer_t_count_ignores_the_clifford_tail():
     rng = random.Random(55)
     s = random_pauli_set(2, 2, rng)
     c = from_gate_word(random_gate_word(2, rng), 2)
-    rep = channel_of_canonical(CanonicalForm(s, c))
+    rep = channel_of_canonical(s, c)
     assert infer_t_count(rep) == 2
 
 
@@ -284,12 +287,12 @@ def test_sparse_columns_store_no_zeros(n):
         reps.append(channel_bruteforce(dense_of_exponential(n, label)))
     for m in range(1, n + 1):
         word = random_gate_word(n, rng)
-        form = CanonicalForm(random_pauli_set(n, m, rng), from_gate_word(word, n))
-        reps.append(channel_of_canonical(form))
+        s = random_pauli_set(n, m, rng)
+        reps.append(channel_of_canonical(s, from_gate_word(word, n)))
         reps.append(channel_bruteforce(dense_of_gate_word(word, n)))
         # each factor applied twice is a Clifford: multiply cancels half
         # the entries of the product
-        reps.append(channel_of_decomposition([form.paulis] * 2,
+        reps.append(channel_of_decomposition([s] * 2,
                                              CliffordTableau.identity(n)))
     dim = 1 << (2 * n)
     for rep in reps:
@@ -328,9 +331,9 @@ def test_transfer_agrees_with_dense_product_on_two_qubits():
     for _ in range(10):
         a = random_pauli_set(2, rng.randint(1, 2), rng)
         b = random_pauli_set(2, rng.randint(1, 2), rng)
-        fa = CanonicalForm(a, CliffordTableau.identity(2))
-        fb = CanonicalForm(b, CliffordTableau.identity(2))
-        dense = channel_of_canonical(fa).transpose().multiply(channel_of_canonical(fb))
+        ident = CliffordTableau.identity(2)
+        dense = channel_of_canonical(a, ident).transpose().multiply(
+            channel_of_canonical(b, ident))
         assert (exponential_transfer_is_signed_permutation(a, b)
                 == dense.is_signed_permutation())
 
@@ -349,7 +352,7 @@ def test_transfer_reads_signs_and_scans_other_columns(monkeypatch, fake, expecte
     b = PauliSet.from_labels(n, list(a.labels))  # equal labels, own tuple
     assert b.labels == a.labels and b.labels is not a.labels
     yi, xi, ix = (parse_pauli(t).label for t in ("YI", "XI", "IX"))
-    rep_a = channel_of_canonical(CanonicalForm(a, CliffordTableau.identity(n)))
+    rep_a = channel_of_canonical(a, CliffordTableau.identity(n))
     assert len([col for col in rep_a.cols if yi in col]) == 4
     real, real_prepared = channel_mod._form_signs, channel_mod._prepared
 
@@ -447,7 +450,7 @@ def test_form_columns_match_the_product_of_one_factor_channels(n):
     ident = CliffordTableau.identity(n)
     for s in _all_sets(n):
         product = _product(s)
-        assert channel_of_canonical(CanonicalForm(s, ident)) == product
+        assert channel_of_canonical(s, ident) == product
         prepared = _prepared(s.labels, n)
         for q, col in enumerate(product.cols):
             assert _form_signs(q, False, prepared, n) == {
@@ -460,7 +463,7 @@ def test_form_channel_matches_the_rotated_clifford_channel(n):
     for _ in range(20):
         s = random_pauli_set(n, rng.randint(1, n), rng)
         c = random_clifford(n, rng)
-        assert (channel_of_canonical(CanonicalForm(s, c))
+        assert (channel_of_canonical(s, c)
                 == _by_factors(s.labels, channel_of_clifford(c)))
 
 

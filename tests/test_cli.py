@@ -2,7 +2,8 @@
 
 Two subprocess tests cover the console script: one runs the ``tcanon`` entry
 point registered in pyproject.toml with no install, the other runs the
-``tcanon`` executable on PATH when one exists.
+``tcanon`` executable on PATH when one exists.  A third runs ``python -m
+tcanon`` into a pipe its reader closes early.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -417,7 +419,8 @@ def test_verify_rejects_unknown_check():
 
 
 def test_failing_report_exits_one(capsys):
-    bad = VerificationReport(check="demo", failures=["it broke"])
+    bad = VerificationReport(check="demo")
+    bad.failures.append("it broke")
     assert _report_out(bad, as_json=False) == 1
     out = capsys.readouterr().out
     assert "counterexample: it broke" in out
@@ -837,3 +840,18 @@ def test_installed_console_script_runs():
     proc = subprocess.run([TCANON_EXECUTABLE, *TABLE_ARGS],
                           capture_output=True, text=True, timeout=60)
     _assert_prints_table(proc)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_a_reader_closing_the_pipe_ends_the_process_by_sigpipe():
+    # a reader that stops early is not bad input: no message, no exit 2
+    package_root = str(Path(tcanon.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+            [sys.executable, "-m", "tcanon", "enumerate", "--qubits", "4",
+             "--tcount", "4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": package_root}) as proc:
+        assert proc.stdout.readline() == b"+IIIZ, +IIZI, +IZII, +ZIII\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert stderr == b""

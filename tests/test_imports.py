@@ -1,6 +1,7 @@
 """The start-up contract: a command imports only the modules it runs, and
 the package re-exports its names without importing any module first."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -65,33 +66,48 @@ def circuit_file(tmp_path):
 
 # enumerate's modules: the label walk and the text edge it renders with
 _WALK = {"cli", "census", "pauli", "gf2"}
-_CHANNELS = _WALK | {"canonical", "clifford", "channel", "exactnum"}
+# the counting formulas add the Clifford group order
+_FORMULAS = _WALK | {"clifford"}
+# the verifiers' channels and their scalars
+_CHANNELS = _FORMULAS | {"channel", "exactnum"}
 
-# (argv, the tcanon modules it loads beyond the package itself); None in
-# argv stands for the circuit file
+# (argv, the tcanon modules it loads beyond the package itself, whether it
+# loads json); None in argv stands for the circuit file.  No command loads
+# dataclasses.
 MODULE_SETS = [
-    (["enumerate", "--qubits", "2", "--tcount", "1"], _WALK),
-    (["count", "--qubits", "3"], _WALK | {"clifford"}),
-    (["table", "--max-qubits", "3"], _WALK | {"clifford"}),
-    (["growth", "--max-qubits", "4"], _WALK | {"clifford"}),
+    (["enumerate", "--qubits", "2", "--tcount", "1"], _WALK, False),
+    (["count", "--qubits", "3"], _FORMULAS, False),
+    (["count", "--qubits", "1", "--json"], _FORMULAS, True),
+    (["table", "--max-qubits", "3"], _FORMULAS, False),
+    (["growth", "--max-qubits", "4"], _FORMULAS, False),
     (["canonicalize", "--in", None],
-     {"cli", "canonical", "clifford", "pauli", "gf2"}),
-    (["verify", "spectrum", "--qubits", "2"], _CHANNELS),
-    (["verify", "unit-rows", "--qubits", "2"], _CHANNELS),
-    (["verify", "distinctness", "--qubits", "2"], _CHANNELS - {"canonical"}),
-    (["verify", "oracle", "--qubits", "1"], _CHANNELS | {"oracle"}),
-    (["verify", "hamming-weight", "--qubits", "2"], _CHANNELS | {"oracle"}),
+     {"cli", "canonical", "clifford", "pauli", "gf2"}, False),
+    (["verify", "spectrum", "--qubits", "2"], _CHANNELS, False),
+    (["verify", "unit-rows", "--qubits", "2"], _CHANNELS, False),
+    (["verify", "distinctness", "--qubits", "2"], _CHANNELS - {"clifford"},
+     False),
+    (["verify", "oracle", "--qubits", "1"], _CHANNELS | {"oracle"}, False),
+    (["verify", "hamming-weight", "--qubits", "2"], _CHANNELS | {"oracle"},
+     False),
 ]
 
 
-@pytest.mark.parametrize("argv, modules", MODULE_SETS, ids=[
-    "-".join(argv[:2]) if argv[0] == "verify" else argv[0]
-    for argv, _ in MODULE_SETS])
-def test_each_command_loads_exactly_its_modules(argv, modules, circuit_file):
+def _row_id(argv: list) -> str:
+    if argv[0] == "verify":
+        return "-".join(argv[:2])
+    return argv[0] + ("-json" if "--json" in argv else "")
+
+
+@pytest.mark.parametrize("argv, modules, loads_json", MODULE_SETS,
+                         ids=[_row_id(argv) for argv, _, _ in MODULE_SETS])
+def test_each_command_loads_exactly_its_modules(argv, modules, loads_json,
+                                                circuit_file):
     argv = [circuit_file if a is None else a for a in argv]
-    loaded = {m for m in _loaded_by_command(*argv)
-              if m == "tcanon" or m.startswith("tcanon.")}
-    assert loaded == {"tcanon"} | {f"tcanon.{m}" for m in modules}
+    loaded = _loaded_by_command(*argv)
+    ours = {m for m in loaded if m == "tcanon" or m.startswith("tcanon.")}
+    assert ours == {"tcanon"} | {f"tcanon.{m}" for m in modules}
+    assert ("json" in loaded) == loads_json
+    assert "dataclasses" not in loaded
 
 
 def test_parse_index_has_one_definition():
@@ -137,6 +153,59 @@ def test_commands_off_the_channels_load_neither_them_nor_their_scalars(argv):
 def test_only_json_output_loads_json(argv, loads_json, circuit_file):
     argv = [circuit_file if a is None else a for a in argv]
     assert ("json" in _loaded_by_command(*argv)) == loads_json
+
+
+def _load_time_imports(tree) -> dict[str, set[str]]:
+    """{in-package module: the names it binds} over the imports a module
+    runs when it is loaded, its top-level statements; an import under `if
+    TYPE_CHECKING:` is not one of them."""
+    out: dict[str, set[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for a in node.names:
+                # `from . import gf2` binds the module itself
+                out.setdefault(node.module or a.name, set()).add(
+                    a.asname or a.name)
+    return out
+
+
+class _RuntimeNames(ast.NodeVisitor):
+    """Every name a module reads outside its annotations."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+
+    def visit_Name(self, node):
+        self.names.add(node.id)
+
+    def visit_arg(self, node):
+        pass  # an argument's annotation
+
+    def visit_FunctionDef(self, node):
+        for child in (*node.decorator_list, node.args, *node.body):
+            self.visit(child)  # not node.returns
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_AnnAssign(self, node):
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
+
+
+def test_no_module_is_imported_at_load_time_only_for_annotations():
+    # such an import belongs under `if TYPE_CHECKING:`: loading the module
+    # costs every command that imports this one, and computes nothing
+    src = Path(tcanon.__file__).resolve().parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses = _RuntimeNames()
+        uses.visit(tree)
+        for module, names in _load_time_imports(tree).items():
+            if not names & uses.names:
+                offenders.append(f"{path.stem} -> {module}: {sorted(names)}")
+    assert offenders == []
 
 
 def test_importing_the_package_loads_no_module_of_it():

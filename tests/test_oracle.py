@@ -210,6 +210,10 @@ def test_oracle_imports_only_the_tokenizer_and_containers():
     # c07 is evidence only while the oracle shares no arithmetic with the
     # tableau and channel code it checks
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    # an import under `if TYPE_CHECKING:` names a type and never runs
+    tree.body = [node for node in tree.body
+                 if not (isinstance(node, ast.If)
+                         and ast.unparse(node.test) == "TYPE_CHECKING")]
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -221,8 +225,7 @@ def test_oracle_imports_only_the_tokenizer_and_containers():
             assert node.level <= 1
             module = module.removeprefix("tcanon").lstrip(".")
             imported |= {(module, a.name) for a in node.names}
-    restricted = {("canonical", "TLayer"), ("channel", "ChannelRep"),
-                  ("clifford", "parse_gate_word")}
+    restricted = {("channel", "ChannelRep"), ("clifford", "parse_gate_word")}
     free = {(mod, name) for mod, name in imported if mod == "exactnum"}
     assert imported - free == restricted
 
