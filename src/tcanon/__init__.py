@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # its module on first use (PEP 562), so a command loads only what it runs
 _EXPORTS = {
     "canonical": "CanonicalForm TLayer TLayerCircuit WidthMismatchError "
-                 "canonicalize_depth_d canonicalize_depth_one "
-                 "channel_of_circuit parse_circuit parse_form",
+                 "canonicalize_depth_d channel_of_circuit parse_circuit "
+                 "parse_form",
     "census": "DEFAULT_SEED FeasibilityRefusalError VerificationReport "
               "count_sets count_tdepth_one count_tuples emit_table "
               "enumerate_sets growth_check random_pauli_set "

@@ -6,8 +6,11 @@ P_j a commuting independent set of positive Paulis and C Clifford.  Up to
 phase T is exp(-i*pi*Z/8) and Tdg is exp(+i*pi*Z/8); conjugating each
 factor through the left Clifford and flipping any negative exponents with
 the Clifford identity exp(-i*pi*P/8) = exp(-i*pi*P/4) * exp(i*pi*P/8)
-yields the form constructively.  Deeper circuits get one set per layer by
-the same sweep with an accumulated Clifford prefix.
+yields the form constructively.  canonicalize_depth_d is the one
+canonicalizer: it sweeps the layers with an accumulated Clifford prefix
+and gives one set per layer, so depth one is its d = 1 case.
+CanonicalForm, one set and a Clifford, is the text edge that renders
+and parses that case.
 """
 
 from __future__ import annotations
@@ -148,12 +151,18 @@ class CanonicalForm:
         return f"<CanonicalForm {self.render()}>"
 
 
-def _sweep(cliffords: Sequence[CliffordTableau],
-           layers: Sequence[TLayer]) -> tuple[tuple[PauliSet, ...], CliffordTableau]:
-    prefix = cliffords[0]
+def canonicalize_depth_d(circ: TLayerCircuit) -> tuple[tuple[PauliSet, ...], CliffordTableau]:
+    """One Pauli set per layer plus a trailing Clifford; depth one is the
+    d = 1 case and depth zero passes the Clifford through.
+
+    Each layer's Z factors are conjugated through the accumulated prefix
+    (initial Cliffords and any sign-flip corrections absorbed so far), so
+    the result multiplies back to the input up to global phase.
+    """
+    prefix = circ.cliffords[0]
     n = prefix.n
     sets = []
-    for layer, tail in zip(layers, cliffords[1:]):
+    for layer, tail in zip(circ.layers, circ.cliffords[1:]):
         factors = []
         for qubit, is_tdg in layer.marked:
             # T contributes exp(-i*pi*Z/8), Tdg exp(+i*pi*Z/8), up to phase;
@@ -166,26 +175,6 @@ def _sweep(cliffords: Sequence[CliffordTableau],
         sets.append(validate_labels(n, factors))
         prefix = prefix.compose(tail)
     return tuple(sets), prefix
-
-
-def canonicalize_depth_one(c1: CliffordTableau, layer: TLayer,
-                           c2: CliffordTableau) -> CanonicalForm:
-    """Canonical form of C1 * layer * C2, exact up to global phase."""
-    if not (c1.n == layer.n == c2.n):
-        raise WidthMismatchError(
-            f"widths differ: {c1.n}, {layer.n}, {c2.n}")
-    sets, tail = _sweep((c1, c2), (layer,))
-    return CanonicalForm(sets[0], tail)
-
-
-def canonicalize_depth_d(circ: TLayerCircuit) -> tuple[tuple[PauliSet, ...], CliffordTableau]:
-    """One Pauli set per layer plus a trailing Clifford.
-
-    Each layer's Z factors are conjugated through the accumulated prefix
-    (initial Cliffords and any sign-flip corrections absorbed so far), so
-    the result multiplies back to the input up to global phase.
-    """
-    return _sweep(circ.cliffords, circ.layers)
 
 
 def channel_of_decomposition(sets: Sequence[PauliSet],

@@ -363,11 +363,16 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
 
 def verify_unit_rows(n: int, trials: int = 100,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Rows of a form's channel holding a +-1 entry = commutant of the set."""
+    """Rows of a form's channel holding a +-1 entry = commutant of the set.
+    Trial 0 is the empty set, so at least two trials are needed to sample
+    one."""
     from .channel import channel_of_canonical
     from .clifford import random_clifford
     _check_run(n, trials, seed)
     _check_sampled(n, trials, "sampled unit-rows")
+    if trials == 1:
+        raise ValueError("need trials >= 2 for sampled unit-rows: trial 0 "
+                         "is the empty set, so one trial samples no set")
     rng = random.Random(seed)
     report = VerificationReport("unit-rows", seed=seed)
     for trial in range(trials):
@@ -470,7 +475,8 @@ def verify_oracle(n: int, trials: int = 100,
     Covers every gate generator, every single-Pauli exponential, and
     random forms whose Clifford part is built twice from one gate word:
     as the compose of the tableaux of the word's two halves, and as one
-    dense matrix of the whole word.
+    dense matrix of the whole word.  Each generator's dense channel must
+    also be a signed permutation, as the channel of a Clifford is.
     """
     from .channel import (channel_of_canonical, channel_of_clifford,
                           channel_of_exponential)
@@ -487,6 +493,9 @@ def verify_oracle(n: int, trials: int = 100,
         brute = channel_bruteforce(dense_of_gate_word(word, n))
         if structured != brute:
             report.failures.append(f"gate {word!r} channel mismatch")
+        if not brute.is_signed_permutation():
+            report.failures.append(
+                f"gate {word!r} channel is not a signed permutation")
     for label in range(1, 1 << (2 * n)):
         structured = channel_of_exponential(n, label)
         brute = channel_bruteforce(dense_of_exponential(n, label))

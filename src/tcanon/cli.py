@@ -194,16 +194,12 @@ def _cmd_canonicalize(args) -> int:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
     circ = canonical.parse_circuit(text)
+    sets, tail = canonical.canonicalize_depth_d(circ)
     if circ.depth <= 1:
-        if circ.depth == 0:
-            form = canonical.CanonicalForm(
-                PauliSet.empty(circ.n), circ.cliffords[0])
-        else:
-            form = canonical.canonicalize_depth_one(
-                circ.cliffords[0], circ.layers[0], circ.cliffords[1])
+        form = canonical.CanonicalForm(
+            sets[0] if sets else PauliSet.empty(circ.n), tail)
         out = form.render() + f"\ntcount: {form.m}\n"
     else:
-        sets, tail = canonical.canonicalize_depth_d(circ)
         names = LabelNames(circ.n)
         lines = [f"layer {k}: {names.render(s)}"
                  for k, s in enumerate(sets, start=1)]

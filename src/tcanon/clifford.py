@@ -104,23 +104,14 @@ class CliffordTableau:
         return acc, t & 3
 
     def compose(self, other: "CliffordTableau") -> "CliffordTableau":
-        """Tableau of self times other (self applied after other).
-
-        Where other fixes a generator (+X_j or +Z_j), the product's image
-        of it is self's image, taken as is.
-        """
+        """Tableau of self times other (self applied after other): self's
+        image of each of other's images."""
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        xgen, zgen = _generators(self.n)
-        return CliffordTableau(self.n, self._images(other.xim, xgen, self.xim),
-                               self._images(other.zim, zgen, self.zim))
-
-    def _images(self, ps, gens, own) -> tuple:
-        """self's image of each p in ps; own[j] where ps[j] == gens[j].
-        The identity test skips __eq__ on the shared generator pairs."""
         conjugate = self.conjugate_pauli
-        return tuple(s if p is g or p == g else conjugate(*p)
-                     for p, g, s in zip(ps, gens, own))
+        return CliffordTableau(self.n,
+                               tuple(conjugate(*p) for p in other.xim),
+                               tuple(conjugate(*p) for p in other.zim))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordTableau):
@@ -159,8 +150,7 @@ class CliffordTableau:
 @functools.cache
 def _generators(n: int) -> tuple[tuple, tuple]:
     """The identity's images, (label, 0) for +X_1..+X_n and for
-    +Z_1..+Z_n, built once per width so compose can spot them by
-    identity."""
+    +Z_1..+Z_n, built once per width."""
     bits = [1 << (n - 1 - j) for j in range(n)]
     return (tuple((b << n, 0) for b in bits), tuple((b, 0) for b in bits))
 

@@ -19,7 +19,6 @@ from tcanon.canonical import (
     TLayer,
     TLayerCircuit,
     canonicalize_depth_d,
-    canonicalize_depth_one,
     channel_of_circuit,
     channel_of_decomposition,
 )
@@ -190,8 +189,9 @@ def _random_layer(n, rng):
 def test_c08_canonicalizer_soundness():
     # the single-T sandwich becomes ({Z}, S)
     one = CliffordTableau.identity(1)
-    flagship = canonicalize_depth_one(one, TLayer(1, t=[0]), one)
-    assert flagship == CanonicalForm(
+    (paulis,), tail = canonicalize_depth_d(
+        TLayerCircuit([one, one], [TLayer(1, t=[0])]))
+    assert CanonicalForm(paulis, tail) == CanonicalForm(
         validate_set([parse_pauli("Z")]),
         from_gate_word("S 0", 1))
 
@@ -202,8 +202,8 @@ def test_c08_canonicalizer_soundness():
         c2 = from_gate_word(random_gate_word(n, rng), n)
         layer = _random_layer(n, rng)
         circ = TLayerCircuit([c1, c2], [layer])
-        form = canonicalize_depth_one(c1, layer, c2)
-        assert (channel_of_canonical(form.paulis, form.clifford)
+        (paulis,), tail = canonicalize_depth_d(circ)
+        assert (channel_of_canonical(paulis, tail)
                 == channel_of_circuit(circ))
 
     for _ in range(50):

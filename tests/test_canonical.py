@@ -14,9 +14,7 @@ from tcanon.canonical import (
     TLayer,
     TLayerCircuit,
     WidthMismatchError,
-    _sweep,
     canonicalize_depth_d,
-    canonicalize_depth_one,
     channel_of_circuit,
     channel_of_decomposition,
     parse_circuit,
@@ -80,23 +78,29 @@ class TestLayerAndCircuitValidation:
             CanonicalForm(PauliSet.empty(2), ID1)
 
 
+def _form_of(circ):
+    """A depth-one circuit's form: the sweep's one set and its tail."""
+    (paulis,), tail = canonicalize_depth_d(circ)
+    return CanonicalForm(paulis, tail)
+
+
 class TestDepthOne:
     def test_single_t_gives_z_and_s(self):
-        form = canonicalize_depth_one(ID1, TLayer(1, t=[0]), ID1)
+        form = _form_of(TLayerCircuit([ID1, ID1], [TLayer(1, t=[0])]))
         assert form.m == 1
         assert tuple(form.paulis) == (parse_pauli("Z"),)
         assert form.clifford == from_gate_word("S 0", 1)
         assert form.render() == "P: +Z | C: +Y, +Z"
 
     def test_single_tdg_gives_z_and_identity(self):
-        form = canonicalize_depth_one(ID1, TLayer(1, tdg=[0]), ID1)
+        form = _form_of(TLayerCircuit([ID1, ID1], [TLayer(1, tdg=[0])]))
         assert tuple(form.paulis) == (parse_pauli("Z"),)
         assert form.clifford == ID1
         assert form.render() == "P: +Z | C: id"
 
     def test_left_clifford_conjugates_the_factors(self):
         h = from_gate_word("H 0", 1)
-        form = canonicalize_depth_one(h, TLayer(1, tdg=[0]), ID1)
+        form = _form_of(TLayerCircuit([h, ID1], [TLayer(1, tdg=[0])]))
         # H Z H' = X, positive, so the set is {X} and the tail is just H
         assert tuple(form.paulis) == (parse_pauli("X"),)
         assert form.clifford == h
@@ -104,7 +108,7 @@ class TestDepthOne:
     def test_negative_image_gets_folded_into_the_tail(self):
         x = from_gate_word("X 0", 1)
         # X Z X' = -Z, so a Tdg behind X needs a quarter correction
-        form = canonicalize_depth_one(x, TLayer(1, tdg=[0]), ID1)
+        form = _form_of(TLayerCircuit([x, ID1], [TLayer(1, tdg=[0])]))
         assert tuple(form.paulis) == (parse_pauli("Z"),)
         assert (channel_of_canonical(form.paulis, form.clifford)
                 == channel_of_circuit(
@@ -112,14 +116,14 @@ class TestDepthOne:
 
     def test_width_mismatch_raises(self):
         with pytest.raises(WidthMismatchError):
-            canonicalize_depth_one(ID1, TLayer(2, t=[0]), ID2)
+            canonicalize_depth_d(
+                TLayerCircuit([ID1, ID2], [TLayer(2, t=[0])]))
 
     def test_channel_equality_on_random_circuits(self):
         rng = random.Random(8001)
         for _ in range(15):
             circ = random_circuit(2, 1, rng)
-            form = canonicalize_depth_one(circ.cliffords[0], circ.layers[0],
-                                          circ.cliffords[1])
+            form = _form_of(circ)
             assert form.m == len(circ.layers[0].marked)
             assert (channel_of_canonical(form.paulis, form.clifford)
                     == channel_of_circuit(circ))
@@ -200,7 +204,7 @@ def test_sweep_matches_composed_quarter_tableaux_at_64_qubits():
         for _ in range(2):
             circ = random_circuit(64, depth, rng, length=400)
             want = _sweep_by_products(circ.cliffords, circ.layers)
-            assert _sweep(circ.cliffords, circ.layers) == want
+            assert canonicalize_depth_d(circ) == want
 
 
 class TestFormText:
@@ -208,8 +212,7 @@ class TestFormText:
         rng = random.Random(8004)
         for _ in range(10):
             circ = random_circuit(2, 1, rng)
-            form = canonicalize_depth_one(circ.cliffords[0], circ.layers[0],
-                                          circ.cliffords[1])
+            form = _form_of(circ)
             assert parse_form(form.render()) == form
 
     def test_identity_clifford_spelling(self):
@@ -330,8 +333,7 @@ class TestCircuitText:
     def test_channel_of_parsed_circuit(self):
         text = "QUBITS: 1\nCLIFFORD:\nTLAYER: t=0\nCLIFFORD:"
         circ = parse_circuit(text)
-        form = canonicalize_depth_one(circ.cliffords[0], circ.layers[0],
-                                      circ.cliffords[1])
+        form = _form_of(circ)
         assert (channel_of_canonical(form.paulis, form.clifford)
                 == channel_of_circuit(circ))
 

@@ -286,6 +286,26 @@ class TestVerifiers:
         assert not r.passed
         assert all(f.startswith("form (") for f in r.failures)
 
+    def test_oracle_catches_a_gate_channel_that_is_no_signed_permutation(
+            self, monkeypatch):
+        # both sides give one exponential's channel for every gate word
+        # (the only words whose true channels are signed permutations):
+        # they agree, so only the signed-permutation arm can catch it
+        fake = channel.channel_of_exponential(2, 1)
+        channel_bruteforce = oracle.channel_bruteforce
+
+        def brute(u):
+            rep = channel_bruteforce(u)
+            return fake if rep.is_signed_permutation() else rep
+
+        monkeypatch.setattr(channel, "channel_of_clifford", lambda c: fake)
+        monkeypatch.setattr(oracle, "channel_bruteforce", brute)
+        r = verify_oracle(2, trials=0)
+        assert r.failures == [
+            f"gate {w!r} channel is not a signed permutation"
+            for w in census._generator_words(2)]
+        assert r.counts == {"generators": 27, "forms": 0}
+
     def test_oracle_names_a_mismatched_exponential_by_its_text(self,
                                                                monkeypatch):
         # the one PauliOperator census makes renders this failure; census
@@ -324,6 +344,13 @@ class TestVerifiers:
         with pytest.raises(ValueError,
                            match=f"^need trials >= 1 for {what}, got 0$"):
             check(2, trials=0, **kwargs)
+
+    def test_unit_rows_refuses_a_single_trial(self):
+        # trial 0 is the empty set, so one trial would sample no set
+        with pytest.raises(ValueError, match="^need trials >= 2 for "
+                                             "sampled unit-rows: trial 0 "):
+            verify_unit_rows(2, trials=1)
+        assert verify_unit_rows(2, trials=2).counts == {"trials": 2}
 
     def test_growth(self):
         r = growth_check(16)

@@ -314,6 +314,8 @@ def test_verify_text_summary(capsys):
     ("spectrum", "--qubits", "2", "--trials", "0"),
     ("unit-rows", "--qubits", "2", "--trials", "0"),
     ("distinctness", "--qubits", "2", "--trials", "0"),
+    # trial 0 is always the empty set, so one trial samples no set
+    ("unit-rows", "--qubits", "2", "--trials", "1"),
 ])
 def test_verify_rejects_bad_width_or_trials(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)

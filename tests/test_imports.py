@@ -2,6 +2,7 @@
 the package re-exports its names without importing any module first."""
 
 import ast
+import functools
 import importlib
 import os
 import subprocess
@@ -16,8 +17,7 @@ import tcanon
 EXPORTED = {
     "canonical": ["CanonicalForm", "TLayer", "TLayerCircuit",
                   "WidthMismatchError", "canonicalize_depth_d",
-                  "canonicalize_depth_one", "channel_of_circuit",
-                  "parse_circuit", "parse_form"],
+                  "channel_of_circuit", "parse_circuit", "parse_form"],
     "census": ["DEFAULT_SEED", "FeasibilityRefusalError",
                "VerificationReport", "count_sets", "count_tdepth_one",
                "count_tuples", "emit_table", "enumerate_sets",
@@ -51,14 +51,18 @@ def _loaded_by(code: str, *argv: str) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def _loaded_by_command(*argv: str) -> set[str]:
-    return _loaded_by("from tcanon import cli\n"
-                      "assert cli.main(sys.argv[1:]) == 0", *argv)
+@functools.cache
+def _loaded_by_command(*argv: str) -> frozenset[str]:
+    """The modules a command loads; each distinct argv starts one
+    interpreter per test run."""
+    return frozenset(_loaded_by("from tcanon import cli\n"
+                                "assert cli.main(sys.argv[1:]) == 0", *argv))
 
 
-@pytest.fixture
-def circuit_file(tmp_path):
-    path = tmp_path / "circuit.txt"
+@pytest.fixture(scope="module")
+def circuit_file(tmp_path_factory):
+    # one path for the module, so the canonicalize commands share a run
+    path = tmp_path_factory.mktemp("circuit") / "circuit.txt"
     path.write_text("QUBITS: 2\nCLIFFORD: H 0; CX 0 1\nTLAYER: t=0 tdg=1\n"
                     "CLIFFORD: S 1\n", encoding="utf-8")
     return str(path)

@@ -34,9 +34,6 @@ KEEP = {
     "canonical.parse_form":
         "inverse of CanonicalForm.render; ROADMAP Q's synthesize and E's"
         " round trip need it",
-    "channel.ChannelRep.is_signed_permutation":
-        "c09's Clifford-iff-signed-permutation predicate; ROADMAP Q's"
-        " recognize gives it a caller",
 }
 SCOPES = ast.Module, ast.ClassDef, ast.FunctionDef
 
