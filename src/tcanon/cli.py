@@ -11,14 +11,13 @@ import contextlib
 import functools
 import itertools
 import math
-import random
 import sys
 from typing import TYPE_CHECKING
 
 from .pauli import LabelNames, PauliSet, parse_index
 
 if TYPE_CHECKING:
-    from .census import VerificationReport
+    from .verify import VerificationReport
 
 # enumerate writes this many lines at a time: few enough that a reader
 # sees the stream move, enough that the per-write cost stays small
@@ -40,6 +39,7 @@ def _seed_arg(value: str) -> int:
     """Integer seed >= 0, or the literal word "random" for a fresh one.  A
     negative seed is refused: random.Random(-5) seeds as Random(5) does."""
     if value == "random":
+        import random
         return random.SystemRandom().randrange(1 << 31)
     try:
         seed = parse_index(value)
@@ -156,7 +156,7 @@ def _report_out(report: VerificationReport, as_json: bool) -> int:
     return 0 if report.passed else 1
 
 
-# each check's census function, by name: census is imported only to run one
+# each check's verify function, by name: verify is imported only to run one
 _VERIFIERS = {"distinctness": "verify_distinctness",
               "unit-rows": "verify_unit_rows",
               "hamming-weight": "verify_hamming_weight",
@@ -166,7 +166,7 @@ _VERIFIERS = {"distinctness": "verify_distinctness",
 def _cmd_verify(args) -> int:
     """Run one check.  A flag the check would not read is refused, not
     ignored, and only the flags given are passed on, so the defaults for
-    trials and seed live in census."""
+    trials and seed live in verify."""
     check = args.check
     if args.exhaustive and check not in ("distinctness", "spectrum"):
         raise ValueError(f"--exhaustive applies to distinctness and "
@@ -181,8 +181,8 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--{name} is not read by {run}")
     if check in ("distinctness", "spectrum"):
         given["mode"] = "exhaustive" if args.exhaustive else "sampled"
-    from . import census
-    verifier = getattr(census, _VERIFIERS[check])
+    from . import verify
+    verifier = getattr(verify, _VERIFIERS[check])
     return _report_out(verifier(args.qubits, **given), args.json)
 
 
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "growth":
-            from .census import growth_check
+            from .verify import growth_check
             return _report_out(growth_check(args.max_qubits), args.json)
         if args.command == "canonicalize":
             return _cmd_canonicalize(args)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tcanon import census, channel, gf2, oracle
+from tcanon import census, channel, gf2, oracle, verify
 from tcanon.census import (
     DEFAULT_SEED,
     FeasibilityRefusalError,
@@ -248,7 +248,7 @@ class TestVerifiers:
     def test_hamming_weight_catches_a_lost_entry(self, monkeypatch):
         # every column of E's channel is nonempty, so dropping one entry
         # leaves a support of 2^w - 1 at every qubit of every family;
-        # census reads channel_bruteforce from oracle at each call
+        # verify reads channel_bruteforce from oracle at each call
         channel_bruteforce = oracle.channel_bruteforce
 
         def lossy(u):
@@ -303,12 +303,12 @@ class TestVerifiers:
         r = verify_oracle(2, trials=0)
         assert r.failures == [
             f"gate {w!r} channel is not a signed permutation"
-            for w in census._generator_words(2)]
+            for w in verify._generator_words(2)]
         assert r.counts == {"generators": 27, "forms": 0}
 
     def test_oracle_names_a_mismatched_exponential_by_its_text(self,
                                                                monkeypatch):
-        # the one PauliOperator census makes renders this failure; census
+        # the one PauliOperator verify makes renders this failure; verify
         # reads channel_of_exponential from channel at each call
         channel_of_exponential = channel.channel_of_exponential
         yz = parse_pauli("YZ").label

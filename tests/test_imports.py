@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tcanon
+from tcanon import census, verify
 
 # every name the package exported when it imported all its modules eagerly
 EXPORTED = {
@@ -69,11 +70,11 @@ def circuit_file(tmp_path_factory):
 
 
 # enumerate's modules: the label walk and the text edge it renders with
-_WALK = {"cli", "census", "pauli", "gf2"}
-# the counting formulas add the Clifford group order
-_FORMULAS = _WALK | {"clifford"}
-# the verifiers' channels and their scalars
-_CHANNELS = _FORMULAS | {"channel", "exactnum"}
+_WALK = {"cli", "census", "pauli"}
+# the counting formulas add the Clifford group order and its GF(2) algebra
+_FORMULAS = _WALK | {"clifford", "gf2"}
+# the checks, and the verifiers' channels and their scalars
+_CHANNELS = _FORMULAS | {"verify", "channel", "exactnum"}
 
 # (argv, the tcanon modules it loads beyond the package itself, whether it
 # loads json); None in argv stands for the circuit file.  No command loads
@@ -83,7 +84,7 @@ MODULE_SETS = [
     (["count", "--qubits", "3"], _FORMULAS, False),
     (["count", "--qubits", "1", "--json"], _FORMULAS, True),
     (["table", "--max-qubits", "3"], _FORMULAS, False),
-    (["growth", "--max-qubits", "4"], _FORMULAS, False),
+    (["growth", "--max-qubits", "4"], _FORMULAS | {"verify"}, False),
     (["canonicalize", "--in", None],
      {"cli", "canonical", "clifford", "pauli", "gf2"}, False),
     (["verify", "spectrum", "--qubits", "2"], _CHANNELS, False),
@@ -226,6 +227,50 @@ def test_every_exported_name_is_its_modules_object(module, name):
     exec(f"from tcanon import {name}", namespace)
     assert getattr(tcanon, name) is getattr(home, name)
     assert namespace[name] is getattr(home, name)
+
+
+@pytest.mark.parametrize("name", census._VERIFY_NAMES)
+def test_census_serves_each_moved_name_as_verifys_object(name):
+    namespace = {}
+    exec(f"from tcanon.census import {name}", namespace)
+    assert getattr(census, name) is getattr(verify, name)
+    assert namespace[name] is getattr(verify, name)
+
+
+def test_census_refuses_a_name_it_does_not_serve():
+    # private names moved to verify are not served: tests read them there
+    for name in ("nope", "_generator_words"):
+        with pytest.raises(AttributeError,
+                           match=f"module 'tcanon.census' has no attribute "
+                                 f"'{name}'"):
+            getattr(census, name)
+
+
+def _load_time_modules(tree) -> set[str]:
+    """The modules a module's top-level statements import, stdlib and
+    in-package alike, by the last part of their name."""
+    out: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.update([node.module] if node.module
+                       else (a.name for a in node.names))
+    return out
+
+
+@pytest.mark.parametrize("module, kept_out", [
+    ("census", {"random", "time", "gf2"}),
+    ("cli", {"random"}),
+    ("pauli", {"gf2"}),
+], ids=["census", "cli", "pauli"])
+def test_the_walk_path_imports_no_module_only_the_checks_run(module,
+                                                             kept_out):
+    # site preloads random, so sys.modules cannot show what these files
+    # import; their top-level statements can
+    path = Path(tcanon.__file__).resolve().parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not _load_time_modules(tree) & kept_out
 
 
 def test_an_unknown_name_raises_attribute_error():

@@ -14,7 +14,9 @@ variable, a word of an error message).  An attribute is resolved to a
 class when the AST shows which: its receiver is self or cls inside that
 class, the class's name, or a call of it, and the class defines the
 attribute.  Such a reference reaches only that class's method; any other
-attribute reaches every method of its name.
+attribute reaches every method of its name.  A module-level __getattr__
+is reached, since the interpreter calls it (PEP 562), and so are the
+names it reads.
 """
 
 import ast
@@ -88,10 +90,10 @@ def references(tree, classes):
 
 def definitions(tree, module):
     """(qualified name, keys that reach it, first line, last line) of the
-    module-level functions, classes and assigned non-dunder names, and the
-    classes' non-dunder methods."""
+    module-level functions but __getattr__, classes and assigned
+    non-dunder names, and the classes' non-dunder methods."""
     for node in tree.body:
-        if isinstance(node, SCOPES[1:]):
+        if isinstance(node, SCOPES[1:]) and node.name != "__getattr__":
             yield (f"{module}.{node.name}", (node.name, f".{node.name}"),
                    node.lineno, node.end_lineno)
         for target in node.targets if isinstance(node, ast.Assign) else ():
@@ -260,3 +262,26 @@ def main():
 main()
 """, True),)
     assert unreached(live=set(), files=files) == ["m.D.named", "m.D.spoken"]
+
+
+def test_a_module_getattr_is_reached_and_so_is_what_it_reads():
+    # nothing calls __getattr__ by name; serve and its table are reached
+    # through it, spare is not
+    files = (("m", """
+_SERVED = ("a", "b")
+
+
+def serve(name):
+    return name
+
+
+def spare():
+    return None
+
+
+def __getattr__(name):
+    if name not in _SERVED:
+        raise AttributeError(name)
+    return serve(name)
+""", True),)
+    assert unreached(live=set(), files=files) == ["m.spare"]
