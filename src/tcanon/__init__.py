@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # importing the package imports none of its modules: each name is read from
 # its module on first use (PEP 562), so a command loads only what it runs
 _EXPORTS = {
-    "canonical": "CanonicalForm TLayer TLayerCircuit WidthMismatchError "
+    "canonical": "TLayer TLayerCircuit WidthMismatchError "
                  "canonicalize_depth_d channel_of_circuit parse_circuit "
                  "parse_form",
     "census": "DEFAULT_SEED FeasibilityRefusalError count_sets "

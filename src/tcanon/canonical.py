@@ -8,9 +8,10 @@ factor through the left Clifford and flipping any negative exponents with
 the Clifford identity exp(-i*pi*P/8) = exp(-i*pi*P/4) * exp(i*pi*P/8)
 yields the form constructively.  canonicalize_depth_d is the one
 canonicalizer: it sweeps the layers with an accumulated Clifford prefix
-and gives one set per layer, so depth one is its d = 1 case.
-CanonicalForm, one set and a Clifford, is the text edge that renders
-and parses that case.
+and returns (sets, tail), one set per layer and the trailing Clifford, so
+depth one is its d = 1 case.  That pair is the only result shape:
+render_canonical writes it as the canonicalize command's text at every
+depth, and parse_form reads a depth <= 1 line of that text back into it.
 """
 
 from __future__ import annotations
@@ -110,47 +111,6 @@ class TLayerCircuit:
         return len(self.layers)
 
 
-class CanonicalForm:
-    """A PauliSet of exponential factors and a trailing Clifford."""
-
-    __slots__ = ("paulis", "clifford")
-
-    def __init__(self, paulis: PauliSet, clifford: CliffordTableau):
-        if paulis.n != clifford.n:
-            raise WidthMismatchError(
-                f"set width {paulis.n} != Clifford width {clifford.n}")
-        self.paulis = paulis
-        self.clifford = clifford
-
-    @property
-    def n(self) -> int:
-        return self.clifford.n
-
-    @property
-    def m(self) -> int:
-        return len(self.paulis)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.paulis == other.paulis and self.clifford == other.clifford
-
-    def __hash__(self):
-        return hash((self.paulis, self.clifford))
-
-    def render(self) -> str:
-        """Text form "P: +ZZ | C: id"; an empty set renders as "-" and the
-        Clifford as its 2n image strings unless it is the identity."""
-        if len(self.paulis):
-            left = LabelNames(self.n).render(self.paulis)
-        else:
-            left = "-"
-        return f"P: {left} | C: {self.clifford.render()}"
-
-    def __repr__(self):
-        return f"<CanonicalForm {self.render()}>"
-
-
 def canonicalize_depth_d(circ: TLayerCircuit) -> tuple[tuple[PauliSet, ...], CliffordTableau]:
     """One Pauli set per layer plus a trailing Clifford; depth one is the
     d = 1 case and depth zero passes the Clifford through.
@@ -175,6 +135,21 @@ def canonicalize_depth_d(circ: TLayerCircuit) -> tuple[tuple[PauliSet, ...], Cli
         sets.append(validate_labels(n, factors))
         prefix = prefix.compose(tail)
     return tuple(sets), prefix
+
+
+def render_canonical(sets: Sequence[PauliSet], tail: CliffordTableau) -> str:
+    """The canonicalize output for canonicalize_depth_d's (sets, tail).  At
+    depth <= 1 it is "P: +ZZ | C: id", an empty set written "-", then
+    "tcount: m"; deeper, one "layer k:" line per set, then "C:" and
+    "tgates:".  The Clifford is "id" or its 2n image strings."""
+    names = LabelNames(tail.n)
+    count = sum(len(s) for s in sets)
+    if len(sets) <= 1:
+        left = names.render(sets[0]) if sets else "-"
+        return f"P: {left} | C: {tail.render()}\ntcount: {count}\n"
+    layers = "".join(f"layer {k}: {names.render(s)}\n"
+                     for k, s in enumerate(sets, start=1))
+    return f"{layers}C: {tail.render()}\ntgates: {count}\n"
 
 
 def channel_of_decomposition(sets: Sequence[PauliSet],
@@ -220,14 +195,12 @@ def _split_top(text: str):
     return left[lp + 2:], lp + 2, right[rp + 2:], bar + 1 + rp + 2
 
 
-def parse_form(text: str) -> CanonicalForm:
-    """Inverse of CanonicalForm.render; raises ParseError with an offset."""
+def parse_form(text: str) -> tuple[tuple[PauliSet, ...], CliffordTableau]:
+    """The (sets, tail) of a depth <= 1 line render_canonical writes: ()
+    for "P: -", else one set.  Raises ParseError with an offset."""
     set_text, set_off, cl_text, cl_off = _split_top(text)
-    body = set_text.strip()
-    if body == "-" or body == "":
-        elems = []
-    else:
-        elems = []
+    elems = []
+    if set_text.strip() not in ("-", ""):
         pos = 0
         for piece in set_text.split(","):
             stripped = piece.strip()
@@ -251,17 +224,16 @@ def parse_form(text: str) -> CanonicalForm:
             tableau = CliffordTableau.from_strings(strings)
         except ValueError as e:
             raise ParseError(str(e), cl_off) from None
-    if elems:
-        try:
-            pset = validate_set(elems)
-        except ValueError as e:
-            raise ParseError(str(e), set_off) from None
-    else:
-        pset = PauliSet.empty(tableau.n)
+    if not elems:
+        return (), tableau
     try:
-        return CanonicalForm(pset, tableau)
-    except WidthMismatchError as e:
+        pset = validate_set(elems)
+    except ValueError as e:
         raise ParseError(str(e), set_off) from None
+    if pset.n != tableau.n:
+        raise ParseError(f"set width {pset.n} != Clifford width {tableau.n}",
+                         set_off)
+    return (pset,), tableau
 
 
 def parse_circuit(text: str) -> TLayerCircuit:

@@ -14,7 +14,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .pauli import LabelNames, PauliSet, parse_index
+from .pauli import LabelNames, parse_index
 
 if TYPE_CHECKING:
     from .verify import VerificationReport
@@ -194,19 +194,8 @@ def _cmd_canonicalize(args) -> int:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
     circ = canonical.parse_circuit(text)
-    sets, tail = canonical.canonicalize_depth_d(circ)
-    if circ.depth <= 1:
-        form = canonical.CanonicalForm(
-            sets[0] if sets else PauliSet.empty(circ.n), tail)
-        out = form.render() + f"\ntcount: {form.m}\n"
-    else:
-        names = LabelNames(circ.n)
-        lines = [f"layer {k}: {names.render(s)}"
-                 for k, s in enumerate(sets, start=1)]
-        lines.append(f"C: {tail.render()}")
-        lines.append(f"tgates: {sum(len(s) for s in sets)}")
-        out = "\n".join(lines) + "\n"
-    _write(out, args.out)
+    _write(canonical.render_canonical(*canonical.canonicalize_depth_d(circ)),
+           args.out)
     return 0
 
 

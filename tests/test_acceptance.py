@@ -15,7 +15,6 @@ from conftest import record_criterion
 from dense_reference import is_orthogonal
 
 from tcanon.canonical import (
-    CanonicalForm,
     TLayer,
     TLayerCircuit,
     canonicalize_depth_d,
@@ -23,10 +22,11 @@ from tcanon.canonical import (
     channel_of_decomposition,
 )
 from tcanon.channel import channel_of_canonical, channel_of_clifford
-from tcanon.census import (
-    DEFAULT_SEED,
-    count_sets,
-    enumerate_sets,
+from tcanon.census import DEFAULT_SEED, count_sets, enumerate_sets
+from tcanon.cli import main
+from tcanon.clifford import CliffordTableau, from_gate_word, random_clifford
+from tcanon.pauli import parse_pauli, validate_set
+from tcanon.verify import (
     growth_check,
     random_gate_word,
     random_pauli_set,
@@ -36,9 +36,6 @@ from tcanon.census import (
     verify_spectrum,
     verify_unit_rows,
 )
-from tcanon.cli import main
-from tcanon.clifford import CliffordTableau, from_gate_word, random_clifford
-from tcanon.pauli import parse_pauli, validate_set
 
 TABLE_EXPECTED = {
     # n: (clifford_order, per-tcount class counts, total classes, total unitaries)
@@ -191,9 +188,8 @@ def test_c08_canonicalizer_soundness():
     one = CliffordTableau.identity(1)
     (paulis,), tail = canonicalize_depth_d(
         TLayerCircuit([one, one], [TLayer(1, t=[0])]))
-    assert CanonicalForm(paulis, tail) == CanonicalForm(
-        validate_set([parse_pauli("Z")]),
-        from_gate_word("S 0", 1))
+    assert (paulis, tail) == (validate_set([parse_pauli("Z")]),
+                              from_gate_word("S 0", 1))
 
     rng = random.Random(DEFAULT_SEED)
     n = 2

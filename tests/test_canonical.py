@@ -9,7 +9,6 @@ from dense_reference import dagger, dense_of_quarter_exponential
 from hypothesis import given, settings, strategies as st
 
 from tcanon.canonical import (
-    CanonicalForm,
     ParseError,
     TLayer,
     TLayerCircuit,
@@ -19,14 +18,15 @@ from tcanon.canonical import (
     channel_of_decomposition,
     parse_circuit,
     parse_form,
+    render_canonical,
 )
 from tcanon.channel import channel_of_canonical
 from tcanon.clifford import (CliffordTableau, from_gate_word,
                              quarter_exponential)
-from tcanon.census import random_gate_word
 from tcanon.oracle import dense_of_pauli
-from tcanon.pauli import (PauliOperator, PauliSet, parse_pauli, validate_labels,
+from tcanon.pauli import (PauliOperator, parse_pauli, validate_labels,
                           validate_set)
+from tcanon.verify import random_gate_word
 
 ID1 = CliffordTableau.identity(1)
 ID2 = CliffordTableau.identity(2)
@@ -74,43 +74,46 @@ class TestLayerAndCircuitValidation:
             TLayerCircuit([ID2, ID2], [TLayer(1, t=[0])])
 
     def test_form_rejects_mixed_widths(self):
-        with pytest.raises(WidthMismatchError):
-            CanonicalForm(PauliSet.empty(2), ID1)
+        with pytest.raises(ParseError,
+                           match="set width 2 != Clifford width 1") as info:
+            parse_form("P: +ZZ | C: +Y, +Z")
+        assert info.value.position == 2
 
 
 def _form_of(circ):
     """A depth-one circuit's form: the sweep's one set and its tail."""
     (paulis,), tail = canonicalize_depth_d(circ)
-    return CanonicalForm(paulis, tail)
+    return paulis, tail
 
 
 class TestDepthOne:
     def test_single_t_gives_z_and_s(self):
-        form = _form_of(TLayerCircuit([ID1, ID1], [TLayer(1, t=[0])]))
-        assert form.m == 1
-        assert tuple(form.paulis) == (parse_pauli("Z"),)
-        assert form.clifford == from_gate_word("S 0", 1)
-        assert form.render() == "P: +Z | C: +Y, +Z"
+        paulis, tail = _form_of(TLayerCircuit([ID1, ID1], [TLayer(1, t=[0])]))
+        assert len(paulis) == 1
+        assert tuple(paulis) == (parse_pauli("Z"),)
+        assert tail == from_gate_word("S 0", 1)
+        assert (render_canonical((paulis,), tail)
+                == "P: +Z | C: +Y, +Z\ntcount: 1\n")
 
     def test_single_tdg_gives_z_and_identity(self):
-        form = _form_of(TLayerCircuit([ID1, ID1], [TLayer(1, tdg=[0])]))
-        assert tuple(form.paulis) == (parse_pauli("Z"),)
-        assert form.clifford == ID1
-        assert form.render() == "P: +Z | C: id"
+        paulis, tail = _form_of(TLayerCircuit([ID1, ID1], [TLayer(1, tdg=[0])]))
+        assert tuple(paulis) == (parse_pauli("Z"),)
+        assert tail == ID1
+        assert render_canonical((paulis,), tail) == "P: +Z | C: id\ntcount: 1\n"
 
     def test_left_clifford_conjugates_the_factors(self):
         h = from_gate_word("H 0", 1)
-        form = _form_of(TLayerCircuit([h, ID1], [TLayer(1, tdg=[0])]))
+        paulis, tail = _form_of(TLayerCircuit([h, ID1], [TLayer(1, tdg=[0])]))
         # H Z H' = X, positive, so the set is {X} and the tail is just H
-        assert tuple(form.paulis) == (parse_pauli("X"),)
-        assert form.clifford == h
+        assert tuple(paulis) == (parse_pauli("X"),)
+        assert tail == h
 
     def test_negative_image_gets_folded_into_the_tail(self):
         x = from_gate_word("X 0", 1)
         # X Z X' = -Z, so a Tdg behind X needs a quarter correction
-        form = _form_of(TLayerCircuit([x, ID1], [TLayer(1, tdg=[0])]))
-        assert tuple(form.paulis) == (parse_pauli("Z"),)
-        assert (channel_of_canonical(form.paulis, form.clifford)
+        paulis, tail = _form_of(TLayerCircuit([x, ID1], [TLayer(1, tdg=[0])]))
+        assert tuple(paulis) == (parse_pauli("Z"),)
+        assert (channel_of_canonical(paulis, tail)
                 == channel_of_circuit(
                     TLayerCircuit([x, ID1], [TLayer(1, tdg=[0])])))
 
@@ -123,9 +126,9 @@ class TestDepthOne:
         rng = random.Random(8001)
         for _ in range(15):
             circ = random_circuit(2, 1, rng)
-            form = _form_of(circ)
-            assert form.m == len(circ.layers[0].marked)
-            assert (channel_of_canonical(form.paulis, form.clifford)
+            paulis, tail = _form_of(circ)
+            assert len(paulis) == len(circ.layers[0].marked)
+            assert (channel_of_canonical(paulis, tail)
                     == channel_of_circuit(circ))
 
 
@@ -210,20 +213,22 @@ def test_sweep_matches_composed_quarter_tableaux_at_64_qubits():
 class TestFormText:
     def test_round_trip(self):
         rng = random.Random(8004)
-        for _ in range(10):
-            circ = random_circuit(2, 1, rng)
-            form = _form_of(circ)
-            assert parse_form(form.render()) == form
+        for depth in (1, 0):
+            for _ in range(10):
+                sets, tail = canonicalize_depth_d(random_circuit(2, depth, rng))
+                assert len(sets) == depth
+                line = render_canonical(sets, tail).split("\n")[0]
+                assert parse_form(line) == (sets, tail)
 
     def test_identity_clifford_spelling(self):
-        form = parse_form("P: +Z | C: id")
-        assert form.clifford == ID1
-        assert form.m == 1
+        (paulis,), tail = parse_form("P: +Z | C: id")
+        assert tail == ID1
+        assert len(paulis) == 1
 
     def test_empty_set_renders_as_dash(self):
-        form = CanonicalForm(PauliSet.empty(1), from_gate_word("H 0", 1))
-        assert form.render() == "P: - | C: +Z, +X"
-        assert parse_form(form.render()) == form
+        h = from_gate_word("H 0", 1)
+        assert render_canonical((), h) == "P: - | C: +Z, +X\ntcount: 0\n"
+        assert parse_form("P: - | C: +Z, +X") == ((), h)
 
     @pytest.mark.parametrize(
         "text",
@@ -333,8 +338,8 @@ class TestCircuitText:
     def test_channel_of_parsed_circuit(self):
         text = "QUBITS: 1\nCLIFFORD:\nTLAYER: t=0\nCLIFFORD:"
         circ = parse_circuit(text)
-        form = _form_of(circ)
-        assert (channel_of_canonical(form.paulis, form.clifford)
+        paulis, tail = _form_of(circ)
+        assert (channel_of_canonical(paulis, tail)
                 == channel_of_circuit(circ))
 
 

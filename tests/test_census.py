@@ -10,13 +10,18 @@ from tcanon import census, channel, gf2, oracle, verify
 from tcanon.census import (
     DEFAULT_SEED,
     FeasibilityRefusalError,
-    VerificationReport,
     _span_with,
     count_sets,
     count_tdepth_one,
     count_tuples,
     emit_table,
     enumerate_sets,
+)
+from tcanon.clifford import CliffordTableau, group_order, parse_gate_word
+from tcanon.pauli import (PauliOperator, PauliSet, _swap_halves, parse_pauli,
+                          validate_set)
+from tcanon.verify import (
+    VerificationReport,
     growth_check,
     random_gate_word,
     random_pauli_set,
@@ -26,9 +31,6 @@ from tcanon.census import (
     verify_spectrum,
     verify_unit_rows,
 )
-from tcanon.clifford import CliffordTableau, group_order, parse_gate_word
-from tcanon.pauli import (PauliOperator, PauliSet, _swap_halves, parse_pauli,
-                          validate_set)
 
 
 def _reference_pauli_set(n, m, rng):

@@ -24,11 +24,12 @@ from tcanon.channel import (
     reference_spectrum,
 )
 from tcanon.clifford import CliffordTableau, from_gate_word, random_clifford
-from tcanon.census import _all_sets, random_gate_word, random_pauli_set
+from tcanon.census import _all_sets
 from tcanon.exactnum import DYADIC_ONE, DYADIC_ZERO, DyadicSqrt2Scalar
 from tcanon.oracle import channel_bruteforce, dense_of_exponential, dense_of_gate_word
 from tcanon.pauli import (PauliSet, commutant, parse_pauli, validate_labels,
                           validate_set)
+from tcanon.verify import random_gate_word, random_pauli_set
 
 R = DyadicSqrt2Scalar(0, 1, 1)  # 1/sqrt2
 ONE = DYADIC_ONE

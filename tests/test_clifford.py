@@ -18,9 +18,9 @@ from tcanon.clifford import (
     random_clifford,
 )
 from tcanon.canonical import ParseError, parse_circuit
-from tcanon.census import random_gate_word, random_pauli_set
 from tcanon.oracle import dense_of_gate_word, dense_of_pauli
 from tcanon.pauli import PauliOperator, parse_pauli
+from tcanon.verify import random_gate_word, random_pauli_set
 
 
 def test_group_order_small_values():

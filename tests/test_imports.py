@@ -16,9 +16,9 @@ from tcanon import census, verify
 
 # every name the package exported when it imported all its modules eagerly
 EXPORTED = {
-    "canonical": ["CanonicalForm", "TLayer", "TLayerCircuit",
-                  "WidthMismatchError", "canonicalize_depth_d",
-                  "channel_of_circuit", "parse_circuit", "parse_form"],
+    "canonical": ["TLayer", "TLayerCircuit", "WidthMismatchError",
+                  "canonicalize_depth_d", "channel_of_circuit",
+                  "parse_circuit", "parse_form"],
     "census": ["DEFAULT_SEED", "FeasibilityRefusalError",
                "VerificationReport", "count_sets", "count_tdepth_one",
                "count_tuples", "emit_table", "enumerate_sets",

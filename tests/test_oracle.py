@@ -29,8 +29,7 @@ from tcanon.oracle import (
     dense_of_pauli,
     dense_of_t_layer,
 )
-from tcanon.census import random_gate_word, random_pauli_set
-from tcanon.verify import _generator_words
+from tcanon.verify import _generator_words, random_gate_word, random_pauli_set
 from tcanon.channel import (ChannelRep, channel_of_clifford,
                             channel_of_exponential)
 from tcanon.clifford import from_gate_word

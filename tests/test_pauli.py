@@ -7,7 +7,7 @@ import time
 import pytest
 from conftest import commutes as label_pair_commutes, dense_of
 
-from tcanon.census import enumerate_sets, random_pauli_set
+from tcanon.census import enumerate_sets
 from tcanon.oracle import dense_of_pauli
 from tcanon.pauli import (
     DependentSetError,
@@ -21,6 +21,7 @@ from tcanon.pauli import (
     parse_pauli,
     validate_set,
 )
+from tcanon.verify import random_pauli_set
 
 
 def P(text):

@@ -34,8 +34,8 @@ KEEP = {
         "dense reference for true T/Tdg layers; ROADMAP N's orbit arm"
         " builds its start channels with it",
     "canonical.parse_form":
-        "inverse of CanonicalForm.render; ROADMAP Q's synthesize and E's"
-        " round trip need it",
+        "reads back the line render_canonical writes at depth <= 1;"
+        " ROADMAP Q's synthesize and E's round trip need it",
 }
 SCOPES = ast.Module, ast.ClassDef, ast.FunctionDef
 
