@@ -86,17 +86,34 @@ def count_sets(n: int, m: int) -> int:
     return tuples // fact
 
 
+def count_row(n: int, m: int | None = None) -> dict:
+    """The paper's count at width n, each value computed once: with m,
+    its sets, tuples (the sets times m!, so count_tuples runs once) and
+    unitaries; without, the sets per T-count, g_n and g_n times the
+    Clifford order."""
+    from .clifford import group_order
+    if m is not None:
+        sets = count_sets(n, m)
+        order = group_order(n)
+        return {"n": n, "m": m, "tuples": sets * math.factorial(m),
+                "sets": sets, "clifford_order": order,
+                "unitaries": sets * order}
+    order = group_order(n)
+    per_m = {str(k): count_sets(n, k) for k in range(1, n + 1)}
+    g = sum(per_m.values())
+    return {"n": n, "clifford_order": order, "sets_per_tcount": per_m,
+            "total_classes": g, "total_unitaries": g * order}
+
+
 def count_tdepth_one(n: int) -> tuple[int, int]:
     """(g_n, g_n * Clifford order): class count and unitary count."""
-    from .clifford import group_order
-    g = sum(count_sets(n, m) for m in range(1, n + 1))
-    return g, g * group_order(n)
+    row = count_row(n)
+    return row["total_classes"], row["total_unitaries"]
 
 
 def emit_table(n_max: int) -> str:
-    """TSV of per-size counts: Clifford order, per-T-count multipliers of
-    the Clifford order, their sum, and the absolute unitary count."""
-    from .clifford import group_order
+    """TSV of count_row per size: Clifford order, per-T-count multipliers
+    of the Clifford order, their sum, and the absolute unitary count."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     header = ["n", "clifford_order"]
@@ -104,13 +121,11 @@ def emit_table(n_max: int) -> str:
     header += ["total_classes", "total_unitaries"]
     lines = ["\t".join(header)]
     for n in range(1, n_max + 1):
-        order = group_order(n)
-        counts = [count_sets(n, m) for m in range(1, n + 1)]
-        g = sum(counts)
-        cells = [str(n), str(order), *map(str, counts)]
-        cells += ["-"] * (n_max - n)
-        cells += [str(g), str(g * order)]
-        lines.append("\t".join(cells))
+        row = count_row(n)
+        cells = [n, row["clifford_order"], *row["sets_per_tcount"].values(),
+                 *["-"] * (n_max - n), row["total_classes"],
+                 row["total_unitaries"]]
+        lines.append("\t".join(map(str, cells)))
     return "\n".join(lines) + "\n"
 
 

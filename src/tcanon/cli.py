@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -104,26 +103,14 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _count_text(args) -> str:
-    """The whole output of count, built before any of it is written; each
-    value is computed once.  A width far past CPython's digit limit is
+    """The whole output of count, census.count_row as text or JSON, built
+    before any of it is written.  A width far past CPython's digit limit is
     refused before any value is built."""
-    from .census import check_printable, count_sets, count_tuples
-    from .clifford import group_order
-    n, m = args.qubits, args.tcount
+    from .census import check_printable, count_row
+    n = args.qubits
     if n > 0:  # clifford_order, always printed, is at least 2^(n^2 + 2n)
         check_printable(n * n + 2 * n)
-    if m is not None:
-        tuples = count_tuples(n, m)
-        sets = tuples // math.factorial(m)
-        order = group_order(n)
-        row = {"n": n, "m": m, "tuples": tuples, "sets": sets,
-               "clifford_order": order, "unitaries": sets * order}
-    else:
-        order = group_order(n)
-        per_m = {str(k): count_sets(n, k) for k in range(1, n + 1)}
-        g = sum(per_m.values())
-        row = {"n": n, "clifford_order": order, "sets_per_tcount": per_m,
-               "total_classes": g, "total_unitaries": g * order}
+    row = count_row(n, args.tcount)
     if args.json:
         import json
         return json.dumps(row, indent=2) + "\n"

@@ -52,18 +52,16 @@ def random_pauli_set(n: int, m: int, rng) -> PauliSet:
     return PauliSet.from_labels(n, sorted(chosen))
 
 
-_GATE_POOL = ("H", "S", "X", "Z", "CX", "CZ", "SWAP")
-
-
 def random_gate_word(n: int, rng, length: int = 24) -> str:
-    """A uniformly random word over the gate alphabet (not a uniform
-    Clifford, but well scrambled; used where a dense matrix must be
-    built from the same description)."""
+    """A uniformly random word over GATE_ARITY's gates of arity <= n, in
+    the order seeded words depend on: not a uniform Clifford, but well
+    scrambled, for where a dense matrix is built from the same text."""
+    from .clifford import GATE_ARITY
     tokens = []
-    pool = _GATE_POOL[:4] if n < 2 else _GATE_POOL  # no pairs on one qubit
+    pool = [g for g, arity in GATE_ARITY.items() if arity <= n]
     for _ in range(length):
         name = pool[rng.randrange(len(pool))]
-        if name in ("CX", "CZ", "SWAP"):
+        if GATE_ARITY[name] == 2:
             a = rng.randrange(n)
             b = rng.randrange(n - 1)
             if b >= a:

@@ -122,6 +122,30 @@ def test_count_computes_each_value_once(capsys, monkeypatch, argv, tuples,
     assert calls == {"count_tuples": tuples, "group_order": orders}
 
 
+def test_count_table_and_growth_print_one_count(capsys):
+    # count, the table's rows and count_tdepth_one (growth's and c10's
+    # totals) agree at every width, and count --tcount reports
+    # count_sets and count_tuples
+    code, table, _ = run_cli(capsys, "table", "--max-qubits", "8")
+    assert code == 0
+    rows = [line.split("\t") for line in table.splitlines()[1:]]
+    for n in range(1, 9):
+        code, out, _ = run_cli(capsys, "count", "--qubits", str(n), "--json")
+        assert code == 0
+        row = json.loads(out)
+        totals = (row["total_classes"], row["total_unitaries"])
+        assert totals == census.count_tdepth_one(n)
+        assert rows[n - 1][0] == str(n)
+        assert tuple(map(int, rows[n - 1][-2:])) == totals
+        for m in range(1, n + 1):
+            code, out, _ = run_cli(capsys, "count", "--qubits", str(n),
+                                   "--tcount", str(m), "--json")
+            assert code == 0
+            row = json.loads(out)
+            assert row["sets"] == census.count_sets(n, m)
+            assert row["tuples"] == census.count_tuples(n, m)
+
+
 # sha256 of the widest outputs whose counts CPython still prints
 WIDEST_PRINTABLE = [
     (["count", "--qubits", "64"],

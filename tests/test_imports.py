@@ -120,46 +120,6 @@ def test_parse_index_has_one_definition():
     assert clifford.parse_index is pauli.parse_index
 
 
-def test_canonicalize_loads_neither_the_verifiers_nor_the_channels(
-        circuit_file):
-    loaded = _loaded_by_command("canonicalize", "--in", circuit_file)
-    assert {"tcanon.cli", "tcanon.canonical"} <= loaded
-    assert not loaded & {"tcanon.census", "tcanon.oracle", "tcanon.channel",
-                         "tcanon.exactnum", "dataclasses"}
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "spectrum", "--qubits", "2"],
-    ["enumerate", "--qubits", "2", "--tcount", "1"],
-], ids=["verify-spectrum", "enumerate"])
-def test_commands_off_the_dense_oracle_do_not_load_it(argv):
-    loaded = _loaded_by_command(*argv)
-    assert "tcanon.census" in loaded
-    assert "tcanon.oracle" not in loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ["count", "--qubits", "3"],
-    ["table", "--max-qubits", "3"],
-    ["growth", "--max-qubits", "4"],
-    ["enumerate", "--qubits", "2", "--tcount", "1"],
-], ids=["count", "table", "growth", "enumerate"])
-def test_commands_off_the_channels_load_neither_them_nor_their_scalars(argv):
-    loaded = _loaded_by_command(*argv)
-    assert "tcanon.census" in loaded
-    assert not loaded & {"tcanon.channel", "tcanon.exactnum"}
-
-
-@pytest.mark.parametrize("argv, loads_json", [
-    (["canonicalize", "--in", None], False),
-    (["enumerate", "--qubits", "2", "--tcount", "1"], False),
-    (["count", "--qubits", "1", "--json"], True),
-], ids=["canonicalize", "enumerate", "count-json"])
-def test_only_json_output_loads_json(argv, loads_json, circuit_file):
-    argv = [circuit_file if a is None else a for a in argv]
-    assert ("json" in _loaded_by_command(*argv)) == loads_json
-
-
 def _load_time_imports(tree) -> dict[str, set[str]]:
     """{in-package module: the names it binds} over the imports a module
     runs when it is loaded, its top-level statements; an import under `if
