@@ -10,8 +10,7 @@ positive Paulis:
 
 Enumeration walks label-ascending extensions with precomputed commutation
 bitmasks, so the stream reproduces the formula; the lemma checks in
-tcanon.verify read it too.  This module also holds the width caps and
-refusal helpers those checks share.  It serves verify's public names
+tcanon.verify read it too.  This module serves verify's public names
 (census.verify_oracle and the like), read from verify on first use, so
 a command that only counts or enumerates never compiles the checks.
 """
@@ -32,33 +31,9 @@ class FeasibilityRefusalError(ValueError):
     pass
 
 
-def _refuse(n: int, cap: int, what: str) -> None:
-    """Refuse a width past a check's cap, naming the check."""
-    if n > cap:
-        raise FeasibilityRefusalError(f"{what} capped at {cap} qubits, got {n}")
-
-
-def _check_sampled(n: int, trials: int, what: str) -> None:
-    """Refuse a sampled check past _SAMPLED_CAP qubits, or one given no
-    trials to draw: it would pass having checked nothing."""
-    _refuse(n, _SAMPLED_CAP, what)
-    if trials < 1:
-        raise ValueError(f"need trials >= 1 for {what}, got {trials}")
-
-
-def _check_run(n: int, trials: int = 0, seed: int = 0) -> None:
-    """Reject a width below 1, a negative trial count or a negative seed
-    before any work: random.Random(-5) seeds as Random(5) does."""
+def _check_nm(n: int, m: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if trials < 0:
-        raise ValueError(f"need trials >= 0, got {trials}")
-    if seed < 0:
-        raise ValueError(f"need a seed >= 0, got {seed}")
-
-
-def _check_nm(n: int, m: int) -> None:
-    _check_run(n)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
 
@@ -135,9 +110,6 @@ _ENUM_CAP = 4
 # the walk's commutation table is 4^n masks of 4^n bits: 32 MiB at n = 7,
 # 512 MiB at n = 8
 _ENUM_HARD_CAP = 7
-_SAMPLED_CAP = 5
-_EXHAUSTIVE_CAP = 2
-_GROWTH_CAP = 64
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import contextlib
 import functools
 import itertools
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .pauli import LabelNames, parse_index
 
@@ -94,12 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write each chunk with one write, to the file out or to stdout."""
+    with (open(out, "w", encoding="utf-8") if out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _count_text(args) -> str:
@@ -125,10 +125,8 @@ def _cmd_enumerate(args) -> int:
                             allow_large=args.allow_large)
     # one memo for the whole stream: each distinct label is rendered once
     lines = map(LabelNames(args.qubits).render, stream)
-    with (open(args.out, "w", encoding="utf-8") if args.out is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        while block := list(itertools.islice(lines, _BLOCK_LINES)):
-            fh.write("\n".join(block) + "\n")
+    blocks = iter(lambda: list(itertools.islice(lines, _BLOCK_LINES)), [])
+    _write(("\n".join(block) + "\n" for block in blocks), args.out)
     return 0
 
 
@@ -143,11 +141,16 @@ def _report_out(report: VerificationReport, as_json: bool) -> int:
     return 0 if report.passed else 1
 
 
-# each check's verify function, by name: verify is imported only to run one
-_VERIFIERS = {"distinctness": "verify_distinctness",
-              "unit-rows": "verify_unit_rows",
-              "hamming-weight": "verify_hamming_weight",
-              "spectrum": "verify_spectrum", "oracle": "verify_oracle"}
+# each check's verify function, by name, and the flags it reads; one that
+# reads --exhaustive runs sampled without it, and reads no other flag with
+# it.  verify is imported only to run a check
+_VERIFIERS = {
+    "distinctness": ("verify_distinctness", ("exhaustive", "trials", "seed")),
+    "unit-rows": ("verify_unit_rows", ("trials", "seed")),
+    "hamming-weight": ("verify_hamming_weight", ()),
+    "spectrum": ("verify_spectrum", ("exhaustive", "trials", "seed")),
+    "oracle": ("verify_oracle", ("trials", "seed")),
+}
 
 
 def _cmd_verify(args) -> int:
@@ -155,22 +158,22 @@ def _cmd_verify(args) -> int:
     ignored, and only the flags given are passed on, so the defaults for
     trials and seed live in verify."""
     check = args.check
-    if args.exhaustive and check not in ("distinctness", "spectrum"):
-        raise ValueError(f"--exhaustive applies to distinctness and "
-                         f"spectrum, not {check}")
+    function, reads = _VERIFIERS[check]
+    if args.exhaustive and "exhaustive" not in reads:
+        modal = " and ".join(c for c, (_, flags) in _VERIFIERS.items()
+                             if "exhaustive" in flags)
+        raise ValueError(f"--exhaustive applies to {modal}, not {check}")
     given = {name: value for name, value in (("trials", args.trials),
              ("seed", args.seed)) if value is not None}
-    reads = (set() if args.exhaustive or check == "hamming-weight"
-             else {"trials", "seed"})
     for name in given:
-        if name not in reads:
+        if args.exhaustive or name not in reads:
             run = f"exhaustive {check}" if args.exhaustive else check
             raise ValueError(f"--{name} is not read by {run}")
-    if check in ("distinctness", "spectrum"):
+    if "exhaustive" in reads:
         given["mode"] = "exhaustive" if args.exhaustive else "sampled"
     from . import verify
-    verifier = getattr(verify, _VERIFIERS[check])
-    return _report_out(verifier(args.qubits, **given), args.json)
+    return _report_out(getattr(verify, function)(args.qubits, **given),
+                       args.json)
 
 
 def _cmd_canonicalize(args) -> int:
@@ -181,7 +184,7 @@ def _cmd_canonicalize(args) -> int:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
     circ = canonical.parse_circuit(text)
-    _write(canonical.render_canonical(*canonical.canonicalize_depth_d(circ)),
+    _write([canonical.render_canonical(*canonical.canonicalize_depth_d(circ))],
            args.out)
     return 0
 
@@ -190,11 +193,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "count":
-            _write(_count_text(args), None)
+            _write([_count_text(args)], None)
             return 0
         if args.command == "table":
             from .census import emit_table
-            _write(emit_table(args.max_qubits), args.out)
+            _write([emit_table(args.max_qubits)], args.out)
             return 0
         if args.command == "enumerate":
             return _cmd_enumerate(args)

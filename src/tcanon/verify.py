@@ -4,9 +4,11 @@ They run on census's counts and label walk: distinctness of forms, unit
 rows vs commutant, Pauli-support growth under diagonal exponentials (read
 off the X_j columns of the dense-trace channel of E), spectral T-count,
 agreement of the structured channels with the dense-trace oracle, and the
-2^(n^2) lower bound on g_n.  The samplers draw the sets and gate words
-they check from a seeded random.Random.  census serves this module's
-public names too, so `census.verify_oracle` is `verify.verify_oracle`.
+2^(n^2) lower bound on g_n.  Each refuses a run it cannot do through
+one helper, before any work, and this module holds the width caps.  The
+samplers draw the sets and gate words they check from a seeded
+random.Random.  census serves this module's public names too, so
+`census.verify_oracle` is `verify.verify_oracle`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,37 @@ import random
 import time
 
 from . import gf2
-from .census import (DEFAULT_SEED, _EXHAUSTIVE_CAP, _GROWTH_CAP, _SAMPLED_CAP,
-                     _all_sets, _check_nm, _check_run, _check_sampled,
-                     _refuse, _span_with, count_tdepth_one)
+from .census import (DEFAULT_SEED, FeasibilityRefusalError, _all_sets,
+                     _check_nm, _span_with, count_tdepth_one)
 from .pauli import PauliOperator, PauliSet, _swap_halves, commutant
+
+# a mode's widest run: a sampled check draws its forms, an exhaustive one
+# pairs every form with every other
+_MODE_CAPS = {"sampled": 5, "exhaustive": 2}
+_GROWTH_CAP = 64
+
+
+def _admit(what: str, n: int, cap: int | None = None, trials: int = 0,
+           seed: int = 0, mode: str | None = None, arg: str = "n") -> None:
+    """Refuse a check's run before any work, in this order: a width below
+    1, a negative trial count or seed (random.Random(-5) seeds as
+    Random(5) does), an unknown mode, a width past the cap, and a sampled
+    run given no trials: it would pass having checked nothing.  A mode
+    sets the cap and heads the name, as in "sampled spectrum"."""
+    if n < 1:
+        raise ValueError(f"need {arg} >= 1, got {n}")
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"need a seed >= 0, got {seed}")
+    if mode is not None:
+        if mode not in _MODE_CAPS:
+            raise ValueError(f"unknown mode {mode!r}")
+        cap, what = _MODE_CAPS[mode], f"{mode} {what}"
+    if n > cap:
+        raise FeasibilityRefusalError(f"{what} capped at {cap} qubits, got {n}")
+    if mode == "sampled" and trials < 1:
+        raise ValueError(f"need trials >= 1 for {what}, got {trials}")
 
 
 # ------------------------------------------------------------------ sampling
@@ -125,10 +154,9 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
     must reconcile (by the identity), as a sanity arm on the tester.
     """
     from .channel import exponential_transfer_is_signed_permutation
-    _check_run(n, trials, seed)
+    _admit("distinctness", n, trials=trials, seed=seed, mode=mode)
     report = VerificationReport("distinctness", mode=mode)
     if mode == "exhaustive":
-        _refuse(n, _EXHAUSTIVE_CAP, "exhaustive distinctness")
         sets = _all_sets(n)
         for i, a in enumerate(sets):
             if not exponential_transfer_is_signed_permutation(a, a):
@@ -139,9 +167,6 @@ def verify_distinctness(n: int, mode: str = "exhaustive", trials: int = 1000,
                         f"reconciled distinct pair: {a!r} vs {b!r}")
         k = len(sets)
         return report.finish(forms=k, pairs=k * (k - 1) // 2, self_pairs=k)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    _check_sampled(n, trials, "sampled distinctness")
     rng = random.Random(seed)
     report.seed = seed
     for _ in range(trials):
@@ -161,8 +186,7 @@ def verify_unit_rows(n: int, trials: int = 100,
     one."""
     from .channel import channel_of_canonical
     from .clifford import random_clifford
-    _check_run(n, trials, seed)
-    _check_sampled(n, trials, "sampled unit-rows")
+    _admit("unit-rows", n, trials=trials, seed=seed, mode="sampled")
     if trials == 1:
         raise ValueError("need trials >= 2 for sampled unit-rows: trial 0 "
                          "is the empty set, so one trial samples no set")
@@ -196,8 +220,7 @@ def verify_hamming_weight(n: int) -> VerificationReport:
     """
     from .oracle import (SIZE_CAP, DenseUnitary, channel_bruteforce,
                          dense_of_exponential)
-    _check_run(n)
-    _refuse(n, SIZE_CAP, "dense Hamming-weight sweep")
+    _admit("dense Hamming-weight sweep", n, SIZE_CAP)
     report = VerificationReport("hamming-weight")
     top = 1 << n  # a label below it is Z-type: its x half is zero
     families = [s.labels for s in _all_sets(n) if s.labels[-1] < top]
@@ -224,21 +247,17 @@ def verify_spectrum(n: int, mode: str = "exhaustive", trials: int = 500,
     """infer_t_count reads m back off the channel of every form."""
     from .channel import channel_of_canonical, infer_t_count
     from .clifford import CliffordTableau, random_clifford
-    _check_run(n, trials, seed)
+    _admit("spectrum", n, trials=trials, seed=seed, mode=mode)
     report = VerificationReport("spectrum", mode=mode)
     if mode == "exhaustive":
-        _refuse(n, _EXHAUSTIVE_CAP, "exhaustive spectrum")
         ident = CliffordTableau.identity(n)
         forms = [(s, ident) for s in _all_sets(n)]
-    elif mode == "sampled":
-        _check_sampled(n, trials, "sampled spectrum")
+    else:
         rng = random.Random(seed)
         report.seed = seed
         forms = [(random_pauli_set(n, rng.randint(1, n), rng),
                   random_clifford(n, rng))
                  for _ in range(trials)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     for s, c in forms:
         got = infer_t_count(channel_of_canonical(s, c))
         if got != len(s):
@@ -276,8 +295,7 @@ def verify_oracle(n: int, trials: int = 100,
     from .clifford import from_gate_word
     from .oracle import (SIZE_CAP, channel_bruteforce, dense_of_exponential,
                          dense_of_gate_word)
-    _check_run(n, trials, seed)
-    _refuse(n, SIZE_CAP, "oracle agreement")
+    _admit("oracle agreement", n, SIZE_CAP, trials, seed)
     rng = random.Random(seed)
     report = VerificationReport("oracle", seed=seed)
     words = _generator_words(n)
@@ -317,9 +335,7 @@ def verify_oracle(n: int, trials: int = 100,
 
 def growth_check(n_max: int = 16) -> VerificationReport:
     """g_n >= 2^(n^2) for n up to n_max, by big-integer comparison."""
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    _refuse(n_max, _GROWTH_CAP, "growth check")
+    _admit("growth check", n_max, _GROWTH_CAP, arg="n_max")
     report = VerificationReport("growth")
     for n in range(1, n_max + 1):
         g, _ = count_tdepth_one(n)

@@ -427,3 +427,43 @@ def test_depth_d_decomposition_keeps_the_channel(n, depth, rng):
     circ = random_circuit(n, depth, rng)
     sets, tail = canonicalize_depth_d(circ)
     assert channel_of_decomposition(sets, tail) == channel_of_circuit(circ)
+
+
+@st.composite
+def shallow_circuit_texts(draw):
+    """A declared-width circuit of depth 0 or 1 on 1-3 qubits: random gate
+    words, the empty word among them, and a layer marking some qubits."""
+    n = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    words = [random_gate_word(n, rng, draw(st.integers(0, 24)))
+             for _ in range(2)]
+    lines = [f"QUBITS: {n}", f"CLIFFORD: {words[0]}"]
+    if draw(st.integers(0, 3)):  # mostly depth one
+        keys = draw(st.lists(st.sampled_from([None, "t", "tdg"]),
+                             min_size=n, max_size=n).filter(any))
+        items = [f"{key}={q}" for q, key in enumerate(keys) if key]
+        lines += ["TLAYER: " + " ".join(items), f"CLIFFORD: {words[1]}"]
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(shallow_circuit_texts())
+def test_a_depth_one_form_reads_back_from_its_text(text):
+    circ = parse_circuit(text)
+    sets, tail = canonicalize_depth_d(circ)
+    if not sets and tail == CliffordTableau.identity(circ.n):
+        return  # "P: - | C: id" names no width
+    line = render_canonical(sets, tail).splitlines()[0]
+    assert parse_form(line) == (sets, tail)
+
+
+def test_an_empty_form_with_an_identity_tail_does_not_read_back():
+    # the one depth <= 1 text parse_form refuses: neither side names a width
+    sets, tail = canonicalize_depth_d(parse_circuit("QUBITS: 2\nCLIFFORD:\n"))
+    line = render_canonical(sets, tail).splitlines()[0]
+    assert line == "P: - | C: id"
+    with pytest.raises(ParseError) as info:
+        parse_form(line)
+    assert str(info.value) == ("cannot infer width of an identity Clifford "
+                               "from an empty set (at offset 9)")
+    assert info.value.position == 9

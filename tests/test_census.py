@@ -365,6 +365,98 @@ class TestVerifiers:
             growth_check(n_max)
 
 
+_CAPPED = FeasibilityRefusalError
+# (check, args, kwargs, error type, its whole message), in groups: a width
+# below one, a negative trial count, a negative seed, a width past the cap,
+# too few trials, an unknown mode, then which refusal fires first
+REFUSALS = [
+    (verify_distinctness, (0,), {}, ValueError, "need n >= 1, got 0"),
+    (verify_distinctness, (0, "sampled"), {}, ValueError,
+     "need n >= 1, got 0"),
+    (verify_unit_rows, (0,), {}, ValueError, "need n >= 1, got 0"),
+    (verify_hamming_weight, (0,), {}, ValueError, "need n >= 1, got 0"),
+    (verify_spectrum, (0,), {}, ValueError, "need n >= 1, got 0"),
+    (verify_spectrum, (0, "sampled"), {}, ValueError, "need n >= 1, got 0"),
+    (verify_oracle, (0,), {}, ValueError, "need n >= 1, got 0"),
+    (growth_check, (0,), {}, ValueError, "need n_max >= 1, got 0"),
+    (growth_check, (-3,), {}, ValueError, "need n_max >= 1, got -3"),
+    (verify_distinctness, (2,), {"trials": -1}, ValueError,
+     "need trials >= 0, got -1"),
+    (verify_distinctness, (2, "sampled"), {"trials": -1}, ValueError,
+     "need trials >= 0, got -1"),
+    (verify_unit_rows, (2,), {"trials": -1}, ValueError,
+     "need trials >= 0, got -1"),
+    (verify_spectrum, (2,), {"trials": -1}, ValueError,
+     "need trials >= 0, got -1"),
+    (verify_spectrum, (2, "sampled"), {"trials": -1}, ValueError,
+     "need trials >= 0, got -1"),
+    (verify_oracle, (2,), {"trials": -1}, ValueError,
+     "need trials >= 0, got -1"),
+    (verify_distinctness, (2,), {"seed": -5}, ValueError,
+     "need a seed >= 0, got -5"),
+    (verify_unit_rows, (2,), {"seed": -5}, ValueError,
+     "need a seed >= 0, got -5"),
+    (verify_spectrum, (2,), {"seed": -5}, ValueError,
+     "need a seed >= 0, got -5"),
+    (verify_oracle, (2,), {"seed": -5}, ValueError,
+     "need a seed >= 0, got -5"),
+    (verify_distinctness, (3,), {}, _CAPPED,
+     "exhaustive distinctness capped at 2 qubits, got 3"),
+    (verify_distinctness, (6, "sampled"), {}, _CAPPED,
+     "sampled distinctness capped at 5 qubits, got 6"),
+    (verify_unit_rows, (6,), {}, _CAPPED,
+     "sampled unit-rows capped at 5 qubits, got 6"),
+    (verify_hamming_weight, (4,), {}, _CAPPED,
+     "dense Hamming-weight sweep capped at 3 qubits, got 4"),
+    (verify_spectrum, (3,), {}, _CAPPED,
+     "exhaustive spectrum capped at 2 qubits, got 3"),
+    (verify_spectrum, (6, "sampled"), {}, _CAPPED,
+     "sampled spectrum capped at 5 qubits, got 6"),
+    (verify_oracle, (4,), {}, _CAPPED,
+     "oracle agreement capped at 3 qubits, got 4"),
+    (growth_check, (65,), {}, _CAPPED,
+     "growth check capped at 64 qubits, got 65"),
+    (verify_distinctness, (2, "sampled"), {"trials": 0}, ValueError,
+     "need trials >= 1 for sampled distinctness, got 0"),
+    (verify_unit_rows, (2,), {"trials": 0}, ValueError,
+     "need trials >= 1 for sampled unit-rows, got 0"),
+    (verify_unit_rows, (2,), {"trials": 1}, ValueError,
+     "need trials >= 2 for sampled unit-rows: trial 0 is the empty set, "
+     "so one trial samples no set"),
+    (verify_spectrum, (2, "sampled"), {"trials": 0}, ValueError,
+     "need trials >= 1 for sampled spectrum, got 0"),
+    (verify_distinctness, (2, "bogus"), {}, ValueError,
+     "unknown mode 'bogus'"),
+    (verify_spectrum, (2, "bogus"), {}, ValueError, "unknown mode 'bogus'"),
+    (verify_oracle, (4,), {"trials": -1}, ValueError,
+     "need trials >= 0, got -1"),
+    (verify_distinctness, (6, "sampled"), {"trials": 0}, _CAPPED,
+     "sampled distinctness capped at 5 qubits, got 6"),
+    (verify_unit_rows, (6,), {"trials": 1}, _CAPPED,
+     "sampled unit-rows capped at 5 qubits, got 6"),
+    (verify_unit_rows, (2,), {"trials": -1, "seed": -5}, ValueError,
+     "need trials >= 0, got -1"),
+    (verify_distinctness, (0, "bogus"), {"seed": -5}, ValueError,
+     "need n >= 1, got 0"),
+    (verify_spectrum, (2, "bogus"), {"seed": -5}, ValueError,
+     "need a seed >= 0, got -5"),
+    (verify_spectrum, (9, "bogus"), {}, ValueError, "unknown mode 'bogus'"),
+    (verify_distinctness, (3,), {"trials": 0}, _CAPPED,
+     "exhaustive distinctness capped at 2 qubits, got 3"),
+    (verify_hamming_weight, (-1,), {}, ValueError, "need n >= 1, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, args, kwargs, error, message", REFUSALS,
+    ids=[f"{c.__name__}{a}{k or ''}" for c, a, k, _, _ in REFUSALS])
+def test_each_refusal_has_its_exact_text(check, args, kwargs, error, message):
+    with pytest.raises(ValueError) as info:
+        check(*args, **kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestReports:
     def test_json_dict_shape(self):
         r = verify_unit_rows(1, trials=3, seed=2)

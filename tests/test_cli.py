@@ -8,6 +8,7 @@ tcanon`` into a pipe its reader closes early.
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -370,6 +371,19 @@ def test_verify_refuses_flags_its_check_does_not_read(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize("check", list(cli._VERIFIERS))
+def test_each_verify_row_reads_the_flags_its_function_takes(check):
+    # --exhaustive becomes the mode argument; --trials and --seed are
+    # passed on by name, so a new check cannot drift from the table
+    from tcanon import verify
+    function, reads = cli._VERIFIERS[check]
+    takes = inspect.signature(getattr(verify, function)).parameters
+    assert ("exhaustive" in reads) == ("mode" in takes)
+    for flag in ("trials", "seed"):
+        assert (flag in reads) == (flag in takes)
+    assert set(reads) <= {"exhaustive", "trials", "seed"}
 
 
 def test_enumerate_has_no_workers_flag():
