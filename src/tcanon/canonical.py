@@ -128,7 +128,7 @@ def canonicalize_depth_d(circ: TLayerCircuit) -> tuple[tuple[PauliSet, ...], Cli
             # T contributes exp(-i*pi*Z/8), Tdg exp(+i*pi*Z/8), up to phase;
             # a negative image of Z flips the exponent's sign.  A layer's
             # factors commute, so a correction fixes the images still to come
-            label, phase = prefix.conjugate_pauli(1 << (n - 1 - qubit))
+            label, phase = prefix.zim[qubit]  # the image of Z_qubit
             factors.append(label)
             if (phase == 2) == is_tdg:
                 prefix = quarter_exponential(label, prefix)

@@ -18,7 +18,6 @@ a command that only counts or enumerates never compiles the checks.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from typing import Iterator
 
@@ -36,15 +35,6 @@ def _check_nm(n: int, m: int) -> None:
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-
-
-def check_printable(min_bits: int) -> None:
-    """Refuse a number of over min_bits bits before it is built, if CPython
-    could not print it: 4 * limit bits are over limit digits (0: none)."""
-    limit = sys.get_int_max_str_digits()
-    if limit and min_bits >= 4 * limit:
-        raise ValueError(f"Exceeds the limit ({limit} digits) for integer "
-                         "string conversion")
 
 
 def count_tuples(n: int, m: int) -> int:
@@ -188,18 +178,16 @@ def enumerate_sets(n: int, m: int,
     label order, count_sets(n, m) in all; checked before it streams.
     allow_large lifts the cap of _ENUM_CAP qubits up to _ENUM_HARD_CAP."""
     _check_nm(n, m)
-    if n > _ENUM_CAP and not allow_large:
-        # count_tuples' factors are >= 2^(2n-k-1); m! < 2^(m*bit_length(m))
-        check_printable(m * (2 * n - 1) - m * (m - 1) // 2
-                        - m * m.bit_length())
-        raise FeasibilityRefusalError(
-            f"enumeration capped at {_ENUM_CAP} qubits "
-            f"({count_sets(n, m)} sets at n={n}, m={m}); "
-            "pass --allow-large (allow_large=True in Python) to force")
+    # the hard cap first, so the count the soft cap prints is small
     if n > _ENUM_HARD_CAP:
         raise FeasibilityRefusalError(
             f"enumeration capped at {_ENUM_HARD_CAP} qubits even with "
             f"--allow-large (allow_large=True in Python), got n={n}")
+    if n > _ENUM_CAP and not allow_large:
+        raise FeasibilityRefusalError(
+            f"enumeration capped at {_ENUM_CAP} qubits "
+            f"({count_sets(n, m)} sets at n={n}, m={m}); "
+            "pass --allow-large (allow_large=True in Python) to force")
     return _label_walk(n, m)
 
 

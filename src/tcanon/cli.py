@@ -102,15 +102,29 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
             fh.write(chunk)
 
 
+def _digit_limit(args) -> str:
+    """count's or table's refusal of a width whose counts CPython could not
+    print."""
+    flag = "max_qubits" if args.command == "table" else "qubits"
+    return (f"--{flag.replace('_', '-')} {getattr(args, flag)}: the counts "
+            f"exceed Python's limit of {sys.get_int_max_str_digits()} "
+            "digits for printing an integer")
+
+
 def _count_text(args) -> str:
-    """The whole output of count, census.count_row as text or JSON, built
-    before any of it is written.  A width far past CPython's digit limit is
-    refused before any value is built."""
-    from .census import check_printable, count_row
-    n = args.qubits
-    if n > 0:  # clifford_order, always printed, is at least 2^(n^2 + 2n)
-        check_printable(n * n + 2 * n)
-    row = count_row(n, args.tcount)
+    """The whole output of count (census.count_row as text or JSON) or of
+    table, built before any of it is written.  A width is refused before
+    any value is built if CPython could not print the Clifford order, which
+    both print and which is at least 2^(n^2 + 2n): 4 * limit bits are over
+    limit digits (a limit of 0 is none)."""
+    n = args.max_qubits if args.command == "table" else args.qubits
+    limit = sys.get_int_max_str_digits()
+    if limit and n > 0 and n * n + 2 * n >= 4 * limit:
+        raise ValueError(_digit_limit(args))
+    from . import census
+    if args.command == "table":
+        return census.emit_table(n)
+    row = census.count_row(n, args.tcount)
     if args.json:
         import json
         return json.dumps(row, indent=2) + "\n"
@@ -192,12 +206,8 @@ def _cmd_canonicalize(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "count":
-            _write([_count_text(args)], None)
-            return 0
-        if args.command == "table":
-            from .census import emit_table
-            _write([emit_table(args.max_qubits)], args.out)
+        if args.command in ("count", "table"):
+            _write([_count_text(args)], getattr(args, "out", None))
             return 0
         if args.command == "enumerate":
             return _cmd_enumerate(args)
@@ -210,14 +220,11 @@ def main(argv=None) -> int:
             return _cmd_canonicalize(args)
         raise AssertionError(f"unhandled command {args.command}")
     except (OSError, ValueError) as e:
-        if "integer string conversion" in str(e):
-            # count and table pass CPython's digit limit from 65 qubits on,
-            # enumerate's width refusal, which prints the count, from 100
-            flag = "max_qubits" if args.command == "table" else "qubits"
-            e = (f"--{flag.replace('_', '-')} {getattr(args, flag)}: the "
-                 f"counts exceed Python's limit of "
-                 f"{sys.get_int_max_str_digits()} digits for printing an "
-                 f"integer")
+        if (args.command in ("count", "table")
+                and "integer string conversion" in str(e)):
+            # CPython's own refusal, from 65 qubits up to the 130 that
+            # _count_text lets through
+            e = _digit_limit(args)
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -165,30 +166,70 @@ def test_widest_printable_counts_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["count", "--qubits", "65"], "--qubits 65"),
-    (["count", "--qubits", "80", "--tcount", "80"], "--qubits 80"),
-    (["count", "--qubits", "65", "--json"], "--qubits 65"),
-    (["table", "--max-qubits", "65"], "--max-qubits 65"),
-    # the width refusal prints the set count, which passes the limit here
-    (["enumerate", "--qubits", "100", "--tcount", "100"], "--qubits 100"),
+DIGITS = ": the counts exceed Python's limit of"
+# enumerate's hard cap comes before its soft one, whose refusal prints the
+# set count, so no refusal of a wide enumerate builds that count
+HARD_CAP = ("enumeration capped at 7 qubits even with --allow-large "
+            "(allow_large=True in Python), got n=")
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["count", "--qubits", "65"], "--qubits 65" + DIGITS),
+    (["count", "--qubits", "80", "--tcount", "80"], "--qubits 80" + DIGITS),
+    (["count", "--qubits", "65", "--json"], "--qubits 65" + DIGITS),
+    (["table", "--max-qubits", "65"], "--max-qubits 65" + DIGITS),
+    (["enumerate", "--qubits", "100", "--tcount", "100"], HARD_CAP + "100"),
     # refused from a lower bound on the bit length, before the number is
     # built: building it took 7 s at 1,500 qubits and minutes beyond
-    (["count", "--qubits", "1500"], "--qubits 1500"),
-    (["count", "--qubits", "3000"], "--qubits 3000"),
-    (["count", "--qubits", "20000", "--tcount", "20000"], "--qubits 20000"),
+    (["count", "--qubits", "1500"], "--qubits 1500" + DIGITS),
+    (["count", "--qubits", "3000"], "--qubits 3000" + DIGITS),
+    (["count", "--qubits", "20000", "--tcount", "20000"],
+     "--qubits 20000" + DIGITS),
     (["enumerate", "--qubits", "20000", "--tcount", "20000"],
-     "--qubits 20000"),
+     HARD_CAP + "20000"),
+    # without --allow-large too: the soft cap's advice would not help
+    (["enumerate", "--qubits", "8", "--tcount", "1"], HARD_CAP + "8\n"),
 ], ids=["count", "count-tcount", "count-json", "table", "enumerate",
-        "count-1500", "count-3000", "count-tcount-20000", "enumerate-20000"])
-def test_counts_too_long_to_print_fail_before_any_output(capsys, argv, flag):
+        "count-1500", "count-3000", "count-tcount-20000", "enumerate-20000",
+        "enumerate-8"])
+def test_counts_too_long_to_print_fail_before_any_output(capsys, argv, head):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {flag}: ")
-    assert "digits" in err
+    assert err.startswith(f"error: {head}")
+    assert "to force" not in err
+
+
+def _table_refusal(n):
+    return (f"error: --max-qubits {n}: the counts exceed Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing an "
+            "integer\n")
+
+
+# 130 is the widest table CPython itself refuses to print; from 131 on the
+# refusal comes before any row is built, with the same message
+@pytest.mark.parametrize("n", [130, 131])
+def test_table_refuses_either_side_of_the_up_front_check_alike(capsys, n):
+    code, out, err = run_cli(capsys, "table", "--max-qubits", str(n))
+    assert (code, out, err) == (2, "", _table_refusal(n))
+
+
+def test_a_far_too_wide_table_is_refused_before_it_is_built(capsys):
+    # building this table's header and first rows before refusing took
+    # 26 s and 453 MiB traced on a 2-vCPU host
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "table", "--max-qubits", "2000000")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", _table_refusal(2000000))
+    assert elapsed < 2.0
+    assert peak < 5 << 20
 
 
 def test_enumerate_streams_one_line_per_set(capsys):

@@ -32,7 +32,7 @@ from tcanon.oracle import (
 from tcanon.verify import _generator_words, random_gate_word, random_pauli_set
 from tcanon.channel import (ChannelRep, channel_of_clifford,
                             channel_of_exponential)
-from tcanon.clifford import from_gate_word
+from tcanon.clifford import GATE_ARITY, from_gate_word
 from tcanon.pauli import PauliOperator, parse_pauli
 
 C = Cyclotomic16Scalar
@@ -175,6 +175,16 @@ def test_every_gate_matrix_is_the_gate_on_basis_states():
         for token in _generator_words(n):
             assert (dense_of_gate_word(token, n).mat
                     == _matrix_from_basis_action(token, n)), token
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_generator_sweep_covers_every_gate(n):
+    # a gate added to the alphabet must join the oracle's sweep; at n = 2
+    # the sweep is 12 words, 27 with the 15 exponentials
+    words = _generator_words(n)
+    assert {w.split()[0] for w in words} == set(GATE_ARITY)
+    if n == 2:
+        assert len(words) == 12
 
 
 def test_a_word_matrix_is_the_product_of_its_gate_matrices():
