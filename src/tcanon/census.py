@@ -181,7 +181,7 @@ def enumerate_sets(n: int, m: int,
     # the hard cap first, so the count the soft cap prints is small
     if n > _ENUM_HARD_CAP:
         raise FeasibilityRefusalError(
-            f"enumeration capped at {_ENUM_HARD_CAP} qubits even with "
+            f"enumeration capped at {_ENUM_HARD_CAP} qubits, with or without "
             f"--allow-large (allow_large=True in Python), got n={n}")
     if n > _ENUM_CAP and not allow_large:
         raise FeasibilityRefusalError(

@@ -110,7 +110,7 @@ class ChannelRep:
             if len(col) != 1:
                 return False
             (r, v), = col.items()
-            if v != DYADIC_ONE and v != DYADIC_MINUS_ONE:
+            if v.k or v.b or v.a not in (1, -1):
                 return False
             rows_seen.add(r)
         return len(rows_seen) == self.dim

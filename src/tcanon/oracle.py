@@ -20,10 +20,13 @@ of a product sums at most 8 terms, the transform adds 4^n of those, and
 each of the two folds by zeta^8 = -1 at most doubles it, so every digit
 stays under 2^(w-2); every packed value therefore splits back into its
 balanced digits, each in [-2^(w-1), 2^(w-1)), exactly.  All X-parts of
-the second Pauli ride in slots of one int, so a channel costs one
-integer product per grid cell and one transform per X-part of the first;
-each nonzero trace is read off its slot, times a unit i^t, and checked
-real before its one DyadicSqrt2Scalar is built.
+the second Pauli ride in slots of one int, laid out once per call from
+one table of XOR permutations, so a channel costs one integer product
+per grid cell and one transform per X-part of the first.  A zero
+transform output is skipped before any slot work.  Each distinct pair
+(nonzero trace, unit i^t) is read once per call: times its unit, checked
+real, and made into one DyadicSqrt2Scalar that every repeat shares, as a
+unitary's channel holds a few values (+-1, +-1/sqrt2, ...) in 16^n cells.
 
 Matrices above three qubits are refused with SizeRefusalError; a channel
 costs 8^n products of 2^n-slot ints and 16^n transform outputs, which
@@ -32,8 +35,8 @@ stops being interactive from four qubits on.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, repeat
-from operator import add, attrgetter, lshift, mul, sub, xor
+from itertools import chain, compress, count
+from operator import add, attrgetter, lshift, mul, sub
 from typing import TYPE_CHECKING
 
 from .channel import ChannelRep
@@ -193,8 +196,9 @@ def dense_of_gate_word(text: str, n: int) -> DenseUnitary:
         _apply_gate(cols, name, qubits, n)
         h += name == "H"
     if h & 1:  # sqrt2 = zeta^2 - zeta^6, and 1/sqrt2 = sqrt2 / 2
-        cols = [[[*map(sub, _times_zeta(v, 2), _times_zeta(v, 6))]
-                 for v in col] for col in cols]
+        cols = [[[c2 - c6, c3 - c7, c0 + c4, c1 + c5, c2 + c6, c3 + c7,
+                  c4 - c0, c5 - c1] for c0, c1, c2, c3, c4, c5, c6, c7 in col]
+                for col in cols]
     return DenseUnitary(n, [[Cyclotomic16Scalar(v, (h + 1) // 2) for v in row]
                             for row in zip(*cols)])
 
@@ -252,23 +256,6 @@ def _pack(u: DenseUnitary) -> tuple:
             [conj_rows[i:i + dim] for i in starts])
 
 
-def _split(v: int, bits: int) -> tuple:
-    """(low, high) with v = low + high 2^bits, low in
-    [-2^(bits-1), 2^(bits-1))."""
-    half = 1 << (bits - 1)
-    low = ((v + half) & ((half << 1) - 1)) - half
-    return low, (v - low) >> bits
-
-
-def _times_unit(v: int, t: int, w: int) -> int:
-    """i^t v for a packed 8-digit v: i = zeta^4 shifts by 4 digits and
-    folds the top 4 back by zeta^8 = -1, and i^2 = -1 flips the sign."""
-    if t & 1:
-        low, high = _split(v << 4 * w, 8 * w)
-        v = low - high
-    return -v if t & 2 else v
-
-
 def _digits(v: int, w: int) -> list:
     """The 8 balanced w-bit digits of a packed v: adding 2^(w-1) to every
     digit makes them plain base-2^w digits, with no carries."""
@@ -290,15 +277,6 @@ def _butterflies(v: list, bits: int) -> list:
     return v
 
 
-def _slots(values: list, c: int, slot: int) -> int:
-    """sum_x values[c ^ x] 2^(slot x) over x < len(values): every X-part
-    in a slot of its own."""
-    dim = len(values)
-    return sum(map(lshift, map(values.__getitem__,
-                               map(xor, repeat(c), range(dim))),
-                   range(0, slot * dim, slot)))
-
-
 def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     """Channel matrix by raw traces: entry[P, Q] = Tr(P U Q U') / 2^n.
 
@@ -308,7 +286,8 @@ def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     up to the unit i^(3|xp&zp| + |xq&zq|).  With every xq in a 16-digit
     slot of S[a][c] = sum_xq U[a][c ^ xq] 2^(16 w xq), each cell of an xp
     is the one product S[r ^ xp][c] conj(U[r][c]) and one transform serves
-    every xq.  Raises NonRealEntryError if a trace is not
+    every xq.  Raises NonRealEntryError, naming the first entry in scan
+    order (xp, then (zp, zq), then xq), if a trace is not
     d0 + d2 (zeta^2 - zeta^6), that is, not in the real dyadic sqrt2 ring,
     which cannot happen for an actual unitary's channel.
     """
@@ -317,18 +296,26 @@ def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
     dim = 1 << n
     k, w, rows, conj_rows = _pack(u)
     slot = 16 * w
-    s = [[_slots(row, c, slot) for c in range(dim)] for row in rows]
-    # _split inlined: low = ((v + half) & mask) - half
+    perms = [[c ^ x for x in range(dim)] for c in range(dim)]
+    shifts = range(0, slot * dim, slot)
+    s = [[sum(map(lshift, map(row.__getitem__, perm), shifts))
+          for perm in perms] for row in rows]
+    # low = ((v + half) & mask) - half splits off v's balanced low digit
     half, mask = 1 << (slot - 1), (1 << slot) - 1
     half8, mask8 = 1 << (8 * w - 1), (1 << 8 * w) - 1
     half1, mask1 = 1 << (w - 1), (1 << w) - 1
     real = (1 << 2 * w) - (1 << 6 * w)  # zeta^2 - zeta^6 = sqrt2
+    den = 2 * k + n
+    read = {}  # (folded trace, unit exponent) -> its scalar
     cols = [{} for _ in range(dim * dim)]
     for xp in range(dim):
         grid = [g for r, conj_row in enumerate(conj_rows)
                 for g in map(mul, s[r ^ xp], conj_row)]
         for j, v in enumerate(_butterflies(grid, 2 * n)):
+            if not v:
+                continue
             zp, zq = j >> n, j & (dim - 1)
+            p, up = xp << n | zp, 3 * (xp & zp).bit_count()
             xq = 0
             while v:  # slot xq, then the rest
                 t = ((v + half) & mask) - half
@@ -336,15 +323,23 @@ def channel_bruteforce(u: DenseUnitary) -> ChannelRep:
                 low = ((t + half8) & mask8) - half8  # fold zeta^8 = -1
                 t = low - ((t - low) >> 8 * w)
                 if t:
-                    p, q = xp << n | zp, xq << n | zq
-                    t = _times_unit(t, 3 * (xp & zp).bit_count()
-                                    + (xq & zq).bit_count(), w)
-                    d0 = ((t + half1) & mask1) - half1
-                    d2 = ((((t - d0) >> 2 * w) + half1) & mask1) - half1
-                    if t != d0 + d2 * real:
-                        raise NonRealEntryError(
-                            f"entry ({p}, {q}) is not real dyadic: "
-                            f"{Cyclotomic16Scalar(_digits(t, w), 2 * k + n)!r}")
-                    cols[q][p] = DyadicSqrt2Scalar(d0, d2, 2 * k + n)
+                    q, e = xq << n | zq, (up + (xq & zq).bit_count()) & 3
+                    key = t, e
+                    value = read.get(key)
+                    if value is None:
+                        if e & 1:  # i = zeta^4: up 4 digits and one fold
+                            t <<= 4 * w
+                            low = ((t + half8) & mask8) - half8
+                            t = low - ((t - low) >> 8 * w)
+                        if e & 2:
+                            t = -t
+                        d0 = ((t + half1) & mask1) - half1
+                        d2 = ((((t - d0) >> 2 * w) + half1) & mask1) - half1
+                        if t != d0 + d2 * real:
+                            raise NonRealEntryError(
+                                f"entry ({p}, {q}) is not real dyadic: "
+                                f"{Cyclotomic16Scalar(_digits(t, w), den)!r}")
+                        value = read[key] = DyadicSqrt2Scalar(d0, d2, den)
+                    cols[q][p] = value
                 xq += 1
     return ChannelRep(n, cols)

@@ -49,6 +49,20 @@ def test_identity_channel():
     assert rep.unit_rows() == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("column, accepted", [
+    ({1: ONE}, True), ({1: -ONE}, True), ({1: R}, False),
+    ({1: DyadicSqrt2Scalar(1, 0, 1)}, False),
+    ({1: DyadicSqrt2Scalar(2)}, False),
+    ({1: DyadicSqrt2Scalar(1, 1)}, False), ({2: ONE}, False),
+], ids=["1", "-1", "1/sqrt2", "1/2", "2", "1+sqrt2", "repeated-row"])
+def test_a_signed_permutation_holds_one_plus_or_minus_one_per_row(column,
+                                                                  accepted):
+    # every column holds one entry; only column 1 varies, and at row 2 it
+    # repeats column 2's row
+    rep = ChannelRep(1, [{0: ONE}, column, {2: ONE}, {3: -ONE}])
+    assert rep.is_signed_permutation() is accepted
+
+
 def test_hadamard_channel_fixture():
     # label order I, Z, X, Y; H swaps X and Z and negates Y
     rep = channel_of_clifford(from_gate_word("H 0", 1))

@@ -169,7 +169,7 @@ def test_widest_printable_counts_are_pinned(capsys, argv, digest):
 DIGITS = ": the counts exceed Python's limit of"
 # enumerate's hard cap comes before its soft one, whose refusal prints the
 # set count, so no refusal of a wide enumerate builds that count
-HARD_CAP = ("enumeration capped at 7 qubits even with --allow-large "
+HARD_CAP = ("enumeration capped at 7 qubits, with or without --allow-large "
             "(allow_large=True in Python), got n=")
 
 

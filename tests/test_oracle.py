@@ -1,8 +1,11 @@
 """Dense-matrix reference implementation: small, slow, and independent."""
 
 import ast
+import hashlib
 import itertools
+import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,7 @@ from tcanon.oracle import (
 from tcanon.verify import _generator_words, random_gate_word, random_pauli_set
 from tcanon.channel import (ChannelRep, channel_of_clifford,
                             channel_of_exponential)
+from tcanon.cli import main
 from tcanon.clifford import GATE_ARITY, from_gate_word
 from tcanon.pauli import PauliOperator, parse_pauli
 
@@ -311,6 +315,20 @@ def test_channel_bruteforce_rejects_values_outside_the_ring():
         channel_bruteforce(u)
 
 
+def test_channel_bruteforce_names_the_first_non_real_trace_in_scan_order():
+    # four traces are not real dyadic: (2, 2) = zeta - zeta^7, (2, 1) and
+    # (3, 2) both zeta^5 - zeta^3, and (3, 1); the kernel scans the X-part
+    # of P, then the Z-parts of P and Q, then the X-part of Q, so it names
+    # (2, 2) before the lower label pair (2, 1)
+    z = C.zeta_power
+    u = DenseUnitary(1, [[-z(1), z(5)], [z(4), C.from_int(-1)]])
+    with pytest.raises(NonRealEntryError) as info:
+        channel_bruteforce(u)
+    assert str(info.value) == (
+        "entry (2, 2) is not real dyadic: "
+        "Cyclotomic16Scalar((0, 1, 0, 0, 0, 0, 0, -1), 0)")
+
+
 def test_equal_up_to_phase():
     # the channel forgets a global phase and nothing else
     h = dense_of_gate_word("H 0", 1)
@@ -468,3 +486,27 @@ def test_packed_digit_widths_follow_the_input():
             form = _random_form(n, rng)
             u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])
             assert channel_bruteforce(u) == _reference_channel(u)
+
+
+# sha256 of `verify oracle --json` and `verify hamming-weight --json` at
+# n = 1-3, each report with its elapsed_seconds masked: a standing pin on
+# what the dense oracle's checks report
+VERIFY_RUNS = ([["oracle", "--qubits", str(n), "--trials", "3",
+                 "--seed", str(seed)]
+                for n, seeds in ((1, range(1, 6)), (2, range(1, 6)),
+                                 (3, (1, 2)))
+                for seed in seeds]
+               + [["hamming-weight", "--qubits", str(n)] for n in (1, 2, 3)])
+VERIFY_DIGEST = ("07d133ad5ad194ce5ba1c7603e2b9ea8"
+                 "362cb75ca8236218833e8767eac6f581")
+
+
+def test_the_dense_checks_report_pinned_json(capsys):
+    text = ""
+    for argv in VERIFY_RUNS:
+        assert main(["verify", *argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["passed"]
+        text += re.sub(r'"elapsed_seconds": [^\n]*', '"elapsed_seconds": -',
+                       out)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGEST
