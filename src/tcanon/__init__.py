@@ -22,7 +22,7 @@ _EXPORTS = {
     "clifford": "CliffordTableau from_gate_word group_order random_clifford",
     "exactnum": "Cyclotomic16Scalar DyadicSqrt2Scalar",
     "oracle": "DenseUnitary channel_bruteforce dense_of_exponential "
-              "dense_of_gate_word dense_of_pauli dense_of_t_layer",
+              "dense_of_gate_word dense_of_t_layer",
     "pauli": "PauliOperator PauliSet commutant parse_pauli validate_set",
     "verify": "VerificationReport growth_check random_pauli_set "
               "verify_distinctness verify_hamming_weight verify_oracle "

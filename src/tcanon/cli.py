@@ -102,13 +102,18 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
             fh.write(chunk)
 
 
+def _width(args) -> tuple[str, int]:
+    """A command's width flag and value; canonicalize has none, read as 1."""
+    flag = "max_qubits" if args.command in ("table", "growth") else "qubits"
+    return "--" + flag.replace("_", "-"), getattr(args, flag, 1)
+
+
 def _digit_limit(args) -> str:
     """count's or table's refusal of a width whose counts CPython could not
     print."""
-    flag = "max_qubits" if args.command == "table" else "qubits"
-    return (f"--{flag.replace('_', '-')} {getattr(args, flag)}: the counts "
-            f"exceed Python's limit of {sys.get_int_max_str_digits()} "
-            "digits for printing an integer")
+    flag, n = _width(args)
+    return (f"{flag} {n}: the counts exceed Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing an integer")
 
 
 def _count_text(args) -> str:
@@ -117,9 +122,9 @@ def _count_text(args) -> str:
     any value is built if CPython could not print the Clifford order, which
     both print and which is at least 2^(n^2 + 2n): 4 * limit bits are over
     limit digits (a limit of 0 is none)."""
-    n = args.max_qubits if args.command == "table" else args.qubits
+    n = _width(args)[1]
     limit = sys.get_int_max_str_digits()
-    if limit and n > 0 and n * n + 2 * n >= 4 * limit:
+    if limit and n * n + 2 * n >= 4 * limit:
         raise ValueError(_digit_limit(args))
     from . import census
     if args.command == "table":
@@ -206,6 +211,9 @@ def _cmd_canonicalize(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        flag, n = _width(args)
+        if n < 1:
+            raise ValueError(f"need {flag} >= 1, got {n}")
         if args.command in ("count", "table"):
             _write([_count_text(args)], getattr(args, "out", None))
             return 0

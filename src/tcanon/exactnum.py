@@ -6,10 +6,10 @@ Two rings cover all values that ever appear:
   a, b and k >= 0.  Channel (Pauli-transfer) matrices have all entries here,
   so orthogonality, spectra and signed-permutation tests are exact.
 
-* ``Cyclotomic16Scalar`` holds sums of powers of zeta = exp(i*pi/8), a
-  primitive 16th root of unity (zeta^8 = -1), divided by 2^k.  Dense gate
-  matrices and the exponentials exp(i*pi*P/8) live here; sqrt2 embeds as
-  zeta^2 - zeta^6.
+* ``Cyclotomic16Scalar`` holds sums of powers of zeta = exp(i*pi/8)
+  (zeta^8 = -1) divided by 2^k: the dense oracle's entry type.  The oracle
+  builds on 8-int coefficient lists, and this ring arithmetic is the
+  tests' reference.  sqrt2 embeds as zeta^2 - zeta^6.
 
 There is no floating point anywhere in the arithmetic.
 """
@@ -139,21 +139,6 @@ class Cyclotomic16Scalar:
         self.c = tuple(c)
         self.k = k
 
-    @classmethod
-    def from_int(cls, v: int) -> "Cyclotomic16Scalar":
-        return cls((v, 0, 0, 0, 0, 0, 0, 0))
-
-    @classmethod
-    def zeta_power(cls, j: int) -> "Cyclotomic16Scalar":
-        """zeta^j for any integer j, reduced via zeta^8 = -1."""
-        j %= 16
-        c = [0] * 8
-        if j < 8:
-            c[j] = 1
-        else:
-            c[j - 8] = -1
-        return cls(c)
-
     def __add__(self, other: "Cyclotomic16Scalar") -> "Cyclotomic16Scalar":
         ka, kb = self.k, other.k
         if ka >= kb:
@@ -175,12 +160,6 @@ class Cyclotomic16Scalar:
         _convolve_into(out, self.c, other.c, 0)
         return Cyclotomic16Scalar(out, self.k + other.k)
 
-    def conjugate(self) -> "Cyclotomic16Scalar":
-        # zeta^j -> zeta^(-j) = -zeta^(8-j) for j >= 1; zeta^0 is fixed
-        c = self.c
-        return Cyclotomic16Scalar(
-            (c[0], -c[7], -c[6], -c[5], -c[4], -c[3], -c[2], -c[1]), self.k)
-
     def is_zero(self) -> bool:
         return not any(self.c)
 
@@ -194,10 +173,6 @@ class Cyclotomic16Scalar:
 
     def __repr__(self):
         return f"Cyclotomic16Scalar({self.c}, {self.k})"
-
-
-CYC_ZERO = Cyclotomic16Scalar.from_int(0)
-CYC_ONE = Cyclotomic16Scalar.from_int(1)
 
 
 def cyclotomic_dot(pairs) -> Cyclotomic16Scalar:

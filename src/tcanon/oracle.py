@@ -6,8 +6,8 @@ tableau or channel machinery beyond the gate-word tokenizer.  That makes
 it slow and size-limited but trustworthy: agreement between a structured
 channel and channel_bruteforce checks the fast path end to end.  A
 Pauli comes in as its unsigned label (x << n) | z, read bit by bit here.
-A gate word is built in place, one gate at a time, as an operation on
-the running matrix's columns.
+Every builder writes 8-int zeta-coefficient columns over one 2^k and ends
+in one wrap, _dense; a gate word's are built in place, gate by gate.
 
 channel_bruteforce is the one trace kernel: its column Q is the Pauli
 expansion of U Q U', which is also where the Hamming-weight check reads
@@ -41,8 +41,7 @@ from typing import TYPE_CHECKING
 
 from .channel import ChannelRep
 from .clifford import parse_gate_word
-from .exactnum import (CYC_ONE, CYC_ZERO, Cyclotomic16Scalar,
-                       DyadicSqrt2Scalar, cyclotomic_dot)
+from .exactnum import Cyclotomic16Scalar, DyadicSqrt2Scalar, cyclotomic_dot
 
 if TYPE_CHECKING:
     from .canonical import TLayer
@@ -57,13 +56,6 @@ class NonRealEntryError(ValueError):
 
 
 SIZE_CAP = 3
-
-# (zeta - zeta^7)/2 = cos(pi/8), (zeta + zeta^7)/2 = i*sin(pi/8)
-_COS_PI_8 = Cyclotomic16Scalar((0, 1, 0, 0, 0, 0, 0, -1), 1)
-_I_SIN_PI_8 = Cyclotomic16Scalar((0, 1, 0, 0, 0, 0, 0, 1), 1)
-_ZETA2 = Cyclotomic16Scalar.zeta_power(2)       # exp(+i*pi/4), the T phase
-_ZETA2_CONJ = Cyclotomic16Scalar.zeta_power(2).conjugate()
-
 
 def _guard(n: int) -> None:
     if n > SIZE_CAP:
@@ -83,11 +75,7 @@ class DenseUnitary:
     @classmethod
     def identity(cls, n: int) -> "DenseUnitary":
         _guard(n)
-        dim = 1 << n
-        mat = [[CYC_ZERO] * dim for _ in range(dim)]
-        for i in range(dim):
-            mat[i][i] = CYC_ONE
-        return cls(n, mat)
+        return _dense(n, _diagonal([[1] + [0] * 7] * (1 << n)), 0)
 
     def multiply(self, other: "DenseUnitary") -> "DenseUnitary":
         if self.n != other.n:
@@ -109,37 +97,20 @@ class DenseUnitary:
         return f"<DenseUnitary n={self.n}>"
 
 
-def dense_of_pauli(n: int, label: int) -> DenseUnitary:
-    """Matrix of the positive Pauli of an unsigned label (x << n) | z in
-    0 <= label < 4^n."""
-    _guard(n)
-    if not 0 <= label < 1 << (2 * n):
-        raise ValueError(f"label {label} out of range for n={n}")
-    dim = 1 << n
-    x, z = label >> n, label & (dim - 1)
-    base = bin(x & z).count("1")
-    mat = [[CYC_ZERO] * dim for _ in range(dim)]
-    for c in range(dim):
-        t = (base + 2 * bin(z & c).count("1")) & 3
-        mat[c ^ x][c] = Cyclotomic16Scalar.zeta_power(4 * t)
-    return DenseUnitary(n, mat)
-
-
-def _identity_plus(n: int, label: int, a: Cyclotomic16Scalar,
-                   b: Cyclotomic16Scalar) -> DenseUnitary:
-    """a*I + b*P for the positive Pauli P of a label in 0 < label < 4^n."""
+def dense_of_exponential(n: int, label: int) -> DenseUnitary:
+    """exp(i*pi*P/8) = cos(pi/8) I + i sin(pi/8) P, 0 < label < 4^n, over
+    2^1: zeta - zeta^7 = 2 cos(pi/8) on the diagonal, and column c adds
+    (zeta + zeta^7) P[c ^ x][c] = 2 i sin(pi/8) i^(|x&z| + 2|z&c|)."""
     if not 0 < label < 1 << (2 * n):
         raise ValueError(f"label {label} out of range for n={n}")
-    mat = [[CYC_ZERO if v.is_zero() else b * v for v in row]
-           for row in dense_of_pauli(n, label).mat]
-    for r, row in enumerate(mat):
-        row[r] = row[r] + a
-    return DenseUnitary(n, mat)
-
-
-def dense_of_exponential(n: int, label: int) -> DenseUnitary:
-    """exp(i*pi*P/8) = cos(pi/8) I + i sin(pi/8) P."""
-    return _identity_plus(n, label, _COS_PI_8, _I_SIN_PI_8)
+    _guard(n)
+    x, z = divmod(label, 1 << n)
+    cols = _diagonal([[0, 1, 0, 0, 0, 0, 0, -1]] * (1 << n))
+    for c, col in enumerate(cols):
+        t = (x & z).bit_count() + 2 * (z & c).bit_count()
+        col[c ^ x] = [*map(add, col[c ^ x],
+                           _times_zeta([0, 1, 0, 0, 0, 0, 0, 1], 4 * t))]
+    return _dense(n, cols, 1)
 
 
 def _qubit_mask(n: int, q: int) -> int:
@@ -189,8 +160,7 @@ def dense_of_gate_word(text: str, n: int) -> DenseUnitary:
     is odd.
     """
     _guard(n)
-    dim = 1 << n
-    cols = [[[int(r == c)] + [0] * 7 for r in range(dim)] for c in range(dim)]
+    cols = _diagonal([[1] + [0] * 7] * (1 << n))
     h = 0
     for name, qubits in parse_gate_word(text, n):
         _apply_gate(cols, name, qubits, n)
@@ -199,23 +169,28 @@ def dense_of_gate_word(text: str, n: int) -> DenseUnitary:
         cols = [[[c2 - c6, c3 - c7, c0 + c4, c1 + c5, c2 + c6, c3 + c7,
                   c4 - c0, c5 - c1] for c0, c1, c2, c3, c4, c5, c6, c7 in col]
                 for col in cols]
-    return DenseUnitary(n, [[Cyclotomic16Scalar(v, (h + 1) // 2) for v in row]
-                            for row in zip(*cols)])
+    return _dense(n, cols, (h + 1) // 2)
 
 
 def dense_of_t_layer(layer: TLayer) -> DenseUnitary:
     """Diagonal matrix of a parallel T / Tdg layer (true gates, with phase)."""
-    _guard(layer.n)
     n = layer.n
-    dim = 1 << n
-    mat = [[CYC_ZERO] * dim for _ in range(dim)]
-    for b in range(dim):
-        v = CYC_ONE
-        for q, is_tdg in layer.marked:
-            if b & _qubit_mask(n, q):
-                v = v * (_ZETA2_CONJ if is_tdg else _ZETA2)
-        mat[b][b] = v
-    return DenseUnitary(n, mat)
+    _guard(n)
+    return _dense(n, _diagonal([_times_zeta([1] + [0] * 7, sum(
+        -2 if is_tdg else 2 for q, is_tdg in layer.marked
+        if b & _qubit_mask(n, q))) for b in range(1 << n)]), 0)
+
+
+def _diagonal(entries: list) -> list:
+    """The columns of the diagonal matrix with these 8-int entries."""
+    return [[v if r == c else [0] * 8 for r in range(len(entries))]
+            for c, v in enumerate(entries)]
+
+
+def _dense(n: int, cols: list, k: int) -> DenseUnitary:
+    """The DenseUnitary of 8-int columns, every entry over 2^k."""
+    return DenseUnitary(n, [[Cyclotomic16Scalar(v, k) for v in row]
+                            for row in zip(*cols)])
 
 
 def _times_zeta(c: list, j: int) -> list:

@@ -1,17 +1,44 @@
 """References the tests check the program against, and no program runs.
 
-dagger is U' in the U P U' conjugation references; the exponential of
--i*pi*P/8 is the dagger of the oracle's exp(+i*pi*P/8), and the quarter
-exponentials exp(+-i*pi*P/4) check clifford.quarter_exponential.
-to_dyadic reads a real cyclotomic trace back into the channel ring.
-is_identity and is_orthogonal are c09's channel predicates.
+The oracle builds its matrices on 8-int zeta coefficients; these build
+them one Cyclotomic16Scalar at a time, with the scalar ring arithmetic.
+zeta_power, conjugate, CYC_ZERO and CYC_ONE are that arithmetic's
+constants and conjugation.  dense_of_pauli is the matrix of a positive
+Pauli, and identity_plus the a*I + b*P builder over it.  dagger is U' in
+the U P U' conjugation references; the exponential of -i*pi*P/8 is the
+dagger of the oracle's exp(+i*pi*P/8), and the quarter exponentials
+exp(+-i*pi*P/4) check clifford.quarter_exponential.  to_dyadic reads a
+real cyclotomic trace back into the channel ring.  is_identity and
+is_orthogonal are c09's channel predicates.
 """
 
 from tcanon.channel import ChannelRep
 from tcanon.exactnum import Cyclotomic16Scalar, DYADIC_ONE, DyadicSqrt2Scalar
-from tcanon.oracle import DenseUnitary, _identity_plus, dense_of_exponential
+from tcanon.oracle import DenseUnitary, _guard, dense_of_exponential
 
-CYC_I = Cyclotomic16Scalar.zeta_power(4)
+
+def zeta_power(j: int) -> Cyclotomic16Scalar:
+    """zeta^j for any integer j, reduced via zeta^8 = -1."""
+    j %= 16
+    c = [0] * 8
+    if j < 8:
+        c[j] = 1
+    else:
+        c[j - 8] = -1
+    return Cyclotomic16Scalar(c)
+
+
+def conjugate(x: Cyclotomic16Scalar) -> Cyclotomic16Scalar:
+    """The complex conjugate: zeta^j -> zeta^(-j) = -zeta^(8-j) for j >= 1,
+    and zeta^0 is fixed."""
+    c = x.c
+    return Cyclotomic16Scalar(
+        (c[0], -c[7], -c[6], -c[5], -c[4], -c[3], -c[2], -c[1]), x.k)
+
+
+CYC_ZERO = Cyclotomic16Scalar((0,) * 8)
+CYC_ONE = zeta_power(0)
+CYC_I = zeta_power(4)
 # sqrt2 = zeta^2 - zeta^6, hence 1/sqrt2 = (zeta^2 - zeta^6)/2
 CYC_INV_SQRT2 = Cyclotomic16Scalar((0, 0, 1, 0, 0, 0, -1, 0), 1)
 _I_INV_SQRT2 = CYC_I * CYC_INV_SQRT2
@@ -21,7 +48,37 @@ def dagger(u: DenseUnitary) -> DenseUnitary:
     dim = 1 << u.n
     mat = u.mat
     return DenseUnitary(
-        u.n, [[mat[j][i].conjugate() for j in range(dim)] for i in range(dim)])
+        u.n, [[conjugate(mat[j][i]) for j in range(dim)] for i in range(dim)])
+
+
+def dense_of_pauli(n: int, label: int) -> DenseUnitary:
+    """Matrix of the positive Pauli of an unsigned label (x << n) | z in
+    0 <= label < 4^n: column c holds i^(|x&z| + 2|z&c|) at row c ^ x.
+    It refuses what the oracle refuses, a label outside that range or a
+    width above its cap."""
+    _guard(n)
+    if not 0 <= label < 1 << (2 * n):
+        raise ValueError(f"label {label} out of range for n={n}")
+    dim = 1 << n
+    x, z = label >> n, label & (dim - 1)
+    base = bin(x & z).count("1")
+    mat = [[CYC_ZERO] * dim for _ in range(dim)]
+    for c in range(dim):
+        t = (base + 2 * bin(z & c).count("1")) & 3
+        mat[c ^ x][c] = zeta_power(4 * t)
+    return DenseUnitary(n, mat)
+
+
+def identity_plus(n: int, label: int, a: Cyclotomic16Scalar,
+                  b: Cyclotomic16Scalar) -> DenseUnitary:
+    """a*I + b*P for the positive Pauli P of a label in 0 < label < 4^n."""
+    if not 0 < label < 1 << (2 * n):
+        raise ValueError(f"label {label} out of range for n={n}")
+    mat = [[CYC_ZERO if v.is_zero() else b * v for v in row]
+           for row in dense_of_pauli(n, label).mat]
+    for r, row in enumerate(mat):
+        row[r] = row[r] + a
+    return DenseUnitary(n, mat)
 
 
 def signed_exponential(n: int, label: int, sign: int) -> DenseUnitary:
@@ -37,8 +94,8 @@ def dense_of_quarter_exponential(n: int, label: int,
     """exp(sign * i*pi*P/4) = (I + sign i P) / sqrt2."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-    return _identity_plus(n, label, CYC_INV_SQRT2,
-                          _I_INV_SQRT2 if sign > 0 else -_I_INV_SQRT2)
+    return identity_plus(n, label, CYC_INV_SQRT2,
+                         _I_INV_SQRT2 if sign > 0 else -_I_INV_SQRT2)
 
 
 def to_dyadic(x: Cyclotomic16Scalar) -> DyadicSqrt2Scalar:

@@ -5,7 +5,8 @@ import re
 
 import pytest
 from conftest import conjugate, dense_of
-from dense_reference import dagger, dense_of_quarter_exponential
+from dense_reference import (dagger, dense_of_pauli,
+                             dense_of_quarter_exponential)
 from hypothesis import given, settings, strategies as st
 
 from tcanon.canonical import (
@@ -23,7 +24,6 @@ from tcanon.canonical import (
 from tcanon.channel import channel_of_canonical
 from tcanon.clifford import (CliffordTableau, from_gate_word,
                              quarter_exponential)
-from tcanon.oracle import dense_of_pauli
 from tcanon.pauli import (PauliOperator, parse_pauli, validate_labels,
                           validate_set)
 from tcanon.verify import random_gate_word

@@ -714,6 +714,23 @@ def test_growth_rejects_widths_below_one(capsys, width):
     assert err.startswith("error: need ")
 
 
+@pytest.mark.parametrize("width", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("count", "--qubits"),
+    ("enumerate", "--tcount", "1", "--qubits"),
+    *(("verify", check, "--qubits") for check in (
+        "distinctness", "unit-rows", "hamming-weight", "spectrum", "oracle")),
+    # the width is refused before the flags the check would not read
+    ("verify", "oracle", "--exhaustive", "--trials", "3", "--qubits"),
+    ("table", "--max-qubits"),
+    ("growth", "--max-qubits"),
+])
+def test_a_width_below_one_is_refused_by_its_flag(capsys, argv, width):
+    code, out, err = run_cli(capsys, *argv, width)
+    assert (code, out) == (2, "")
+    assert err == f"error: need {argv[-1]} >= 1, got {width}\n"
+
+
 def test_missing_input_file_exits_two(capsys):
     code, out, err = run_cli(capsys, "canonicalize", "--in",
                              "/nonexistent/circuit.txt")

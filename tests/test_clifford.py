@@ -5,7 +5,7 @@ import random
 
 import pytest
 from conftest import commutes, conjugate, dense_of, inverse_word, pauli_of
-from dense_reference import dagger
+from dense_reference import dagger, dense_of_pauli
 
 from tcanon.clifford import (
     BadTokenError,
@@ -18,7 +18,7 @@ from tcanon.clifford import (
     random_clifford,
 )
 from tcanon.canonical import ParseError, parse_circuit
-from tcanon.oracle import dense_of_gate_word, dense_of_pauli
+from tcanon.oracle import dense_of_gate_word
 from tcanon.pauli import PauliOperator, parse_pauli
 from tcanon.verify import random_gate_word, random_pauli_set
 

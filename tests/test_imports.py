@@ -32,7 +32,7 @@ EXPORTED = {
                  "random_clifford"],
     "exactnum": ["Cyclotomic16Scalar", "DyadicSqrt2Scalar"],
     "oracle": ["DenseUnitary", "channel_bruteforce", "dense_of_exponential",
-               "dense_of_gate_word", "dense_of_pauli", "dense_of_t_layer"],
+               "dense_of_gate_word", "dense_of_t_layer"],
     "pauli": ["PauliOperator", "PauliSet", "commutant", "parse_pauli",
               "validate_set"],
 }

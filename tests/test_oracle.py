@@ -11,16 +11,12 @@ from pathlib import Path
 import pytest
 
 from conftest import dense_of
-from dense_reference import (CYC_I, CYC_INV_SQRT2, dagger,
-                             dense_of_quarter_exponential, signed_exponential,
-                             to_dyadic)
+from dense_reference import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO, dagger,
+                             dense_of_pauli, dense_of_quarter_exponential,
+                             identity_plus, signed_exponential, to_dyadic,
+                             zeta_power)
 from tcanon.canonical import TLayer, channel_of_circuit, parse_circuit
-from tcanon.exactnum import (
-    CYC_ONE,
-    CYC_ZERO,
-    Cyclotomic16Scalar,
-    cyclotomic_dot,
-)
+from tcanon.exactnum import Cyclotomic16Scalar, cyclotomic_dot
 from tcanon import oracle
 from tcanon.oracle import (
     DenseUnitary,
@@ -29,7 +25,6 @@ from tcanon.oracle import (
     channel_bruteforce,
     dense_of_exponential,
     dense_of_gate_word,
-    dense_of_pauli,
     dense_of_t_layer,
 )
 from tcanon.verify import _generator_words, random_gate_word, random_pauli_set
@@ -48,10 +43,10 @@ def test_identity_and_pauli_matrices():
     x = dense_of(parse_pauli("X"))
     assert x.mat == [[CYC_ZERO, CYC_ONE], [CYC_ONE, CYC_ZERO]]
     z = dense_of_pauli(1, Z1)
-    assert z.mat == [[CYC_ONE, CYC_ZERO], [CYC_ZERO, C.from_int(-1)]]
+    assert z.mat == [[CYC_ONE, CYC_ZERO], [CYC_ZERO, -CYC_ONE]]
     y = dense_of(parse_pauli("Y"))
-    assert y.mat == [[CYC_ZERO, -C.zeta_power(4)], [C.zeta_power(4), CYC_ZERO]]
-    minus_one, i = C.from_int(-1), C.zeta_power(4)
+    assert y.mat == [[CYC_ZERO, -zeta_power(4)], [zeta_power(4), CYC_ZERO]]
+    minus_one, i = -CYC_ONE, zeta_power(4)
     assert dense_of(parse_pauli("-X")).mat == [[CYC_ZERO, minus_one],
                                                [minus_one, CYC_ZERO]]
     assert dense_of(parse_pauli("+iX")).mat == [[CYC_ZERO, i],
@@ -68,11 +63,39 @@ def test_pauli_matrices_are_unitary_and_multiplicative():
                 == dense_of(pa * pb))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_builder_is_its_scalar_reference_entry_by_entry(n):
+    # a channel forgets a global phase, so a builder off by one (say
+    # -exp(i*pi*P/8)) passes every channel check; entries pin the phase.
+    # (zeta - zeta^7)/2 = cos(pi/8) and (zeta + zeta^7)/2 = i sin(pi/8)
+    cos = C((0, 1, 0, 0, 0, 0, 0, -1), 1)
+    i_sin = C((0, 1, 0, 0, 0, 0, 0, 1), 1)
+    for label in range(1, 1 << (2 * n)):
+        assert (dense_of_exponential(n, label).mat
+                == identity_plus(n, label, cos, i_sin).mat), label
+    dim = 1 << n
+    for marks in itertools.product((None, "t", "tdg"), repeat=n):
+        if not any(marks):
+            continue
+        want = [[CYC_ZERO] * dim for _ in range(dim)]
+        for b in range(dim):
+            want[b][b] = CYC_ONE
+            for q, mark in enumerate(marks):
+                if mark and b >> (n - 1 - q) & 1:
+                    want[b][b] *= zeta_power(2 if mark == "t" else -2)
+        layer = TLayer(n, t=[q for q, m in enumerate(marks) if m == "t"],
+                       tdg=[q for q, m in enumerate(marks) if m == "tdg"])
+        assert dense_of_t_layer(layer).mat == want, marks
+    assert DenseUnitary.identity(n).mat == [
+        [CYC_ONE if r == c else CYC_ZERO for c in range(dim)]
+        for r in range(dim)]
+
+
 def test_t_gate_is_the_minus_exponential_up_to_phase():
     # channels are faithful up to global phase, so equal channels mean
     # equal unitaries up to phase
     t = dense_of_t_layer(TLayer(1, t=[0]))
-    assert t.mat[0][0] == CYC_ONE and t.mat[1][1] == C.zeta_power(2)
+    assert t.mat[0][0] == CYC_ONE and t.mat[1][1] == zeta_power(2)
     minus = channel_bruteforce(dagger(dense_of_exponential(1, Z1)))
     plus = channel_bruteforce(dense_of_exponential(1, Z1))
     assert minus != plus
@@ -95,7 +118,7 @@ def test_t_squared_is_s_exactly():
 def test_t_layer_tensor_structure():
     tl = dense_of_t_layer(TLayer(2, t=[0], tdg=[1]))
     diag = [tl.mat[i][i] for i in range(4)]
-    assert diag == [CYC_ONE, C.zeta_power(-2), C.zeta_power(2), CYC_ONE]
+    assert diag == [CYC_ONE, zeta_power(-2), zeta_power(2), CYC_ONE]
     for i, j in itertools.product(range(4), repeat=2):
         if i != j:
             assert tl.mat[i][j].is_zero()
@@ -309,7 +332,7 @@ def test_pauli_rejects_a_label_outside_zero_to_4n(n, label):
 
 def test_channel_bruteforce_rejects_values_outside_the_ring():
     # the message names the entry and shows its trace as a scalar
-    u = DenseUnitary(1, [[CYC_ONE, C.zeta_power(1)], [CYC_ZERO, CYC_ONE]])
+    u = DenseUnitary(1, [[CYC_ONE, zeta_power(1)], [CYC_ZERO, CYC_ONE]])
     with pytest.raises(NonRealEntryError,
                        match=r"entry \(\d+, \d+\) .*Cyclotomic16Scalar\(\("):
         channel_bruteforce(u)
@@ -320,8 +343,8 @@ def test_channel_bruteforce_names_the_first_non_real_trace_in_scan_order():
     # (3, 2) both zeta^5 - zeta^3, and (3, 1); the kernel scans the X-part
     # of P, then the Z-parts of P and Q, then the X-part of Q, so it names
     # (2, 2) before the lower label pair (2, 1)
-    z = C.zeta_power
-    u = DenseUnitary(1, [[-z(1), z(5)], [z(4), C.from_int(-1)]])
+    z = zeta_power
+    u = DenseUnitary(1, [[-z(1), z(5)], [z(4), -CYC_ONE]])
     with pytest.raises(NonRealEntryError) as info:
         channel_bruteforce(u)
     assert str(info.value) == (
@@ -333,7 +356,7 @@ def test_equal_up_to_phase():
     # the channel forgets a global phase and nothing else
     h = dense_of_gate_word("H 0", 1)
     for k in range(16):
-        phase = C.zeta_power(k)
+        phase = zeta_power(k)
         scaled = DenseUnitary(1, [[phase * v for v in row] for row in h.mat])
         assert channel_bruteforce(scaled) == channel_bruteforce(h)
     assert (channel_bruteforce(dense_of_pauli(1, parse_pauli("X").label))
@@ -428,7 +451,7 @@ def test_the_kernel_phase_rule_rebuilds_every_pauli_matrix():
             mat = [[CYC_ZERO] * dim for _ in range(dim)]
             for r in range(dim):
                 t = bin(x & z).count("1") + 2 * bin(z & (r ^ x)).count("1")
-                mat[r][r ^ x] = C.zeta_power(4 * t)
+                mat[r][r ^ x] = zeta_power(4 * t)
             assert dense_of_pauli(n, label).mat == mat
 
 
@@ -442,7 +465,7 @@ def test_channel_bruteforce_matches_the_scalar_construction_on_scaled_forms():
             b = [rng.randint(-5, 5) if j % 2 == 0 else 0 for j in range(8)]
             if not any(b):
                 b[0] = 1
-            scale = C.zeta_power(rng.randrange(16)) * C(b, rng.randint(0, 3))
+            scale = zeta_power(rng.randrange(16)) * C(b, rng.randint(0, 3))
             form = _random_form(n, rng)
             u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])
             assert channel_bruteforce(u) == _reference_channel(u)
@@ -481,7 +504,7 @@ def test_packed_digit_widths_follow_the_input():
     rng = random.Random(4412)
     for n, count in ((1, 8), (2, 4), (3, 1)):
         for _ in range(count):
-            scale = C.zeta_power(rng.randrange(16)) * C(
+            scale = zeta_power(rng.randrange(16)) * C(
                 _wide_coefficients(rng), rng.randint(0, 20))
             form = _random_form(n, rng)
             u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])

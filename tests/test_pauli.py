@@ -6,9 +6,9 @@ import time
 
 import pytest
 from conftest import commutes as label_pair_commutes, dense_of
+from dense_reference import dense_of_pauli
 
 from tcanon.census import enumerate_sets
-from tcanon.oracle import dense_of_pauli
 from tcanon.pauli import (
     DependentSetError,
     LabelNames,
