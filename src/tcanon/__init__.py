@@ -15,8 +15,8 @@ _EXPORTS = {
     "canonical": "TLayer TLayerCircuit WidthMismatchError "
                  "canonicalize_depth_d channel_of_circuit parse_circuit "
                  "parse_form",
-    "census": "DEFAULT_SEED FeasibilityRefusalError count_sets "
-              "count_tdepth_one count_tuples emit_table enumerate_sets",
+    "census": "FeasibilityRefusalError count_sets count_tdepth_one "
+              "count_tuples emit_table enumerate_sets",
     "channel": "ChannelRep SpectrumMismatchError channel_of_canonical "
                "channel_of_clifford channel_of_exponential infer_t_count",
     "clifford": "CliffordTableau from_gate_word group_order random_clifford",
@@ -24,9 +24,9 @@ _EXPORTS = {
     "oracle": "DenseUnitary channel_bruteforce dense_of_exponential "
               "dense_of_gate_word dense_of_t_layer",
     "pauli": "PauliOperator PauliSet commutant parse_pauli validate_set",
-    "verify": "VerificationReport growth_check random_pauli_set "
-              "verify_distinctness verify_hamming_weight verify_oracle "
-              "verify_spectrum verify_unit_rows",
+    "verify": "DEFAULT_SEED VerificationReport growth_check "
+              "random_pauli_set verify_distinctness verify_hamming_weight "
+              "verify_oracle verify_spectrum verify_unit_rows",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}

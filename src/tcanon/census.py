@@ -23,8 +23,6 @@ from typing import Iterator
 
 from .pauli import PauliSet, _swap_halves
 
-DEFAULT_SEED = 1729
-
 
 class FeasibilityRefusalError(ValueError):
     pass

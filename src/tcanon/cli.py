@@ -60,22 +60,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Clifford+T unitaries.")
     sub = top.add_subparsers(dest="command", required=True)
 
+    # each command names its handler and the dest of its width flag, which
+    # main refuses below 1; canonicalize has none
     p = sub.add_parser("count", help="counting formulas for one (n, m) or all m")
+    p.set_defaults(run=_cmd_count, width="qubits")
     p.add_argument("--qubits", type=_int_arg, required=True)
     p.add_argument("--tcount", type=_int_arg, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("table", help="per-size census table (TSV)")
+    p.set_defaults(run=_cmd_count, width="max_qubits")
     p.add_argument("--max-qubits", type=_int_arg, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("enumerate", help="stream every set, one per line")
+    p.set_defaults(run=_cmd_enumerate, width="qubits")
     p.add_argument("--qubits", type=_int_arg, required=True)
     p.add_argument("--tcount", type=_int_arg, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("verify", help="machine-check one of the lemmas")
+    p.set_defaults(run=_cmd_verify, width="qubits")
     p.add_argument("check", choices=_VERIFIERS)
     p.add_argument("--qubits", type=_int_arg, required=True)
     p.add_argument("--trials", type=_int_arg, default=None)
@@ -84,10 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("growth", help="witness the 2^(n^2) lower bound")
+    p.set_defaults(run=_cmd_growth, width="max_qubits")
     p.add_argument("--max-qubits", type=_int_arg, default=16)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("canonicalize", help="normalize a layered circuit file")
+    p.set_defaults(run=_cmd_canonicalize, width=None)
     p.add_argument("--in", dest="infile", default=None,
                    help="circuit file (default: stdin)")
     p.add_argument("--out", default=None)
@@ -102,40 +110,39 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
             fh.write(chunk)
 
 
-def _width(args) -> tuple[str, int]:
-    """A command's width flag and value; canonicalize has none, read as 1."""
-    flag = "max_qubits" if args.command in ("table", "growth") else "qubits"
-    return "--" + flag.replace("_", "-"), getattr(args, flag, 1)
-
-
-def _digit_limit(args) -> str:
-    """count's or table's refusal of a width whose counts CPython could not
-    print."""
-    flag, n = _width(args)
-    return (f"{flag} {n}: the counts exceed Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits for printing an integer")
-
-
-def _count_text(args) -> str:
-    """The whole output of count (census.count_row as text or JSON) or of
-    table, built before any of it is written.  A width is refused before
-    any value is built if CPython could not print the Clifford order, which
-    both print and which is at least 2^(n^2 + 2n): 4 * limit bits are over
-    limit digits (a limit of 0 is none)."""
-    n = _width(args)[1]
+def _cmd_count(args) -> int:
+    """Write the whole output of count (census.count_row as text or JSON)
+    or of table, built before any of it is written.  A width whose counts
+    CPython could not print is refused with one text: before any value is
+    built if it could not print the Clifford order, which both print and
+    which is at least 2^(n^2 + 2n), as 4 * limit bits are over limit
+    digits (a limit of 0 is none); else where CPython refuses, from 65
+    qubits up to the 130 let through at the default limit."""
+    n = getattr(args, args.width)
     limit = sys.get_int_max_str_digits()
+    refusal = (f"--{args.width.replace('_', '-')} {n}: the counts exceed "
+               f"Python's limit of {limit} digits for printing an integer")
     if limit and n * n + 2 * n >= 4 * limit:
-        raise ValueError(_digit_limit(args))
+        raise ValueError(refusal)
     from . import census
-    if args.command == "table":
-        return census.emit_table(n)
-    row = census.count_row(n, args.tcount)
-    if args.json:
-        import json
-        return json.dumps(row, indent=2) + "\n"
-    return "".join("".join(f"tcount_{j}\t{c}\n" for j, c in v.items())
-                   if isinstance(v, dict) else f"{k}\t{v}\n"
-                   for k, v in row.items())
+    try:
+        if args.command == "table":
+            text = census.emit_table(n)
+        elif args.json:
+            import json
+            text = json.dumps(census.count_row(n, args.tcount), indent=2)
+            text += "\n"
+        else:
+            text = "".join(
+                "".join(f"tcount_{j}\t{c}\n" for j, c in v.items())
+                if isinstance(v, dict) else f"{k}\t{v}\n"
+                for k, v in census.count_row(n, args.tcount).items())
+    except ValueError as e:
+        if "integer string conversion" not in str(e):
+            raise
+        raise ValueError(refusal) from None
+    _write([text], getattr(args, "out", None))
+    return 0
 
 
 def _cmd_enumerate(args) -> int:
@@ -195,6 +202,11 @@ def _cmd_verify(args) -> int:
                        args.json)
 
 
+def _cmd_growth(args) -> int:
+    from .verify import growth_check
+    return _report_out(growth_check(args.max_qubits), args.json)
+
+
 def _cmd_canonicalize(args) -> int:
     from . import canonical
     if args.infile is None:
@@ -211,28 +223,12 @@ def _cmd_canonicalize(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        flag, n = _width(args)
+        n = getattr(args, args.width) if args.width else 1
         if n < 1:
-            raise ValueError(f"need {flag} >= 1, got {n}")
-        if args.command in ("count", "table"):
-            _write([_count_text(args)], getattr(args, "out", None))
-            return 0
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "growth":
-            from .verify import growth_check
-            return _report_out(growth_check(args.max_qubits), args.json)
-        if args.command == "canonicalize":
-            return _cmd_canonicalize(args)
-        raise AssertionError(f"unhandled command {args.command}")
+            raise ValueError(
+                f"need --{args.width.replace('_', '-')} >= 1, got {n}")
+        return args.run(args)
     except (OSError, ValueError) as e:
-        if (args.command in ("count", "table")
-                and "integer string conversion" in str(e)):
-            # CPython's own refusal, from 65 qubits up to the 130 that
-            # _count_text lets through
-            e = _digit_limit(args)
         print(f"error: {e}", file=sys.stderr)
         return 2
 

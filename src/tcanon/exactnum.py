@@ -7,9 +7,11 @@ Two rings cover all values that ever appear:
   so orthogonality, spectra and signed-permutation tests are exact.
 
 * ``Cyclotomic16Scalar`` holds sums of powers of zeta = exp(i*pi/8)
-  (zeta^8 = -1) divided by 2^k: the dense oracle's entry type.  The oracle
-  builds on 8-int coefficient lists, and this ring arithmetic is the
-  tests' reference.  sqrt2 embeds as zeta^2 - zeta^6.
+  (zeta^8 = -1) divided by 2^k: the dense oracle's normalized entry
+  value, with no arithmetic of its own.  The oracle builds on 8-int
+  coefficient lists and multiplies through cyclotomic_dot; the ring's
+  sums and products are the tests' reference, in tests/dense_reference.py.
+  sqrt2 embeds as zeta^2 - zeta^6.
 
 There is no floating point anywhere in the arithmetic.
 """
@@ -49,9 +51,6 @@ class DyadicSqrt2Scalar:
 
     def __neg__(self) -> "DyadicSqrt2Scalar":
         return DyadicSqrt2Scalar(-self.a, -self.b, self.k)
-
-    def __sub__(self, other: "DyadicSqrt2Scalar") -> "DyadicSqrt2Scalar":
-        return self + (-other)
 
     def __mul__(self, other: "DyadicSqrt2Scalar") -> "DyadicSqrt2Scalar":
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
@@ -101,19 +100,6 @@ DYADIC_ONE = DyadicSqrt2Scalar(1)
 DYADIC_MINUS_ONE = DyadicSqrt2Scalar(-1)
 
 
-def _convolve_into(out: list, a: tuple, b: tuple, shift: int) -> None:
-    """out += (a * b) << shift for coefficient 8-tuples, using zeta^8 = -1."""
-    for i, ai in enumerate(a):
-        if ai:
-            ai <<= shift
-            for j, bj in enumerate(b):
-                if bj:
-                    if i + j < 8:
-                        out[i + j] += ai * bj
-                    else:
-                        out[i + j - 8] -= ai * bj
-
-
 class Cyclotomic16Scalar:
     """sum_j c_j * zeta^j / 2^k with zeta = exp(i*pi/8), zeta^8 = -1.
 
@@ -139,27 +125,6 @@ class Cyclotomic16Scalar:
         self.c = tuple(c)
         self.k = k
 
-    def __add__(self, other: "Cyclotomic16Scalar") -> "Cyclotomic16Scalar":
-        ka, kb = self.k, other.k
-        if ka >= kb:
-            s = ka - kb
-            return Cyclotomic16Scalar(
-                [x + (y << s) for x, y in zip(self.c, other.c)], ka)
-        s = kb - ka
-        return Cyclotomic16Scalar(
-            [(x << s) + y for x, y in zip(self.c, other.c)], kb)
-
-    def __neg__(self) -> "Cyclotomic16Scalar":
-        return Cyclotomic16Scalar([-v for v in self.c], self.k)
-
-    def __sub__(self, other: "Cyclotomic16Scalar") -> "Cyclotomic16Scalar":
-        return self + (-other)
-
-    def __mul__(self, other: "Cyclotomic16Scalar") -> "Cyclotomic16Scalar":
-        out = [0] * 8
-        _convolve_into(out, self.c, other.c, 0)
-        return Cyclotomic16Scalar(out, self.k + other.k)
-
     def is_zero(self) -> bool:
         return not any(self.c)
 
@@ -176,13 +141,23 @@ class Cyclotomic16Scalar:
 
 
 def cyclotomic_dot(pairs) -> Cyclotomic16Scalar:
-    """Sum of a*b over (a, b) pairs: the raw products are summed over the
-    largest denominator 2^k and the total is normalized once."""
+    """Sum of a*b over (a, b) pairs, summed raw over the largest 2^k and
+    normalized once: the package's one zeta product outside the packed
+    trace kernel, with zeta^(i+j) = -zeta^(i+j-8) for i + j >= 8."""
     out, k = [0] * 8, 0
     for a, b in pairs:
         kab = a.k + b.k
         if kab > k:
             out = [v << (kab - k) for v in out]
             k = kab
-        _convolve_into(out, a.c, b.c, k - kab)
+        shift = k - kab
+        for i, ai in enumerate(a.c):
+            if ai:
+                ai <<= shift
+                for j, bj in enumerate(b.c):
+                    if bj:
+                        if i + j < 8:
+                            out[i + j] += ai * bj
+                        else:
+                            out[i + j - 8] -= ai * bj
     return Cyclotomic16Scalar(out, k)

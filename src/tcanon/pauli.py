@@ -6,7 +6,8 @@ the convention Y = i*X*Z.  x and z are packed into machine ints with qubit
 0 at the highest bit of the n-bit field, so the unsigned label
 (x << n) | z sorts the way the string form reads.  That label is the
 package's one Pauli representation; PauliOperator objects are made only
-where text is parsed or rendered.
+where text is parsed or rendered, and have no arithmetic.
+label_product_phase is the one Pauli product rule.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ _PHASE_OF_SIGN = {v: k for k, v in _SIGN_OF_PHASE.items()}
 
 
 class PauliOperator:
-    """One signed Pauli; immutable.  phase is the exponent of i, mod 4."""
+    """One signed Pauli at the parse and render edges; immutable.  phase
+    is the exponent of i, mod 4."""
 
     __slots__ = ("n", "x", "z", "phase")
 
@@ -56,14 +58,6 @@ class PauliOperator:
 
     def is_hermitian(self) -> bool:
         return not self.phase & 1
-
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z,
-                             self.phase + other.phase
-                             + label_product_phase(self.label, other.label,
-                                                   self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliOperator):
@@ -123,8 +117,8 @@ def label_product_phase(a: int, b: int, n: int) -> int:
     past Z^z1 adds 2|z1&x2|.  The counts are read off whole labels: b >> n
     is x2 with nothing above its n bits, so a & b >> n keeps only a's low
     half, z1, against it and is z1 & x2; likewise a & a >> n is x1 & z1.
-    The one Pauli product rule of the package: PauliOperator.__mul__ and
-    tableau conjugation both take their phase from it."""
+    The one Pauli product rule of the package: every product phase in
+    tableaux and channels is taken from it."""
     c = a ^ b
     return ((a & a >> n).bit_count() + (b & b >> n).bit_count()
             + 2 * (a & b >> n).bit_count() - (c & c >> n).bit_count()) & 3

@@ -12,7 +12,7 @@ commutes states the package's commutation rule, the parity of a label
 against the dual label of pauli._swap_halves.
 """
 
-from dense_reference import dense_of_pauli, zeta_power
+from dense_reference import cyc_mul, dense_of_pauli, zeta_power
 from tcanon.clifford import parse_gate_word
 from tcanon.oracle import DenseUnitary
 from tcanon.pauli import PauliOperator, _swap_halves
@@ -55,7 +55,7 @@ def conjugate(c, p: PauliOperator) -> PauliOperator:
 def dense_of(p: PauliOperator):
     """The dense matrix of i^phase * P_label for an operator p."""
     unit = zeta_power(4 * p.phase)
-    return DenseUnitary(p.n, [[unit * v for v in row]
+    return DenseUnitary(p.n, [[cyc_mul(unit, v) for v in row]
                               for row in dense_of_pauli(p.n, p.label).mat])
 
 

@@ -22,11 +22,12 @@ from tcanon.canonical import (
     channel_of_decomposition,
 )
 from tcanon.channel import channel_of_canonical, channel_of_clifford
-from tcanon.census import DEFAULT_SEED, count_sets, enumerate_sets
+from tcanon.census import count_sets, enumerate_sets
 from tcanon.cli import main
 from tcanon.clifford import CliffordTableau, from_gate_word, random_clifford
 from tcanon.pauli import parse_pauli, validate_set
 from tcanon.verify import (
+    DEFAULT_SEED,
     growth_check,
     random_gate_word,
     random_pauli_set,

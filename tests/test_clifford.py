@@ -5,7 +5,7 @@ import random
 
 import pytest
 from conftest import commutes, conjugate, dense_of, inverse_word, pauli_of
-from dense_reference import dagger, dense_of_pauli
+from dense_reference import dagger, dense_of_pauli, pauli_product
 
 from tcanon.clifford import (
     BadTokenError,
@@ -148,7 +148,8 @@ def test_conjugation_is_an_automorphism():
         c = from_gate_word(random_gate_word(3, rng), 3)
         p = PauliOperator.from_label(3, rng.randrange(1, 64))
         q = PauliOperator.from_label(3, rng.randrange(1, 64))
-        assert conjugate(c, p * q) == conjugate(c, p) * conjugate(c, q)
+        assert (conjugate(c, pauli_product(p, q))
+                == pauli_product(conjugate(c, p), conjugate(c, q)))
 
 
 def test_conjugation_preserves_commutation():
@@ -162,14 +163,14 @@ def test_conjugation_preserves_commutation():
 
 
 def _conjugate_by_products(c, p):
-    """conjugate_pauli written as a fold of PauliOperator.__mul__ over the
-    generator images that p's X and Z bits pick out."""
+    """conjugate_pauli written as a fold of the reference pauli_product
+    over the generator images that p's X and Z bits pick out."""
     n = c.n
     acc = PauliOperator(n, 0, 0, p.phase + (p.x & p.z).bit_count())
     for bits, images in ((p.x, c.xim), (p.z, c.zim)):
         for j in range(n):
             if bits >> (n - 1 - j) & 1:
-                acc = acc * pauli_of(n, images[j])
+                acc = pauli_product(acc, pauli_of(n, images[j]))
     return acc
 
 
@@ -230,12 +231,12 @@ def _gate_tableau_by_products(name, qubits, n):
     zim = [pauli_of(n, g) for g in ident.zim]
     if name == "CX":
         c, t = qubits
-        xim[c] = xim[c] * xim[t]
-        zim[t] = zim[c] * zim[t]
+        xim[c] = pauli_product(xim[c], xim[t])
+        zim[t] = pauli_product(zim[c], zim[t])
     elif name == "CZ":
         a, b = qubits
-        xim[a] = xim[a] * zim[b]
-        xim[b] = zim[a] * xim[b]
+        xim[a] = pauli_product(xim[a], zim[b])
+        xim[b] = pauli_product(zim[a], xim[b])
     else:  # SWAP
         a, b = qubits
         xim[a], xim[b] = xim[b], xim[a]

@@ -19,7 +19,7 @@ EXPORTED = {
     "canonical": ["TLayer", "TLayerCircuit", "WidthMismatchError",
                   "canonicalize_depth_d", "channel_of_circuit",
                   "parse_circuit", "parse_form"],
-    "census": ["DEFAULT_SEED", "FeasibilityRefusalError",
+    "census": ["FeasibilityRefusalError",
                "VerificationReport", "count_sets", "count_tdepth_one",
                "count_tuples", "emit_table", "enumerate_sets",
                "growth_check", "random_pauli_set", "verify_distinctness",
@@ -35,6 +35,7 @@ EXPORTED = {
                "dense_of_gate_word", "dense_of_t_layer"],
     "pauli": ["PauliOperator", "PauliSet", "commutant", "parse_pauli",
               "validate_set"],
+    "verify": ["DEFAULT_SEED"],
 }
 
 # the modules a fresh process has loaded since `before`, as its last line

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from conftest import dense_of
-from dense_reference import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO, dagger,
+from dense_reference import (CYC_I, CYC_INV_SQRT2, CYC_ONE, CYC_ZERO,
+                             cyc_add, cyc_mul, cyc_neg, dagger,
                              dense_of_pauli, dense_of_quarter_exponential,
-                             identity_plus, signed_exponential, to_dyadic,
-                             zeta_power)
+                             identity_plus, pauli_product, signed_exponential,
+                             to_dyadic, zeta_power)
 from tcanon.canonical import TLayer, channel_of_circuit, parse_circuit
 from tcanon.exactnum import Cyclotomic16Scalar, cyclotomic_dot
 from tcanon import oracle
@@ -43,10 +44,10 @@ def test_identity_and_pauli_matrices():
     x = dense_of(parse_pauli("X"))
     assert x.mat == [[CYC_ZERO, CYC_ONE], [CYC_ONE, CYC_ZERO]]
     z = dense_of_pauli(1, Z1)
-    assert z.mat == [[CYC_ONE, CYC_ZERO], [CYC_ZERO, -CYC_ONE]]
+    minus_one, i = cyc_neg(CYC_ONE), zeta_power(4)
+    assert z.mat == [[CYC_ONE, CYC_ZERO], [CYC_ZERO, minus_one]]
     y = dense_of(parse_pauli("Y"))
-    assert y.mat == [[CYC_ZERO, -zeta_power(4)], [zeta_power(4), CYC_ZERO]]
-    minus_one, i = -CYC_ONE, zeta_power(4)
+    assert y.mat == [[CYC_ZERO, cyc_neg(i)], [i, CYC_ZERO]]
     assert dense_of(parse_pauli("-X")).mat == [[CYC_ZERO, minus_one],
                                                [minus_one, CYC_ZERO]]
     assert dense_of(parse_pauli("+iX")).mat == [[CYC_ZERO, i],
@@ -60,7 +61,7 @@ def test_pauli_matrices_are_unitary_and_multiplicative():
         u = dense_of_pauli(2, a)
         assert u.multiply(dagger(u)) == DenseUnitary.identity(2)
         assert (dense_of_pauli(2, a).multiply(dense_of_pauli(2, b))
-                == dense_of(pa * pb))
+                == dense_of(pauli_product(pa, pb)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -82,7 +83,8 @@ def test_every_builder_is_its_scalar_reference_entry_by_entry(n):
             want[b][b] = CYC_ONE
             for q, mark in enumerate(marks):
                 if mark and b >> (n - 1 - q) & 1:
-                    want[b][b] *= zeta_power(2 if mark == "t" else -2)
+                    want[b][b] = cyc_mul(
+                        want[b][b], zeta_power(2 if mark == "t" else -2))
         layer = TLayer(n, t=[q for q, m in enumerate(marks) if m == "t"],
                        tdg=[q for q, m in enumerate(marks) if m == "tdg"])
         assert dense_of_t_layer(layer).mat == want, marks
@@ -164,14 +166,14 @@ def _gate_on_basis(name, qubits, bits):
         low, high = list(bits), list(bits)
         low[a], high[a] = 0, 1
         return [(CYC_INV_SQRT2, low),
-                (-CYC_INV_SQRT2 if bits[a] else CYC_INV_SQRT2, high)]
+                (cyc_neg(CYC_INV_SQRT2) if bits[a] else CYC_INV_SQRT2, high)]
     if name == "S":
         return [(CYC_I if bits[a] else CYC_ONE, out)]
     if name == "Z":
-        return [(-CYC_ONE if bits[a] else CYC_ONE, out)]
+        return [(cyc_neg(CYC_ONE) if bits[a] else CYC_ONE, out)]
     if name == "CZ":
         both = bits[a] and bits[qubits[1]]
-        return [(-CYC_ONE if both else CYC_ONE, out)]
+        return [(cyc_neg(CYC_ONE) if both else CYC_ONE, out)]
     if name == "X":
         out[a] ^= 1
     elif name == "CX":
@@ -193,7 +195,7 @@ def _matrix_from_basis_action(token, n):
         bits = [c >> (n - 1 - q) & 1 for q in range(n)]
         for amplitude, out in _gate_on_basis(name, qubits, bits):
             r = int("".join(map(str, out)), 2)
-            mat[r][c] = mat[r][c] + amplitude
+            mat[r][c] = cyc_add(mat[r][c], amplitude)
     return mat
 
 
@@ -344,7 +346,7 @@ def test_channel_bruteforce_names_the_first_non_real_trace_in_scan_order():
     # of P, then the Z-parts of P and Q, then the X-part of Q, so it names
     # (2, 2) before the lower label pair (2, 1)
     z = zeta_power
-    u = DenseUnitary(1, [[-z(1), z(5)], [z(4), -CYC_ONE]])
+    u = DenseUnitary(1, [[z(9), z(5)], [z(4), z(8)]])
     with pytest.raises(NonRealEntryError) as info:
         channel_bruteforce(u)
     assert str(info.value) == (
@@ -357,7 +359,8 @@ def test_equal_up_to_phase():
     h = dense_of_gate_word("H 0", 1)
     for k in range(16):
         phase = zeta_power(k)
-        scaled = DenseUnitary(1, [[phase * v for v in row] for row in h.mat])
+        scaled = DenseUnitary(1, [[cyc_mul(phase, v) for v in row]
+                                  for row in h.mat])
         assert channel_bruteforce(scaled) == channel_bruteforce(h)
     assert (channel_bruteforce(dense_of_pauli(1, parse_pauli("X").label))
             != channel_bruteforce(dense_of_pauli(1, Z1)))
@@ -405,7 +408,7 @@ def _reference_channel(u):
     cols = []
     for q, pq in enumerate(dense):
         x = q >> n
-        uq = DenseUnitary(n, [[row[c ^ x] * pq.mat[c ^ x][c]
+        uq = DenseUnitary(n, [[cyc_mul(row[c ^ x], pq.mat[c ^ x][c])
                                for c in range(1 << n)] for row in u.mat])
         cols.append({p: to_dyadic(trace) for p, trace
                      in _reference_traces(uq.multiply(ud), dense).items()})
@@ -465,9 +468,11 @@ def test_channel_bruteforce_matches_the_scalar_construction_on_scaled_forms():
             b = [rng.randint(-5, 5) if j % 2 == 0 else 0 for j in range(8)]
             if not any(b):
                 b[0] = 1
-            scale = zeta_power(rng.randrange(16)) * C(b, rng.randint(0, 3))
+            scale = cyc_mul(zeta_power(rng.randrange(16)),
+                            C(b, rng.randint(0, 3)))
             form = _random_form(n, rng)
-            u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])
+            u = DenseUnitary(n, [[cyc_mul(scale, v) for v in row]
+                                 for row in form.mat])
             assert channel_bruteforce(u) == _reference_channel(u)
 
 
@@ -504,10 +509,11 @@ def test_packed_digit_widths_follow_the_input():
     rng = random.Random(4412)
     for n, count in ((1, 8), (2, 4), (3, 1)):
         for _ in range(count):
-            scale = zeta_power(rng.randrange(16)) * C(
-                _wide_coefficients(rng), rng.randint(0, 20))
+            scale = cyc_mul(zeta_power(rng.randrange(16)),
+                            C(_wide_coefficients(rng), rng.randint(0, 20)))
             form = _random_form(n, rng)
-            u = DenseUnitary(n, [[scale * v for v in row] for row in form.mat])
+            u = DenseUnitary(n, [[cyc_mul(scale, v) for v in row]
+                                 for row in form.mat])
             assert channel_bruteforce(u) == _reference_channel(u)
 
 

@@ -1,12 +1,17 @@
-"""Signed Pauli algebra on int-encoded (x, z) bit pairs."""
+"""Signed Pauli algebra on int-encoded (x, z) bit pairs.
+
+PauliOperator has no product: label_product_phase is the package's one
+product rule, and _rule_product applies it to two operators.  Products
+are checked on it and on dense_reference.pauli_product, the letter by
+letter reference."""
 
 import itertools
 import random
 import time
 
 import pytest
-from conftest import commutes as label_pair_commutes, dense_of
-from dense_reference import dense_of_pauli
+from conftest import commutes as label_pair_commutes, dense_of, pauli_of
+from dense_reference import dense_of_pauli, pauli_product
 
 from tcanon.census import enumerate_sets
 from tcanon.pauli import (
@@ -28,6 +33,15 @@ def P(text):
     return parse_pauli(text)
 
 
+def _rule_product(p, q):
+    """p * q with its phase from label_product_phase."""
+    return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, p.phase + q.phase
+                         + label_product_phase(p.label, q.label, p.n))
+
+
+PRODUCTS = (_rule_product, pauli_product)
+
+
 # full single-qubit multiplication table, phases included
 SINGLE_QUBIT_PRODUCTS = [
     ("X", "Z", "-iY"),
@@ -46,18 +60,21 @@ SINGLE_QUBIT_PRODUCTS = [
 
 @pytest.mark.parametrize("a, b, want", SINGLE_QUBIT_PRODUCTS)
 def test_single_qubit_products(a, b, want):
-    assert P(a) * P(b) == P(want)
+    for product in PRODUCTS:
+        assert product(P(a), P(b)) == P(want)
 
 
 def test_signs_propagate_through_products():
-    assert P("-X") * P("Z") == P("+iY")
-    assert P("-X") * P("-Z") == P("-iY")
+    for product in PRODUCTS:
+        assert product(P("-X"), P("Z")) == P("+iY")
+        assert product(P("-X"), P("-Z")) == P("-iY")
 
 
 def test_multiqubit_products_factor_per_qubit():
     # (X@Z)(Z@X) = (XZ)@(ZX) = (-iY)@(iY) = Y@Y
-    assert P("XZ") * P("ZX") == P("YY")
-    assert P("XX") * P("ZZ") == P("-YY")
+    for product in PRODUCTS:
+        assert product(P("XZ"), P("ZX")) == P("YY")
+        assert product(P("XX"), P("ZZ")) == P("-YY")
 
 
 def test_parse_and_render_round_trip():
@@ -151,31 +168,17 @@ def test_swap_halves_parity_agrees_with_operator_commutes():
                                                     == mb.multiply(ma))
 
 
-# i-power k of W_1 * W_2 = i^k W_(1 ^ 2) for one qubit, letters keyed by
-# their (x, z) bits; Y = i*X*Z, so X*Z = -iY, Z*X = iY, X*Y = iZ, ...
-_QUBIT_PRODUCT_PHASE = {
-    ((1, 0), (0, 1)): 3, ((0, 1), (1, 0)): 1,
-    ((1, 0), (1, 1)): 1, ((1, 1), (1, 0)): 3,
-    ((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): 3,
-}
-
-
-def _letterwise_product_phase(a, b, n):
-    k = 0
-    for j in range(n):
-        wa = ((a >> (n + j)) & 1, (a >> j) & 1)
-        wb = ((b >> (n + j)) & 1, (b >> j) & 1)
-        k += _QUBIT_PRODUCT_PHASE.get((wa, wb), 0)
-    return k & 3
+def _letterwise_product(a, b, n):
+    """The reference product of the positive Paulis of two labels."""
+    return pauli_product(pauli_of(n, (a, 0)), pauli_of(n, (b, 0)))
 
 
 def test_label_product_phase_agrees_with_operator_product():
     for n in (1, 2, 3):
         for a, b in itertools.product(range(1 << (2 * n)), repeat=2):
-            prod = PauliOperator.from_label(n, a) * PauliOperator.from_label(n, b)
+            prod = _letterwise_product(a, b, n)
             assert prod.label == a ^ b
             assert label_product_phase(a, b, n) == prod.phase
-            assert _letterwise_product_phase(a, b, n) == prod.phase
     # the rule shifts whole labels across the x/z half boundary; past
     # n = 3 it is checked letter by letter on random pairs
     rng = random.Random(153)
@@ -183,7 +186,7 @@ def test_label_product_phase_agrees_with_operator_product():
         for _ in range(20):
             a, b = rng.getrandbits(2 * n), rng.getrandbits(2 * n)
             assert (label_product_phase(a, b, n)
-                    == _letterwise_product_phase(a, b, n)), (n, a, b)
+                    == _letterwise_product(a, b, n).phase), (n, a, b)
 
 
 def test_constructors_reject_out_of_range_input():
@@ -305,6 +308,6 @@ def test_products_agree_with_dense_matrices():
     for a, b in itertools.product(range(1, 16), repeat=2):
         pa = PauliOperator.from_label(2, a)
         pb = PauliOperator.from_label(2, b)
-        left = dense_of(pa * pb)
         right = dense_of_pauli(2, a).multiply(dense_of_pauli(2, b))
-        assert left == right
+        for product in PRODUCTS:
+            assert dense_of(product(pa, pb)) == right
